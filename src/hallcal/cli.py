@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def load_settings(config_path, iters=None, seed=None) -> RunSettings:
     if seed is not None:
         calib = replace(calib, seed=seed)
         settings = replace(settings, es=replace(settings.es, seed=seed))
-    if settings.es.max_evals == 18 and iters is not None:
+    if iters is not None and "max_evals" not in doc.get("es", {}):
         settings = replace(settings, es=replace(settings.es, max_evals=3 + iters))
     return replace(settings, calib=calib)
 
@@ -256,10 +257,13 @@ def _heuristic_calibrate(solver, measurements, state, layout, settings: RunSetti
     from .engine import IterationTrace  # local import keeps module load light
 
     cache = {}
+    eval_times = []
 
     def objective(alpha):
+        t0 = time.perf_counter()
         temps = solver.solve(state.to_input(alpha))
         value = mae(temps, measurements)
+        eval_times.append(time.perf_counter() - t0)
         cache[solver.n_calls] = (alpha.copy(), temps, value)
         return value
 
@@ -269,8 +273,8 @@ def _heuristic_calibrate(solver, measurements, state, layout, settings: RunSetti
     alpha_star, temps, best = cache[best_call]
     traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
                              mean_grad_mag=float("nan"), de_l2=None, solver_calls=i + 1,
-                             dataset_size=0, wall_time_s=0.0)
-              for i, v in enumerate(res.best_trace)]
+                             dataset_size=0, wall_time_s=t)
+              for i, (v, t) in enumerate(zip(res.best_trace, eval_times))]
     return CalibrationResult(alpha_star=alpha_star, best_mae=best,
                              best_solver_temps=temps, traces=traces,
                              n_solver_calls=solver.n_calls)

@@ -35,6 +35,7 @@ from .surrogate import (
     PenaltyParams,
     SurrogateWeights,
     TrainingSample,
+    cooling_feature,
     forward,
     grad_alpha,
     init_weights,
@@ -120,7 +121,16 @@ def mae(pred: np.ndarray, meas: np.ndarray) -> float:
 
 
 class KnowledgeSurrogateModel:
-    """Stateful wrapper pairing the knowledge surrogate with its priors."""
+    """Stateful wrapper pairing the knowledge surrogate with its priors.
+
+    A search varies only the flow rates, and X_cold, the cooling block's
+    output, depends only on the setpoints, the fan speeds and the fixed
+    priors. l2 and l2_grad_alpha therefore keep the last X_cold, keyed on
+    the shape and bytes of the setpoints and fan speeds, and reuse it while
+    those bytes repeat. Equal bytes give an equal X_cold, so the reuse is
+    exact; the key holds values, not the arrays, so an in-place edit of a
+    state misses the memo. Every call still runs all input checks.
+    """
 
     def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams,
                  train_cfg: TrainConfig):
@@ -128,6 +138,8 @@ class KnowledgeSurrogateModel:
         self.penalty = penalty
         self.train_cfg = train_cfg
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
+        self._cooling_key: Optional[tuple] = None
+        self._cooling: Optional[np.ndarray] = None
 
     def fit(self, dataset: list[TrainingSample]) -> None:
         self.weights = train(self.weights, self.priors, dataset, self.train_cfg)
@@ -135,11 +147,20 @@ class KnowledgeSurrogateModel:
     def predict(self, x: SystemInput) -> np.ndarray:
         return forward(self.weights, self.priors, x)
 
+    def _cooling_of(self, x: SystemInput) -> np.ndarray:
+        key = (x.crac_setpoints.shape, x.crac_setpoints.tobytes(), x.crac_fan_speeds.tobytes())
+        if key != self._cooling_key:
+            self._cooling = cooling_feature(self.priors, x)
+            self._cooling_key = key
+        return self._cooling
+
     def l2(self, x: SystemInput, t_meas: np.ndarray) -> float:
-        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty)
+        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty,
+                       x_cold=self._cooling_of(x))
 
     def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
-        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty)
+        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty,
+                          x_cold=self._cooling_of(x))
 
 
 class VanillaSurrogateModel:

@@ -9,8 +9,9 @@ raise ParseError naming the offending file and line.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -119,29 +120,53 @@ def save_measurements(sensor_ids: Sequence[str], values: np.ndarray, path: Path)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_measurements(path: Path, sensor_ids: Sequence[str]) -> np.ndarray:
-    """Measurement vector ordered like `sensor_ids`."""
+def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
+                       header: Optional[str] = None) -> np.ndarray:
+    """Values of "id,value" records, one per line, ordered like `ids` (in
+    file order when `ids` is None).
+
+    A given header must be the first line; blank lines are skipped. A line
+    without exactly two fields, a value that is not a finite number, and a
+    repeated id each raise ParseError naming the file and the line, as does
+    an id of `ids` with no record.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: file not found") from exc
-    if not lines or lines[0].strip() != "sensor_id,temperature_c":
-        raise ParseError(f"{path} line 1: expected header 'sensor_id,temperature_c'")
+    first = 1
+    if header is not None:
+        if not lines or lines[0].strip() != header:
+            raise ParseError(f"{path} line 1: expected header {header!r}")
+        first = 2
     values: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[first - 1:], start=first):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ParseError(f"{path} line {lineno}: expected 'sensor_id,value'")
+            raise ParseError(f"{path} line {lineno}: expected 'id,value'")
+        key, text = parts[0].strip(), parts[1].strip()
         try:
-            values[parts[0].strip()] = float(parts[1])
+            value = float(text)
         except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: bad number {parts[1].strip()!r}") from exc
-    missing = [s for s in sensor_ids if s not in values]
+            raise ParseError(f"{path} line {lineno}: bad number {text!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path} line {lineno}: non-finite value {text!r}")
+        if key in values:
+            raise ParseError(f"{path} line {lineno}: duplicate id {key!r}")
+        values[key] = value
+    if ids is None:
+        return np.array(list(values.values()))
+    missing = [i for i in ids if i not in values]
     if missing:
-        raise ParseError(f"{path}: missing sensors {missing}")
-    return np.array([values[s] for s in sensor_ids])
+        raise ParseError(f"{path}: missing ids {missing}")
+    return np.array([values[i] for i in ids])
+
+
+def load_measurements(path: Path, sensor_ids: Sequence[str]) -> np.ndarray:
+    """Measurement vector ordered like `sensor_ids`."""
+    return read_keyed_records(path, sensor_ids, header="sensor_id,temperature_c")
 
 
 def save_alpha(server_ids: Sequence[str], alpha: np.ndarray, path: Path) -> None:
@@ -151,27 +176,8 @@ def save_alpha(server_ids: Sequence[str], alpha: np.ndarray, path: Path) -> None
 
 
 def load_alpha(path: Path, server_ids: Sequence[str]) -> np.ndarray:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: file not found") from exc
-    if not lines or lines[0].strip() != "server_id,alpha_cfm_per_w":
-        raise ParseError(f"{path} line 1: expected header 'server_id,alpha_cfm_per_w'")
-    values: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path} line {lineno}: expected 'server_id,value'")
-        try:
-            values[parts[0].strip()] = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: bad number {parts[1].strip()!r}") from exc
-    missing = [s for s in server_ids if s not in values]
-    if missing:
-        raise ParseError(f"{path}: missing servers {missing}")
-    return np.array([values[s] for s in server_ids])
+    """Flow-rate vector ordered like `server_ids`."""
+    return read_keyed_records(path, server_ids, header="server_id,alpha_cfm_per_w")
 
 
 def save_weights(weights, path: Path) -> None:

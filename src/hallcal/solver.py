@@ -293,27 +293,8 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
 
     if not output_path.exists():
         raise ParseError(f"external solver produced no {spec.output_filename}")
-    values: dict[str, float] = {}
-    order: list[str] = []
-    for lineno, line in enumerate(output_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{spec.output_filename} line {lineno}: expected 'sensor_id, value'")
-        sid = parts[0].strip()
-        try:
-            values[sid] = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{spec.output_filename} line {lineno}: bad number {parts[1].strip()!r}") from exc
-        order.append(sid)
-
-    if sensor_ids is not None:
-        missing = [s for s in sensor_ids if s not in values]
-        if missing:
-            raise ParseError(f"{spec.output_filename} lacks sensors {missing}")
-        return np.array([values[s] for s in sensor_ids])
-    return np.array([values[s] for s in order])
+    from .fileio import read_keyed_records  # fileio imports this module
+    return read_keyed_records(output_path, sensor_ids)
 
 
 class ExternalSolver(ThermalSolver):

@@ -21,6 +21,7 @@ air density, heat capacity, and the cfm unit conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -126,31 +127,58 @@ def _cooling_coefficients(w_cs: np.ndarray, fan_speeds: np.ndarray) -> np.ndarra
     return ez / ez.sum(axis=-2, keepdims=True)
 
 
-def _blocks(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput):
-    """Hidden-layer variables of both blocks for one input."""
+def _mix_setpoints(priors: AdjacencyPriors, setpoints: np.ndarray, fans: np.ndarray) -> np.ndarray:
+    """X_cold of one input (l,) or a batch (B, l): the softmax mix of the CRAC
+    setpoints onto each sensor. No flow rate enters it."""
+    coeff = _cooling_coefficients(priors.w_cs, fans)
+    return (setpoints[..., :, None] * coeff).sum(axis=-2)
+
+
+def _heating_sum(priors: AdjacencyPriors, powers: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """X_hot of one input (m,) or a batch (B, m)."""
+    return ((powers / alphas)[..., :, None] * priors.w_ss).sum(axis=-2)
+
+
+def _predict(w: SurrogateWeights, priors: AdjacencyPriors, x_cold: np.ndarray,
+             x_hot: np.ndarray) -> np.ndarray:
+    return w.a * x_cold + w.b + priors.hot_mask * (w.c * x_hot + w.d)
+
+
+def _check_crac_count(priors: AdjacencyPriors, x: SystemInput) -> None:
     if x.crac_setpoints.size != priors.w_cs.shape[0]:
         raise DimensionMismatchError("CRAC count does not match the priors")
+
+
+def cooling_feature(priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
+    """X_cold of one input. It depends on the setpoints and fan speeds only,
+    so a caller that varies just the flow rates may compute it once."""
+    _check_crac_count(priors, x)
+    return _mix_setpoints(priors, x.crac_setpoints, x.crac_fan_speeds)
+
+
+def _blocks(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
+            x_cold: Optional[np.ndarray] = None):
+    """Both blocks' hidden variables (X_cold, X_hot) for one input; a given
+    x_cold is taken as cooling_feature(priors, x)."""
+    _check_crac_count(priors, x)
     if x.server_powers.size != priors.w_ss.shape[0]:
         raise DimensionMismatchError("server count does not match the priors")
     if w.n_sensors != priors.n_sensors:
         raise DimensionMismatchError("weight count does not match the sensor count")
     _check_alpha(x.flow_rates)
-    coeff = _cooling_coefficients(priors.w_cs, x.crac_fan_speeds)
-    x_cold = (x.crac_setpoints[:, None] * coeff).sum(axis=0)
-    x_hot = ((x.server_powers / x.flow_rates)[:, None] * priors.w_ss).sum(axis=0)
-    return coeff, x_cold, x_hot
+    if x_cold is None:
+        x_cold = _mix_setpoints(priors, x.crac_setpoints, x.crac_fan_speeds)
+    return x_cold, _heating_sum(priors, x.server_powers, x.flow_rates)
 
 
 def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
     """Predicted temperatures at all sensor locations, degC."""
-    _, x_cold, x_hot = _blocks(w, priors, x)
-    t_cold = w.a * x_cold + w.b
-    dt = w.c * x_hot + w.d
-    return t_cold + priors.hot_mask * dt
+    return _predict(w, priors, *_blocks(w, priors, x))
 
 
-def _batch_blocks(w: SurrogateWeights, priors: AdjacencyPriors, batch: list[TrainingSample]):
-    """Vectorized hidden variables, residuals over a sample batch."""
+def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
+    """Input-only features of a sample batch: X_cold (B, n), X_hot (B, n) and
+    the targets (B, n). No weight enters them, so a trainer computes them once."""
     if not batch:
         raise EmptyBatchError("batch is empty")
     setpoints = np.stack([s.input.crac_setpoints for s in batch])
@@ -159,25 +187,16 @@ def _batch_blocks(w: SurrogateWeights, priors: AdjacencyPriors, batch: list[Trai
     alphas = np.stack([s.input.flow_rates for s in batch])
     targets = np.stack([s.target for s in batch])
     _check_alpha(alphas)
-    coeff = _cooling_coefficients(priors.w_cs, fans)  # (B, l, n)
-    x_cold = (setpoints[:, :, None] * coeff).sum(axis=1)  # (B, n)
-    x_hot = ((powers / alphas)[:, :, None] * priors.w_ss).sum(axis=1)  # (B, n)
-    pred = w.a * x_cold + w.b + priors.hot_mask * (w.c * x_hot + w.d)
-    residual = pred - targets
-    return coeff, x_cold, x_hot, setpoints, powers, alphas, residual
+    return _mix_setpoints(priors, setpoints, fans), _heating_sum(priors, powers, alphas), targets
 
 
-def loss_l1(w: SurrogateWeights, priors: AdjacencyPriors, batch: list[TrainingSample]) -> float:
-    """Mean over samples of the mean-over-sensors squared error against the
-    solver outputs."""
-    *_, residual = _batch_blocks(w, priors, batch)
-    return float(np.mean(residual ** 2))
+def _batch_residual(w: SurrogateWeights, priors: AdjacencyPriors, features) -> np.ndarray:
+    x_cold, x_hot, targets = features
+    return _predict(w, priors, x_cold, x_hot) - targets
 
 
-def grad_weights(w: SurrogateWeights, priors: AdjacencyPriors,
-                 batch: list[TrainingSample]) -> SurrogateWeights:
-    """Analytic gradient of loss_l1 with respect to (a, b, c, d)."""
-    _, x_cold, x_hot, _, _, _, residual = _batch_blocks(w, priors, batch)
+def _weight_grad(priors: AdjacencyPriors, features, residual: np.ndarray) -> SurrogateWeights:
+    x_cold, x_hot, _ = features
     scale = 2.0 / residual.size  # 1/(B*n)
     mask = priors.hot_mask
     return SurrogateWeights(
@@ -186,6 +205,20 @@ def grad_weights(w: SurrogateWeights, priors: AdjacencyPriors,
         c=scale * (residual * mask * x_hot).sum(axis=0),
         d=scale * (residual * mask).sum(axis=0),
     )
+
+
+def loss_l1(w: SurrogateWeights, priors: AdjacencyPriors, batch: list[TrainingSample]) -> float:
+    """Mean over samples of the mean-over-sensors squared error against the
+    solver outputs."""
+    residual = _batch_residual(w, priors, _batch_features(priors, batch))
+    return float(np.mean(residual ** 2))
+
+
+def grad_weights(w: SurrogateWeights, priors: AdjacencyPriors,
+                 batch: list[TrainingSample]) -> SurrogateWeights:
+    """Analytic gradient of loss_l1 with respect to (a, b, c, d)."""
+    features = _batch_features(priors, batch)
+    return _weight_grad(priors, features, _batch_residual(w, priors, features))
 
 
 def penalty_h(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> float:
@@ -213,11 +246,16 @@ def _penalty_grad(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) 
 
 
 def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            t_meas: np.ndarray, params: PenaltyParams) -> float:
+            t_meas: np.ndarray, params: PenaltyParams,
+            x_cold: Optional[np.ndarray] = None) -> float:
     """Mean squared sensor error against measurements plus the scaled hinge
-    penalty: MSE + (lam / n) * h."""
+    penalty: MSE + (lam / n) * h.
+
+    x_cold, when given, must be cooling_feature(priors, x); a search that
+    varies only the flow rates passes it to skip the cooling block.
+    """
     t_meas = np.asarray(t_meas, dtype=float)
-    pred = forward(w, priors, x)
+    pred = _predict(w, priors, *_blocks(w, priors, x, x_cold))
     if pred.shape != t_meas.shape:
         raise DimensionMismatchError("measurement length does not match sensors")
     n = pred.size
@@ -226,15 +264,15 @@ def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
 
 
 def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-               t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
+               t_meas: np.ndarray, params: PenaltyParams,
+               x_cold: Optional[np.ndarray] = None) -> np.ndarray:
     """Analytic gradient of loss_l2 with respect to the flow rates.
 
     Flow rates reach the loss through X_hot (chain -P_j/alpha_j^2 into the
-    hot-aisle sensors) and through the hinge penalty.
+    hot-aisle sensors) and through the hinge penalty. x_cold is as in loss_l2.
     """
     t_meas = np.asarray(t_meas, dtype=float)
-    _, x_cold, x_hot = _blocks(w, priors, x)
-    pred = w.a * x_cold + w.b + priors.hot_mask * (w.c * x_hot + w.d)
+    pred = _predict(w, priors, *_blocks(w, priors, x, x_cold))
     if pred.shape != t_meas.shape:
         raise DimensionMismatchError("measurement length does not match sensors")
     n = pred.size
@@ -252,20 +290,29 @@ def train(w0: SurrogateWeights, priors: AdjacencyPriors, dataset: list[TrainingS
 
     Returns the weights with the lowest observed loss, which is w0 itself
     when no epoch improves on it.
+
+    X_cold, X_hot and the targets depend on the dataset alone, so they are
+    computed once per call. Each epoch then forms one residual, at the
+    weights Adam just produced: it gives that epoch's loss and the next
+    epoch's gradient. Both are the same expressions loss_l1 and
+    grad_weights evaluate, on the same values, so the result equals the
+    plain loop over those two functions bit for bit.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     n = w0.n_sensors
+    features = _batch_features(priors, dataset)
     params = w0.pack()
     best_params = params.copy()
-    best_loss = loss_l1(w0, priors, dataset)
+    residual = _batch_residual(w0, priors, features)
+    best_loss = float(np.mean(residual ** 2))
     state = AdamState.init(params.size, hyper.learning_rate)
     for epoch in range(hyper.epochs):
-        w = SurrogateWeights.unpack(params, n)
-        g = grad_weights(w, priors, dataset)
+        g = _weight_grad(priors, features, residual)
         state.learning_rate = hyper.lr_at(epoch)
         state, params = adam_step(state, params, g.pack())
-        loss = loss_l1(SurrogateWeights.unpack(params, n), priors, dataset)
+        residual = _batch_residual(SurrogateWeights.unpack(params, n), priors, features)
+        loss = float(np.mean(residual ** 2))
         if loss < best_loss:
             best_loss = loss
             best_params = params.copy()

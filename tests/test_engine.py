@@ -18,12 +18,20 @@ from hallcal.errors import (
     CalibrationAbortedError,
     DimensionMismatchError,
     InvalidInputError,
+    NonPositiveFlowRateError,
 )
-from hallcal.hall import build_adjacency
+from hallcal.hall import SystemInput, build_adjacency
 from hallcal.optim import Bounds, DeConfig, TrainConfig
 from hallcal.scenarios import make_identifiable_scenario
-from hallcal.solver import ThermalSolver, ZonalSolver, synthesize_measurements
-from hallcal.surrogate import TrainingSample
+from hallcal.solver import OperatingState, ThermalSolver, ZonalSolver, synthesize_measurements
+from hallcal.surrogate import (
+    PenaltyParams,
+    SurrogateWeights,
+    TrainingSample,
+    grad_alpha,
+    init_weights,
+    loss_l2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +127,61 @@ class TestMae:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mae(np.zeros(3), np.zeros(4))
+
+
+class TestKnowledgeModelObjective:
+    """model.l2 and model.l2_grad_alpha against the plain surrogate functions."""
+
+    @pytest.fixture
+    def model(self, small_case):
+        scenario, _, priors = small_case
+        n = scenario.layout.n_sensors
+        model = KnowledgeSurrogateModel(priors, PenaltyParams(), TrainConfig())
+        rng = np.random.default_rng(4)
+        model.weights = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.3, 4 * n), n)
+        return model
+
+    @staticmethod
+    def assert_bit_identical(model, x, meas):
+        assert model.l2(x, meas) == loss_l2(model.weights, model.priors, x, meas, model.penalty)
+        assert np.array_equal(model.l2_grad_alpha(x, meas),
+                              grad_alpha(model.weights, model.priors, x, meas, model.penalty))
+
+    def test_two_states_used_alternately(self, small_case, model):
+        scenario, state, _ = small_case
+        other = OperatingState(state.crac_setpoints + 1.5, state.crac_fan_speeds * 0.8,
+                               state.server_powers)
+        meas = synthesize_measurements(scenario, state)
+        rng = np.random.default_rng(5)
+        for i in range(6):
+            alpha = rng.uniform(0.05, 0.6, scenario.layout.n_servers)
+            self.assert_bit_identical(model, (state, other)[i % 2].to_input(alpha), meas)
+
+    def test_in_place_edit_of_a_state(self, small_case, model):
+        scenario, state, _ = small_case
+        edited = OperatingState(state.crac_setpoints.copy(), state.crac_fan_speeds.copy(),
+                                state.server_powers)
+        meas = synthesize_measurements(scenario, state)
+        alpha = np.full(scenario.layout.n_servers, 0.2)
+        before = model.l2(edited.to_input(alpha), meas)
+        edited.crac_setpoints[0] += 2.0
+        self.assert_bit_identical(model, edited.to_input(alpha), meas)
+        assert model.l2(edited.to_input(alpha), meas) != before
+        edited.crac_fan_speeds[-1] *= 0.5
+        self.assert_bit_identical(model, edited.to_input(alpha), meas)
+
+    def test_every_call_checks_its_input(self, small_case, model):
+        scenario, state, _ = small_case
+        meas = synthesize_measurements(scenario, state)
+        alpha = np.full(scenario.layout.n_servers, 0.2)
+        model.l2(state.to_input(alpha), meas)  # fills the memo for this state
+        alpha[3] = 0.0
+        for method in (model.l2, model.l2_grad_alpha):
+            with pytest.raises(NonPositiveFlowRateError):
+                method(state.to_input(alpha), meas)
+            with pytest.raises(DimensionMismatchError):
+                method(SystemInput(state.crac_setpoints[:-1], state.crac_fan_speeds[:-1],
+                                   state.server_powers, np.full(alpha.size, 0.2)), meas)
 
 
 class FailingSolver(ThermalSolver):

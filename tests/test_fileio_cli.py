@@ -84,6 +84,27 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="sen-2"):
             fileio.load_measurements(path, ["sen-1", "sen-2"])
 
+    @pytest.mark.parametrize("body, line", [
+        ("a,nan\nb,20.0\n", 2),
+        ("a,20.0\nb,inf\n", 3),
+        ("a,20.0\nb,21.0\na,3\n", 4),
+    ])
+    def test_measurements_reject_non_finite_and_duplicate(self, tmp_path, body, line):
+        path = tmp_path / "meas.csv"
+        path.write_text("sensor_id,temperature_c\n" + body)
+        with pytest.raises(ParseError, match=f"meas.csv line {line}"):
+            fileio.load_measurements(path, ["a", "b"])
+
+    @pytest.mark.parametrize("body, line", [
+        ("s1,-inf\ns2,0.2\n", 2),
+        ("s1,0.1\ns2,0.2\ns2,0.3\n", 4),
+    ])
+    def test_alpha_rejects_non_finite_and_duplicate(self, tmp_path, body, line):
+        path = tmp_path / "alpha.csv"
+        path.write_text("server_id,alpha_cfm_per_w\n" + body)
+        with pytest.raises(ParseError, match=f"alpha.csv line {line}"):
+            fileio.load_alpha(path, ["s1", "s2"])
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "layout.json"
         path.write_text("{not json")
@@ -96,6 +117,20 @@ class TestParseErrors:
         cfg.write_text(json.dumps({"max_iterations": 3, "typo_field": 1}))
         with pytest.raises(ParseError, match="typo_field"):
             load_settings(cfg)
+
+
+class TestLoadSettings:
+    @pytest.mark.parametrize("max_evals", [18, 19])
+    def test_explicit_es_budget_survives_iters(self, tmp_path, max_evals):
+        from hallcal.cli import load_settings
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"es": {"max_evals": max_evals}}))
+        assert load_settings(cfg, iters=5).es.max_evals == max_evals
+
+    def test_es_budget_defaults_to_three_plus_iters(self):
+        from hallcal.cli import load_settings
+        assert load_settings(None, iters=97).es.max_evals == 100
+        assert load_settings(None).es.max_evals == 18
 
 
 class TestCalibrateCommand:
@@ -148,6 +183,9 @@ class TestCalibrateCommand:
         assert report["result"]["n_solver_calls"] == 7  # budget 3 + iters
         lines = (run / "traces.csv").read_text().splitlines()
         assert len(lines) == 1 + 7
+        timings = (run / "timings.csv").read_text().splitlines()[1:]
+        assert len(timings) == 7
+        assert all(float(row.split(",")[1]) > 0.0 for row in timings)
 
     def test_vanilla_method_runs(self, generated, tmp_path):
         out, paths = generated

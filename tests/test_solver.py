@@ -240,6 +240,19 @@ class TestExternalSolve:
         with pytest.raises(ParseError, match="line 2"):
             external_solve(spec, self.make_input([0.2]), ["s1"])
 
+    @pytest.mark.parametrize("output, line", [
+        ("sen-1, nan\\nsen-2, 20.0\\n", 1),
+        ("sen-1, 20.0\\nsen-2, -inf\\n", 2),
+        ("sen-1, 20.0\\nsen-1, 21.0\\n", 2),
+    ])
+    def test_non_finite_or_duplicate_output_names_line(self, tmp_path, output, line):
+        writer = ("import sys, pathlib; "
+                  "pathlib.Path(sys.argv[1], 'sensor_output.txt')"
+                  f".write_text('{output}')")
+        spec = ExternalSolverSpec(command=(sys.executable, "-c", writer), workdir=tmp_path)
+        with pytest.raises(ParseError, match=f"sensor_output.txt line {line}"):
+            external_solve(spec, self.make_input([0.2]), ["s1"])
+
     def test_timeout(self, tmp_path):
         spec = ExternalSolverSpec(command=(sys.executable, "-c", "import time; time.sleep(5)"),
                                   workdir=tmp_path, timeout_s=0.5)

@@ -10,7 +10,7 @@ from hallcal.errors import (
     NonPositiveFlowRateError,
 )
 from hallcal.hall import AdjacencyPriors, SystemInput
-from hallcal.optim import TrainConfig
+from hallcal.optim import AdamState, TrainConfig, adam_step
 from hallcal.surrogate import (
     AIR_DENSITY,
     AIR_HEAT_CAPACITY,
@@ -322,6 +322,42 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             train(init_weights(1), single_sensor_priors(), [], TrainConfig())
+
+    @staticmethod
+    def plain_adam_loop(w0, priors, dataset, hyper):
+        """train() written as loss_l1 and grad_weights evaluated afresh each epoch."""
+        n = w0.n_sensors
+        params = w0.pack()
+        best_params, best_loss = params.copy(), loss_l1(w0, priors, dataset)
+        state = AdamState.init(params.size, hyper.learning_rate)
+        for epoch in range(hyper.epochs):
+            g = grad_weights(SurrogateWeights.unpack(params, n), priors, dataset)
+            state.learning_rate = hyper.lr_at(epoch)
+            state, params = adam_step(state, params, g.pack())
+            loss = loss_l1(SurrogateWeights.unpack(params, n), priors, dataset)
+            if loss < best_loss:
+                best_loss, best_params = loss, params.copy()
+        return best_params
+
+    def test_equals_plain_adam_loop_on_reference_hall(self, reference, reference_priors):
+        scenario, state = reference
+        m, n = scenario.layout.n_servers, scenario.layout.n_sensors
+        rng = np.random.default_rng(13)
+        batch = [TrainingSample(input=state.to_input(rng.uniform(0.1, 0.5, m)),
+                                target=rng.uniform(18, 35, n)) for _ in range(6)]
+        # warm start away from the prior, as in the calibration loop
+        w0 = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.2, 4 * n), n)
+        hyper = TrainConfig(epochs=120, decay_every=40)
+        expected = self.plain_adam_loop(w0, reference_priors, batch, hyper)
+        assert np.array_equal(train(w0, reference_priors, batch, hyper).pack(), expected)
+
+    def test_equals_plain_adam_loop_on_single_sensor(self):
+        priors = single_sensor_priors(w_ss_weight=0.7)
+        batch = [TrainingSample(input=make_input(18.0 + i, 0.3 + 0.1 * i, 150.0, 0.1 + 0.05 * i),
+                                target=[30.0 - i]) for i in range(4)]
+        w0 = init_weights(1)
+        expected = self.plain_adam_loop(w0, priors, batch, TrainConfig())
+        assert np.array_equal(train(w0, priors, batch, TrainConfig()).pack(), expected)
 
 
 class TestStructuralProperties:
