@@ -8,9 +8,11 @@ failure. One --seed flag fans out to every component seed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from . import fileio
 from .engine import (
     CalibConfig,
     CalibrationResult,
+    IterationTrace,
     KnowledgeSurrogateModel,
     VanillaSurrogateModel,
     calibrate,
@@ -35,11 +38,10 @@ from .errors import (
     UnknownMethodError,
 )
 from .hall import build_adjacency
-from .optim import AdamConfig, Bounds, DeConfig, EsConfig, TrainConfig, cmaes_1p1
+from .optim import Bounds, EsConfig, cmaes_1p1
 from .scenarios import _operating_state, _per_type_alpha, make_grid_layout
 from .solver import ExternalSolver, ExternalSolverSpec, Scenario, ZonalSolver, synthesize_measurements
 from .study import run_datavolume_study
-from .surrogate import PenaltyParams
 
 METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
@@ -51,96 +53,90 @@ SOLVER_EXIT_ERRORS = (NoConvergenceError, CommandFailedError, SolverTimeoutError
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Everything a calibration run needs beyond the input files."""
+    """Everything a calibration run needs beyond the input files. The config
+    file is this dataclass as JSON, with `calib`'s fields at the top level:
+    load_settings parses that form and settings_echo writes it."""
 
-    calib: CalibConfig = field(default_factory=CalibConfig)
+    calib: CalibConfig = field(default_factory=CalibConfig, metadata={"inline": True})
     cut_threshold: float = 0.01
-    es: EsConfig = field(default_factory=lambda: EsConfig(max_evals=18))
+    es: EsConfig = field(default_factory=EsConfig)
     mlp_learning_rate: float = 0.01
 
+    def __post_init__(self):
+        if self.cut_threshold < 0:
+            raise ValueError("cut_threshold must be >= 0")
 
-def _settings_from_doc(doc: dict, path) -> RunSettings:
-    """Build RunSettings from a JSON config document; unknown keys error."""
-    def sub(cls, key, **extra):
-        payload = dict(doc.get(key, {}))
-        payload.update(extra)
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ParseError(f"{path}: bad {key} section ({exc})") from exc
 
-    known = {"bounds", "max_iterations", "augment_batch", "input_noise_frac",
-             "target_noise_sd", "penalty", "train", "de", "adam", "use_de",
-             "seed", "cut_threshold", "es", "mlp_learning_rate"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ParseError(f"{path}: unknown config fields {sorted(unknown)}")
+def _parse_fields(cls, doc: dict, name: str, path):
+    """Build `cls` from the keys of `doc` it owns, popping each one; fields
+    missing from `doc` keep their defaults."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.metadata.get("inline"):
+            kwargs[f.name] = _parse_fields(hints[f.name], doc, name, path)
+        elif f.name in doc:
+            key = f"{name}.{f.name}".lstrip(".")
+            kwargs[f.name] = _parse_value(hints[f.name], doc.pop(f.name), key, path)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {name}: {exc}" if name else f"{path}: {exc}") from exc
 
-    bounds = doc.get("bounds", [0.01, 3.0])
-    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-        raise ParseError(f"{path}: bounds must be [lower, upper]")
-    calib = CalibConfig(
-        bounds=Bounds(float(bounds[0]), float(bounds[1])),
-        max_iterations=int(doc.get("max_iterations", 15)),
-        augment_batch=int(doc.get("augment_batch", 16)),
-        input_noise_frac=float(doc.get("input_noise_frac", 0.01)),
-        target_noise_sd=float(doc.get("target_noise_sd", 0.1)),
-        penalty=sub(PenaltyParams, "penalty"),
-        train=sub(TrainConfig, "train"),
-        de=sub(DeConfig, "de"),
-        adam=sub(AdamConfig, "adam"),
-        use_de=bool(doc.get("use_de", True)),
-        seed=int(doc.get("seed", 0)),
-    )
-    return RunSettings(
-        calib=calib,
-        cut_threshold=float(doc.get("cut_threshold", 0.01)),
-        es=sub(EsConfig, "es", max_evals=int(doc.get("es", {}).get("max_evals", 18))),
-        mlp_learning_rate=float(doc.get("mlp_learning_rate", 0.01)),
-    )
+
+def _parse_value(tp, value, name: str, path):
+    """Check one JSON value against its field's type: a config must be an
+    object with known keys, a bool or an int exactly that JSON type, a float
+    any finite number (widened to float)."""
+    if tp is Bounds:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ParseError(f"{path}: {name} must be [lower, upper]")
+        value = dict(zip(("lower", "upper"), value))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ParseError(f"{path}: {name or 'config'} must be a JSON object")
+        rest = dict(value)
+        obj = _parse_fields(tp, rest, name, path)
+        if rest:
+            key = f"{name}.{min(rest)}".lstrip(".")
+            raise ParseError(f"{path}: {key}: unknown config field")
+        return obj
+    if type(value) is tp and tp in (bool, int):
+        return value
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    kind = {bool: "true or false", int: "an integer", float: "a finite number"}[tp]
+    raise ParseError(f"{path}: {name} must be {kind}, got {json.dumps(value)}")
 
 
 def load_settings(config_path, iters=None, seed=None) -> RunSettings:
+    """Settings from the config file (defaults without one), then the
+    --iters and --seed overrides. An ES budget the file leaves unset is
+    3 + max_iterations, the solver calls a surrogate run makes."""
     doc = fileio._load_json(config_path) if config_path else {}
-    if not isinstance(doc, dict):
-        raise ParseError(f"{config_path}: config must be a JSON object")
-    settings = _settings_from_doc(doc, config_path or "<defaults>")
-    calib = settings.calib
+    settings = _parse_value(RunSettings, doc, "", config_path or "<defaults>")
+    calib, es = settings.calib, settings.es
     if iters is not None:
         calib = replace(calib, max_iterations=iters)
     if seed is not None:
         calib = replace(calib, seed=seed)
-        settings = replace(settings, es=replace(settings.es, seed=seed))
-    if iters is not None and "max_evals" not in doc.get("es", {}):
-        settings = replace(settings, es=replace(settings.es, max_evals=3 + iters))
-    return replace(settings, calib=calib)
+        es = replace(es, seed=seed)
+    if "max_evals" not in doc.get("es", {}):
+        es = replace(es, max_evals=3 + calib.max_iterations)
+    return replace(settings, calib=calib, es=es)
 
 
-def settings_echo(settings: RunSettings) -> dict:
-    c = settings.calib
-    return {
-        "bounds": [c.bounds.lower, c.bounds.upper],
-        "max_iterations": c.max_iterations,
-        "augment_batch": c.augment_batch,
-        "input_noise_frac": c.input_noise_frac,
-        "target_noise_sd": c.target_noise_sd,
-        "penalty": {"dt_low": c.penalty.dt_low, "dt_high": c.penalty.dt_high,
-                    "lam": c.penalty.lam, "kappa": c.penalty.kappa},
-        "train": {"epochs": c.train.epochs, "learning_rate": c.train.learning_rate,
-                  "decay": c.train.decay, "decay_every": c.train.decay_every},
-        "de": {"population_size": c.de.population_size, "crossover_rate": c.de.crossover_rate,
-               "max_iterations": c.de.max_iterations,
-               "differential_weight": c.de.differential_weight, "seed": c.de.seed},
-        "adam": {"learning_rate": c.adam.learning_rate, "steps": c.adam.steps,
-                 "beta1": c.adam.beta1, "beta2": c.adam.beta2, "eps": c.adam.eps},
-        "use_de": c.use_de,
-        "seed": c.seed,
-        "cut_threshold": settings.cut_threshold,
-        "es": {"sigma0": settings.es.sigma0, "adapt_every": settings.es.adapt_every,
-               "adapt_factor": settings.es.adapt_factor, "max_evals": settings.es.max_evals,
-               "seed": settings.es.seed},
-        "mlp_learning_rate": settings.mlp_learning_rate,
-    }
+def settings_echo(settings) -> dict:
+    """The config-file form of `settings`; load_settings reads it back."""
+    doc = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, Bounds):
+            value = [value.lower, value.upper]
+        elif is_dataclass(value):
+            value = settings_echo(value)
+        doc.update(value if f.metadata.get("inline") else {f.name: value})
+    return doc
 
 
 # -- commands -----------------------------------------------------------------
@@ -254,8 +250,6 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
 
 def _heuristic_calibrate(solver, measurements, state, layout, settings: RunSettings) -> CalibrationResult:
     """(1+1)-ES directly on solver MAE: one solver call per candidate."""
-    from .engine import IterationTrace  # local import keeps module load light
-
     cache = {}
     eval_times = []
 
@@ -305,15 +299,14 @@ def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
     cells = run_datavolume_study(scenario, state, list(fractions), pool_size, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_csv(out / "study.csv",
-                     ["fraction", "surrogate", "n_train", "test_mae_c"],
-                     [[c.fraction, c.surrogate, c.n_train, c.test_mae] for c in cells])
+    header = ["fraction", "surrogate", "n_train", "test_mae_c"]
+    rows = [[c.fraction, c.surrogate, c.n_train, c.test_mae] for c in cells]
+    fileio.write_csv(out / "study.csv", header, rows)
     fileio._dump_json({
         "pool_size": pool_size,
         "fractions": list(fractions),
         "seed": seed,
-        "cells": [{"fraction": c.fraction, "surrogate": c.surrogate,
-                   "n_train": c.n_train, "test_mae_c": c.test_mae} for c in cells],
+        "cells": [dict(zip(header, row)) for row in rows],
     }, out / "study.json")
     return cells
 
@@ -328,6 +321,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse type: cast the text and require ok(value)."""
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return parse
+
+
+_iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hallcal",
                      description="Surrogate-assisted flow-rate calibration toolkit")
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic hall scenario")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--cracs", type=int, default=4)
     g.add_argument("--servers", type=int, default=64)
     g.add_argument("--sensors-cold", type=int, default=16)
@@ -362,17 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--solver", choices=["zonal", "external"], default="zonal")
     c.add_argument("--external-command", default=None)
     c.add_argument("--workdir", default=None)
-    c.add_argument("--iters", type=int, default=None)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--iters", type=_iterations, default=None)
+    c.add_argument("--seed", type=_seed, default=None)
     c.add_argument("--out-dir", required=True)
 
     d = sub.add_parser("study-datavolume", help="training-data-volume study")
     d.add_argument("--layout", required=True)
     d.add_argument("--scenario", required=True)
     d.add_argument("--state", required=True)
-    d.add_argument("--fractions", default="0.05,0.15,0.30,0.50")
+    d.add_argument("--fractions", default="0.05,0.15,0.30,0.50",
+                   type=lambda text: [_fraction(part) for part in text.split(",")])
     d.add_argument("--pool-size", type=int, default=200)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--out-dir", required=True)
     return parser
 
@@ -405,9 +416,8 @@ def main(argv=None) -> int:
             print(f"best MAE {report['result']['best_mae_c']:.4f} degC "
                   f"in {report['result']['n_solver_calls']} solver calls")
         elif args.command == "study-datavolume":
-            fractions = [float(f) for f in args.fractions.split(",") if f]
             cells = cmd_study_datavolume(args.layout, args.scenario, args.state,
-                                         args.out_dir, fractions=fractions,
+                                         args.out_dir, fractions=args.fractions,
                                          pool_size=args.pool_size, seed=args.seed)
             for c in cells:
                 print(f"{c.surrogate:20s} frac {c.fraction:.2f} test MAE {c.test_mae:.3f}")

@@ -219,9 +219,6 @@ class CalibConfig:
     de: DeConfig = field(default_factory=DeConfig)
     adam: AdamConfig = field(default_factory=AdamConfig)
     use_de: bool = True
-    initial_alpha: Optional[np.ndarray] = None
-    early_stop_patience: Optional[int] = None
-    early_stop_min_improve: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -229,6 +226,8 @@ class CalibConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.augment_batch < 0:
             raise ValueError("augment_batch must be >= 0")
+        if min(self.input_noise_frac, self.target_noise_sd, self.seed) < 0:
+            raise ValueError("input_noise_frac, target_noise_sd and seed must be >= 0")
 
 
 @dataclass
@@ -266,8 +265,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
     n_servers = layout.n_servers
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.max_iterations + 1)
-    alpha = (np.full(n_servers, cfg.bounds.midpoint) if cfg.initial_alpha is None
-             else cfg.bounds.clip(np.asarray(cfg.initial_alpha, dtype=float)))
+    alpha = np.full(n_servers, cfg.bounds.midpoint)
 
     traces: list[IterationTrace] = []
     best_mae = np.inf
@@ -293,7 +291,6 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
     else:
         train_set = list(raw)
 
-    stall = 0
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
         x = state.to_input(alpha)
@@ -304,7 +301,6 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
                                           result=partial_result()) from exc
 
         val = mae(temps, measurements)
-        improvement = best_mae - val
         if val < best_mae:
             best_mae = val
             alpha_star = alpha.copy()
@@ -341,10 +337,5 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             dataset_size=len(raw),
             wall_time_s=time.perf_counter() - t0,
         ))
-
-        if cfg.early_stop_patience is not None:
-            stall = stall + 1 if improvement < cfg.early_stop_min_improve else 0
-            if stall >= cfg.early_stop_patience:
-                break
 
     return partial_result()

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyBatchError, EmptyDatasetError
 from .hall import SystemInput
-from .optim import AdamState, TrainConfig, adam_step
-from .surrogate import PenaltyParams, TrainingSample, _penalty_grad, penalty_h
+from .optim import TrainConfig, adam_fit
+from .surrogate import PenaltyParams, TrainingSample, search_grad, search_loss
 
 HIDDEN_SIZES = (518, 128, 32)
 STD_FLOOR = 1e-8  # features that never vary would otherwise blow up
@@ -45,23 +45,16 @@ class MlpWeights:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def pack(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weights + self.biases])
 
     def unpack(self, flat: np.ndarray) -> "MlpWeights":
-        ws, bs = [], []
-        pos = 0
-        for w in self.weights:
-            ws.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-        for b in self.biases:
-            bs.append(flat[pos:pos + b.size].copy())
-            pos += b.size
-        return MlpWeights(tuple(ws), tuple(bs), self.input_mean, self.input_std)
+        arrays, pos = [], 0
+        for a in self.weights + self.biases:
+            arrays.append(flat[pos:pos + a.size].reshape(a.shape).copy())
+            pos += a.size
+        k = len(self.weights)
+        return MlpWeights(tuple(arrays[:k]), tuple(arrays[k:]), self.input_mean, self.input_std)
 
 
 def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
@@ -76,12 +69,18 @@ def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
     return MlpWeights(tuple(ws), tuple(bs), np.zeros(in_dim), np.ones(in_dim))
 
 
+def _stack_batch(batch: list[TrainingSample]):
+    """Feature rows (B, D) and targets (B, n) of a sample batch."""
+    if not batch:
+        raise EmptyBatchError("batch is empty")
+    return (np.stack([flatten_input(s.input) for s in batch]),
+            np.stack([s.target for s in batch]))
+
+
 def fit_standardizer(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
     """Replace the standardization statistics with the batch's per-feature
     mean and (floored) standard deviation."""
-    if not batch:
-        raise EmptyBatchError("batch is empty")
-    feats = np.stack([flatten_input(s.input) for s in batch])
+    feats, _ = _stack_batch(batch)
     return MlpWeights(w.weights, w.biases, feats.mean(axis=0),
                       np.maximum(feats.std(axis=0), STD_FLOOR))
 
@@ -100,19 +99,20 @@ def _forward_cached(w: MlpWeights, feats: np.ndarray):
     return activations, pres
 
 
-def mlp_forward(w: MlpWeights, x: SystemInput) -> np.ndarray:
+def _forward_one(w: MlpWeights, x: SystemInput):
     feats = flatten_input(x)
     if feats.size != w.in_dim:
         raise DimensionMismatchError(f"expected input dim {w.in_dim}, got {feats.size}")
-    activations, _ = _forward_cached(w, feats[None, :])
+    return _forward_cached(w, feats[None, :])
+
+
+def mlp_forward(w: MlpWeights, x: SystemInput) -> np.ndarray:
+    activations, _ = _forward_one(w, x)
     return activations[-1][0]
 
 
 def mlp_loss_l1(w: MlpWeights, batch: list[TrainingSample]) -> float:
-    if not batch:
-        raise EmptyBatchError("batch is empty")
-    feats = np.stack([flatten_input(s.input) for s in batch])
-    targets = np.stack([s.target for s in batch])
+    feats, targets = _stack_batch(batch)
     activations, _ = _forward_cached(w, feats)
     return float(np.mean((activations[-1] - targets) ** 2))
 
@@ -131,49 +131,38 @@ def _backprop(w: MlpWeights, activations, pres, delta_out: np.ndarray):
     return grads_w, grads_b, delta
 
 
-def mlp_grad_weights(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
-    """Analytic gradient of mlp_loss_l1 with respect to all layers."""
-    if not batch:
-        raise EmptyBatchError("batch is empty")
-    feats = np.stack([flatten_input(s.input) for s in batch])
-    targets = np.stack([s.target for s in batch])
+def _loss_and_grad(w: MlpWeights, feats: np.ndarray, targets: np.ndarray):
+    """mlp_loss_l1 and its weight gradient from one forward pass."""
     activations, pres = _forward_cached(w, feats)
     residual = activations[-1] - targets
     delta_out = 2.0 / residual.size * residual
     grads_w, grads_b, _ = _backprop(w, activations, pres, delta_out)
-    return MlpWeights(tuple(grads_w), tuple(grads_b), w.input_mean, w.input_std)
+    grad = MlpWeights(tuple(grads_w), tuple(grads_b), w.input_mean, w.input_std)
+    return float(np.mean(residual ** 2)), grad
 
 
-def mlp_input_gradient(w: MlpWeights, x: SystemInput, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of upstream . output with respect to the raw feature vector."""
-    feats = flatten_input(x)
-    activations, pres = _forward_cached(w, feats[None, :])
-    _, _, delta_in = _backprop(w, activations, pres, upstream[None, :])
-    return delta_in[0] / w.input_std
+def mlp_grad_weights(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
+    """Analytic gradient of mlp_loss_l1 with respect to all layers."""
+    return _loss_and_grad(w, *_stack_batch(batch))[1]
 
 
 def mlp_loss_l2(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
                 params: PenaltyParams) -> float:
-    pred = mlp_forward(w, x)
-    t_meas = np.asarray(t_meas, dtype=float)
-    if pred.shape != t_meas.shape:
-        raise DimensionMismatchError("measurement length does not match sensors")
-    n = pred.size
-    mse = float(np.mean((pred - t_meas) ** 2))
-    return mse + params.lam / n * penalty_h(x.flow_rates, x.server_powers, params)
+    return search_loss(mlp_forward(w, x), x, t_meas, params)
 
 
 def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
                    params: PenaltyParams) -> np.ndarray:
-    """Gradient of mlp_loss_l2 with respect to the flow rates."""
-    pred = mlp_forward(w, x)
-    t_meas = np.asarray(t_meas, dtype=float)
-    n = pred.size
-    upstream = 2.0 / n * (pred - t_meas)
-    g_feats = mlp_input_gradient(w, x, upstream)
+    """Gradient of mlp_loss_l2 with respect to the flow rates, backpropagated
+    to the raw flow-rate features."""
+    activations, pres = _forward_one(w, x)
     m = x.flow_rates.size
-    g_alpha = g_feats[-m:]
-    return g_alpha + params.lam / n * _penalty_grad(x.flow_rates, x.server_powers, params)
+
+    def mse_grad(residual: np.ndarray) -> np.ndarray:
+        delta_in = _backprop(w, activations, pres, (2.0 / residual.size * residual)[None, :])[2]
+        return (delta_in[0] / w.input_std)[-m:]
+
+    return search_grad(activations[-1][0], x, t_meas, params, mse_grad)
 
 
 def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig) -> MlpWeights:
@@ -181,17 +170,10 @@ def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig)
     as the knowledge surrogate's trainer."""
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
-    params = w0.pack()
-    best_params = params.copy()
-    best_loss = mlp_loss_l1(w0, dataset)
-    state = AdamState.init(params.size, hyper.learning_rate)
-    for epoch in range(hyper.epochs):
-        w = w0.unpack(params)
-        g = mlp_grad_weights(w, dataset)
-        state.learning_rate = hyper.lr_at(epoch)
-        state, params = adam_step(state, params, g.pack())
-        loss = mlp_loss_l1(w0.unpack(params), dataset)
-        if loss < best_loss:
-            best_loss = loss
-            best_params = params.copy()
-    return w0.unpack(best_params)
+    feats, targets = _stack_batch(dataset)
+
+    def loss_and_grad(params: np.ndarray):
+        loss, grad = _loss_and_grad(w0.unpack(params), feats, targets)
+        return loss, grad.pack()
+
+    return w0.unpack(adam_fit(w0.pack(), loss_and_grad, hyper))

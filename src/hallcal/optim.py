@@ -56,6 +56,8 @@ class DeConfig:
             raise ValueError("population_size must be >= 4")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class EsConfig:
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be > 0")
+        if self.adapt_factor <= 0 or self.seed < 0:
+            raise ValueError("need adapt_factor > 0 and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,10 @@ class TrainConfig:
     learning_rate: float = 0.1
     decay: float = 0.8
     decay_every: int = 50
+
+    def __post_init__(self):
+        if self.decay_every < 1:
+            raise ValueError("decay_every must be >= 1")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.decay ** (epoch // self.decay_every)
@@ -127,6 +135,27 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[A
     new_state = AdamState(m=m, v=v, step=t, beta1=state.beta1, beta2=state.beta2,
                           eps=state.eps, learning_rate=state.learning_rate)
     return new_state, new_params
+
+
+def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+             hyper: TrainConfig) -> np.ndarray:
+    """Full-batch Adam with hyper's staged learning-rate decay.
+
+    loss_and_grad(p) returns the loss at p and its gradient there. Returns
+    the parameters with the lowest observed loss, which is `params` itself
+    when no epoch improves on it.
+    """
+    best_params = params.copy()
+    best_loss, grad = loss_and_grad(params)
+    state = AdamState.init(params.size, hyper.learning_rate)
+    for epoch in range(hyper.epochs):
+        state.learning_rate = hyper.lr_at(epoch)
+        state, params = adam_step(state, params, grad)
+        loss, grad = loss_and_grad(params)
+        if loss < best_loss:
+            best_loss = loss
+            best_params = params.copy()
+    return best_params
 
 
 @dataclass

@@ -21,7 +21,7 @@ air density, heat capacity, and the cfm unit conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveFlowRateError,
 )
 from .hall import AdjacencyPriors, SystemInput
-from .optim import AdamState, TrainConfig, adam_step
+from .optim import TrainConfig, adam_fit
 
 AIR_DENSITY = 1.205  # kg/m^3
 AIR_HEAT_CAPACITY = 1005.0  # J/(kg K)
@@ -139,9 +139,9 @@ def _heating_sum(priors: AdjacencyPriors, powers: np.ndarray, alphas: np.ndarray
     return ((powers / alphas)[..., :, None] * priors.w_ss).sum(axis=-2)
 
 
-def _predict(w: SurrogateWeights, priors: AdjacencyPriors, x_cold: np.ndarray,
+def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
              x_hot: np.ndarray) -> np.ndarray:
-    return w.a * x_cold + w.b + priors.hot_mask * (w.c * x_hot + w.d)
+    return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
 
 
 def _check_crac_count(priors: AdjacencyPriors, x: SystemInput) -> None:
@@ -173,12 +173,12 @@ def _blocks(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
 
 def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
     """Predicted temperatures at all sensor locations, degC."""
-    return _predict(w, priors, *_blocks(w, priors, x))
+    return _predict(w, priors.hot_mask, *_blocks(w, priors, x))
 
 
-def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
-    """Input-only features of a sample batch: X_cold (B, n), X_hot (B, n) and
-    the targets (B, n). No weight enters them, so a trainer computes them once."""
+def _stack_batch(batch: list[TrainingSample]):
+    """A batch's setpoints, fan speeds, powers, flow rates and targets, one
+    row per sample."""
     if not batch:
         raise EmptyBatchError("batch is empty")
     setpoints = np.stack([s.input.crac_setpoints for s in batch])
@@ -187,18 +187,24 @@ def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
     alphas = np.stack([s.input.flow_rates for s in batch])
     targets = np.stack([s.target for s in batch])
     _check_alpha(alphas)
+    return setpoints, fans, powers, alphas, targets
+
+
+def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
+    """Input-only features of a sample batch: X_cold (B, n), X_hot (B, n) and
+    the targets (B, n). No weight enters them, so a trainer computes them once."""
+    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
     return _mix_setpoints(priors, setpoints, fans), _heating_sum(priors, powers, alphas), targets
 
 
-def _batch_residual(w: SurrogateWeights, priors: AdjacencyPriors, features) -> np.ndarray:
+def _batch_residual(w: SurrogateWeights, hot_mask: np.ndarray, features) -> np.ndarray:
     x_cold, x_hot, targets = features
-    return _predict(w, priors, x_cold, x_hot) - targets
+    return _predict(w, hot_mask, x_cold, x_hot) - targets
 
 
-def _weight_grad(priors: AdjacencyPriors, features, residual: np.ndarray) -> SurrogateWeights:
+def _weight_grad(mask: np.ndarray, features, residual: np.ndarray) -> SurrogateWeights:
     x_cold, x_hot, _ = features
     scale = 2.0 / residual.size  # 1/(B*n)
-    mask = priors.hot_mask
     return SurrogateWeights(
         a=scale * (residual * x_cold).sum(axis=0),
         b=scale * residual.sum(axis=0),
@@ -210,7 +216,7 @@ def _weight_grad(priors: AdjacencyPriors, features, residual: np.ndarray) -> Sur
 def loss_l1(w: SurrogateWeights, priors: AdjacencyPriors, batch: list[TrainingSample]) -> float:
     """Mean over samples of the mean-over-sensors squared error against the
     solver outputs."""
-    residual = _batch_residual(w, priors, _batch_features(priors, batch))
+    residual = _batch_residual(w, priors.hot_mask, _batch_features(priors, batch))
     return float(np.mean(residual ** 2))
 
 
@@ -218,7 +224,7 @@ def grad_weights(w: SurrogateWeights, priors: AdjacencyPriors,
                  batch: list[TrainingSample]) -> SurrogateWeights:
     """Analytic gradient of loss_l1 with respect to (a, b, c, d)."""
     features = _batch_features(priors, batch)
-    return _weight_grad(priors, features, _batch_residual(w, priors, features))
+    return _weight_grad(priors.hot_mask, features, _batch_residual(w, priors.hot_mask, features))
 
 
 def penalty_h(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> float:
@@ -245,22 +251,40 @@ def _penalty_grad(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) 
     return powers * params.kappa / alpha ** 2 * direction
 
 
+def _search_residual(pred: np.ndarray, t_meas: np.ndarray) -> np.ndarray:
+    t_meas = np.asarray(t_meas, dtype=float)
+    if pred.shape != t_meas.shape:
+        raise DimensionMismatchError("measurement length does not match sensors")
+    return pred - t_meas
+
+
+def search_loss(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray,
+                params: PenaltyParams) -> float:
+    """The flow-rate search objective of any surrogate, from its prediction
+    at x: mean squared sensor error plus the scaled hinge penalty,
+    MSE + (lam / n) * h."""
+    mse = float(np.mean(_search_residual(pred, t_meas) ** 2))
+    return mse + params.lam / pred.size * penalty_h(x.flow_rates, x.server_powers, params)
+
+
+def search_grad(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray, params: PenaltyParams,
+                mse_grad: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Gradient of search_loss with respect to the flow rates; mse_grad maps
+    the residual pred - t_meas to the MSE term's gradient."""
+    g_mse = mse_grad(_search_residual(pred, t_meas))
+    return g_mse + params.lam / pred.size * _penalty_grad(x.flow_rates, x.server_powers, params)
+
+
 def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
             t_meas: np.ndarray, params: PenaltyParams,
             x_cold: Optional[np.ndarray] = None) -> float:
-    """Mean squared sensor error against measurements plus the scaled hinge
-    penalty: MSE + (lam / n) * h.
+    """search_loss of the knowledge surrogate.
 
     x_cold, when given, must be cooling_feature(priors, x); a search that
     varies only the flow rates passes it to skip the cooling block.
     """
-    t_meas = np.asarray(t_meas, dtype=float)
-    pred = _predict(w, priors, *_blocks(w, priors, x, x_cold))
-    if pred.shape != t_meas.shape:
-        raise DimensionMismatchError("measurement length does not match sensors")
-    n = pred.size
-    mse = float(np.mean((pred - t_meas) ** 2))
-    return mse + params.lam / n * penalty_h(x.flow_rates, x.server_powers, params)
+    pred = _predict(w, priors.hot_mask, *_blocks(w, priors, x, x_cold))
+    return search_loss(pred, x, t_meas, params)
 
 
 def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
@@ -271,17 +295,14 @@ def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     Flow rates reach the loss through X_hot (chain -P_j/alpha_j^2 into the
     hot-aisle sensors) and through the hinge penalty. x_cold is as in loss_l2.
     """
-    t_meas = np.asarray(t_meas, dtype=float)
-    pred = _predict(w, priors, *_blocks(w, priors, x, x_cold))
-    if pred.shape != t_meas.shape:
-        raise DimensionMismatchError("measurement length does not match sensors")
-    n = pred.size
-    residual = pred - t_meas
-    sens = residual * priors.hot_mask * w.c  # (n,)
+    pred = _predict(w, priors.hot_mask, *_blocks(w, priors, x, x_cold))
     dxhot_scale = -x.server_powers / x.flow_rates ** 2  # (m,)
-    g_mse = 2.0 / n * dxhot_scale * (priors.w_ss @ sens)
-    g_pen = params.lam / n * _penalty_grad(x.flow_rates, x.server_powers, params)
-    return g_mse + g_pen
+
+    def mse_grad(residual: np.ndarray) -> np.ndarray:
+        sens = residual * priors.hot_mask * w.c  # (n,)
+        return 2.0 / residual.size * dxhot_scale * (priors.w_ss @ sens)
+
+    return search_grad(pred, x, t_meas, params, mse_grad)
 
 
 def train(w0: SurrogateWeights, priors: AdjacencyPriors, dataset: list[TrainingSample],
@@ -292,31 +313,21 @@ def train(w0: SurrogateWeights, priors: AdjacencyPriors, dataset: list[TrainingS
     when no epoch improves on it.
 
     X_cold, X_hot and the targets depend on the dataset alone, so they are
-    computed once per call. Each epoch then forms one residual, at the
-    weights Adam just produced: it gives that epoch's loss and the next
-    epoch's gradient. Both are the same expressions loss_l1 and
-    grad_weights evaluate, on the same values, so the result equals the
-    plain loop over those two functions bit for bit.
+    computed once per call. Each epoch then forms one residual, which gives
+    both the loss and the gradient; they are the same expressions loss_l1
+    and grad_weights evaluate, on the same values, so the result equals
+    the plain loop over those two functions bit for bit.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     n = w0.n_sensors
     features = _batch_features(priors, dataset)
-    params = w0.pack()
-    best_params = params.copy()
-    residual = _batch_residual(w0, priors, features)
-    best_loss = float(np.mean(residual ** 2))
-    state = AdamState.init(params.size, hyper.learning_rate)
-    for epoch in range(hyper.epochs):
-        g = _weight_grad(priors, features, residual)
-        state.learning_rate = hyper.lr_at(epoch)
-        state, params = adam_step(state, params, g.pack())
-        residual = _batch_residual(SurrogateWeights.unpack(params, n), priors, features)
-        loss = float(np.mean(residual ** 2))
-        if loss < best_loss:
-            best_loss = loss
-            best_params = params.copy()
-    return SurrogateWeights.unpack(best_params, n)
+
+    def loss_and_grad(params: np.ndarray):
+        residual = _batch_residual(SurrogateWeights.unpack(params, n), priors.hot_mask, features)
+        return float(np.mean(residual ** 2)), _weight_grad(priors.hot_mask, features, residual).pack()
+
+    return SurrogateWeights.unpack(adam_fit(w0.pack(), loss_and_grad, hyper), n)
 
 
 # -- variant with trainable adjacency (data-volume study) --------------------
@@ -360,8 +371,7 @@ def forward_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     coeff = _full_softmax(tw.w_cs, x.crac_fan_speeds)
     x_cold = (x.crac_setpoints[:, None] * coeff).sum(axis=0)
     x_hot = ((x.server_powers / x.flow_rates)[:, None] * tw.w_ss).sum(axis=0)
-    w = tw.linear
-    return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
+    return _predict(tw.linear, hot_mask, x_cold, x_hot)
 
 
 def loss_l1_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
@@ -376,28 +386,14 @@ def loss_l1_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
 def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                    batch: list[TrainingSample]) -> TrainableAdjacencyWeights:
     """Analytic gradient of the trainable-adjacency variant's L1."""
-    if not batch:
-        raise EmptyBatchError("batch is empty")
-    setpoints = np.stack([s.input.crac_setpoints for s in batch])  # (B, l)
-    fans = np.stack([s.input.crac_fan_speeds for s in batch])
-    powers = np.stack([s.input.server_powers for s in batch])
-    alphas = np.stack([s.input.flow_rates for s in batch])
-    targets = np.stack([s.target for s in batch])
-    _check_alpha(alphas)
-
+    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
     coeff = _full_softmax(tw.w_cs, fans)  # (B, l, n)
     x_cold = (setpoints[:, :, None] * coeff).sum(axis=1)  # (B, n)
     pw = powers / alphas  # (B, m)
-    x_hot = pw @ tw.w_ss  # (B, n)
+    features = (x_cold, pw @ tw.w_ss, targets)  # X_hot is (B, n)
     w = tw.linear
-    pred = w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
-    residual = pred - targets
+    residual = _batch_residual(w, hot_mask, features)
     scale = 2.0 / residual.size
-
-    ga = scale * (residual * x_cold).sum(axis=0)
-    gb = scale * residual.sum(axis=0)
-    gc = scale * (residual * hot_mask * x_hot).sum(axis=0)
-    gd = scale * (residual * hot_mask).sum(axis=0)
 
     # softmax jacobian: dX_cold/dz_ik = c_ik (T_ci - X_cold_k); dz/dw_cs = V_i
     upstream = scale * residual * w.a  # (B, n)
@@ -405,9 +401,8 @@ def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     g_wcs = (upstream[:, None, :] * dz * fans[:, :, None]).sum(axis=0)
     g_wss = np.einsum("bm,bn->mn", pw, scale * residual * hot_mask * w.c)
 
-    return TrainableAdjacencyWeights(
-        linear=SurrogateWeights(a=ga, b=gb, c=gc, d=gd), w_cs=g_wcs, w_ss=g_wss
-    )
+    return TrainableAdjacencyWeights(linear=_weight_grad(hot_mask, features, residual),
+                                     w_cs=g_wcs, w_ss=g_wss)
 
 
 def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
@@ -417,17 +412,9 @@ def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
         raise EmptyDatasetError("training dataset is empty")
     n = tw0.linear.n_sensors
     l, m = tw0.w_cs.shape[0], tw0.w_ss.shape[0]
-    params = tw0.pack()
-    best_params = params.copy()
-    best_loss = loss_l1_trainable(tw0, hot_mask, dataset)
-    state = AdamState.init(params.size, hyper.learning_rate)
-    for epoch in range(hyper.epochs):
+
+    def loss_and_grad(params: np.ndarray):
         tw = TrainableAdjacencyWeights.unpack(params, n, l, m)
-        g = grad_trainable(tw, hot_mask, dataset)
-        state.learning_rate = hyper.lr_at(epoch)
-        state, params = adam_step(state, params, g.pack())
-        loss = loss_l1_trainable(TrainableAdjacencyWeights.unpack(params, n, l, m), hot_mask, dataset)
-        if loss < best_loss:
-            best_loss = loss
-            best_params = params.copy()
-    return TrainableAdjacencyWeights.unpack(best_params, n, l, m)
+        return loss_l1_trainable(tw, hot_mask, dataset), grad_trainable(tw, hot_mask, dataset).pack()
+
+    return TrainableAdjacencyWeights.unpack(adam_fit(tw0.pack(), loss_and_grad, hyper), n, l, m)

@@ -262,18 +262,6 @@ class TestCalibrate:
         assert len(partial.traces) == 2
         assert partial.best_mae == pytest.approx(min(t.validation_mae for t in partial.traces))
 
-    def test_early_stop(self, small_case):
-        scenario, state, priors = small_case
-        mid_truth = replace(scenario, alpha_true=np.full(scenario.layout.n_servers, 1.505))
-        solver = ZonalSolver(mid_truth)
-        meas = synthesize_measurements(mid_truth, state)  # noise-free, optimum at start
-        cfg = small_config(max_iterations=10, early_stop_patience=3)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
-        res = calibrate(solver, model, meas, state, mid_truth.layout, cfg)
-        executed = len(res.traces)
-        assert executed < 10
-        assert res.n_solver_calls == 3 + executed
-
     def test_vanilla_model_runs_through_engine(self, small_case):
         scenario, state, _ = small_case
         solver = ZonalSolver(scenario)

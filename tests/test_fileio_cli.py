@@ -1,13 +1,29 @@
 import json
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallcal import fileio
-from hallcal.cli import cmd_calibrate, cmd_generate, cmd_solve, cmd_study_datavolume, main
+from hallcal.cli import (
+    RunSettings,
+    cmd_calibrate,
+    cmd_generate,
+    cmd_solve,
+    cmd_study_datavolume,
+    load_settings,
+    main,
+    settings_echo,
+)
+from hallcal.engine import CalibConfig
 from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallError, UnknownMethodError
+from hallcal.optim import AdamConfig, Bounds, DeConfig, EsConfig, TrainConfig
+from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario
 from hallcal.solver import synthesize_measurements
 
@@ -112,7 +128,6 @@ class TestParseErrors:
             fileio.load_layout(path)
 
     def test_unknown_config_field(self, tmp_path):
-        from hallcal.cli import load_settings
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"max_iterations": 3, "typo_field": 1}))
         with pytest.raises(ParseError, match="typo_field"):
@@ -122,15 +137,114 @@ class TestParseErrors:
 class TestLoadSettings:
     @pytest.mark.parametrize("max_evals", [18, 19])
     def test_explicit_es_budget_survives_iters(self, tmp_path, max_evals):
-        from hallcal.cli import load_settings
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"es": {"max_evals": max_evals}}))
         assert load_settings(cfg, iters=5).es.max_evals == max_evals
 
     def test_es_budget_defaults_to_three_plus_iters(self):
-        from hallcal.cli import load_settings
         assert load_settings(None, iters=97).es.max_evals == 100
         assert load_settings(None).es.max_evals == 18
+
+
+    def test_es_budget_follows_config_iterations(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"max_iterations": 20}))
+        assert load_settings(cfg).es.max_evals == 23
+        assert load_settings(cfg, iters=4).es.max_evals == 7
+
+
+@st.composite
+def run_settings(draw):
+    """Random valid settings, every field drawn."""
+    counts = st.integers(1, 10 ** 6)
+    seeds = st.integers(0, 2 ** 63)
+    positive = st.floats(1e-9, 1e9)
+    unit = st.floats(0.0, 1.0)
+    lower = draw(st.floats(1e-4, 1.0))
+    dt_low = draw(st.floats(1e-3, 50.0))
+    calib = CalibConfig(
+        bounds=Bounds(lower, lower + draw(st.floats(1e-3, 10.0))),
+        max_iterations=draw(counts),
+        augment_batch=draw(st.integers(0, 10 ** 6)),
+        input_noise_frac=draw(unit),
+        target_noise_sd=draw(unit),
+        penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
+                              draw(unit), draw(positive)),
+        train=TrainConfig(draw(counts), draw(positive), draw(unit), draw(counts)),
+        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(unit), draw(counts),
+                    draw(positive), draw(seeds)),
+        adam=AdamConfig(draw(positive), draw(counts), draw(unit), draw(unit), draw(positive)),
+        use_de=draw(st.booleans()),
+        seed=draw(seeds),
+    )
+    es = EsConfig(draw(positive), draw(counts), draw(positive), draw(counts), draw(seeds))
+    return RunSettings(calib=calib, cut_threshold=draw(unit), es=es,
+                       mlp_learning_rate=draw(positive))
+
+
+# config files the loader must refuse, each with the field its error names
+BAD_CONFIGS = [
+    ('{"use_de": "false"}', "use_de"),
+    ('{"augment_batch": true}', "augment_batch"),
+    ('{"max_iterations": 15.9}', "max_iterations"),
+    ('{"cut_threshold": NaN}', "cut_threshold"),
+    ('{"penalty": {"dt_low": 20}}', "penalty: need 0 < dt_low"),
+    ('{"bounds": [0.01, NaN]}', "bounds.upper"),
+    ('{"es": {"sigma0": -1}}', "es: sigma0"),
+    ('{"max_iterations": 0}', "max_iterations"),
+    ('{"train": {"epochs": "3"}}', "train.epochs"),
+    ('{"de": {"population_size": 10.0}}', "de.population_size"),
+    ('{"max_iterations": 1e400}', "max_iterations"),
+    ('{"penalty": {"lam": NaN}}', "penalty.lam"),
+    ('{"penalty": {"dt_lo": 5.0}}', "penalty.dt_lo"),
+    ('{"penalty": 3}', "penalty"),
+    ('{"bounds": [1.0]}', "bounds"),
+    ('{"bounds": [2.0, 1.0]}', "bounds"),
+    ('{"seed": -1}', "seed"),
+    ('{"de": {"seed": -1}}', "de: seed"),
+    ('{"train": {"decay_every": 0}}', "train: decay_every"),
+    ('{"input_noise_frac": -0.1}', "input_noise_frac"),
+    ('{"cut_threshold": -1}', "cut_threshold"),
+    ('{"es": {"adapt_factor": 0}}', "es: need adapt_factor > 0"),
+]
+
+BAD_CONFIG_IDS = [re.sub(r"\W+", "_", doc).strip("_") for doc, _ in BAD_CONFIGS]
+
+
+class TestConfigSchema:
+    @given(settings_=run_settings())
+    @settings(max_examples=60, deadline=None)
+    def test_echo_parses_back_to_the_same_settings(self, settings_):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            fileio._dump_json(settings_echo(settings_), path)
+            assert load_settings(path) == settings_
+
+    def test_echo_widens_integral_floats(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"penalty": {"lam": 2}, "bounds": [1, 2]}))
+        echo = settings_echo(load_settings(cfg))
+        assert json.dumps([echo["penalty"]["lam"], echo["bounds"]]) == "[2.0, [1.0, 2.0]]"
+
+    @pytest.mark.parametrize("doc, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_value_names_its_field(self, tmp_path, doc, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        with pytest.raises(ParseError, match=r"c\.json: .*" + re.escape(field)):
+            load_settings(cfg, iters=1)
+
+    @pytest.mark.parametrize("doc, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_value_exits_2(self, generated, tmp_path, capsys, doc, field):
+        out, paths = generated
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--config", str(cfg),
+                     "--iters", "1", "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestCalibrateCommand:
@@ -186,6 +300,15 @@ class TestCalibrateCommand:
         timings = (run / "timings.csv").read_text().splitlines()[1:]
         assert len(timings) == 7
         assert all(float(row.split(",")[1]) > 0.0 for row in timings)
+
+    def test_heuristic_budget_follows_config_iterations(self, generated, tmp_path):
+        out, paths = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iterations": 2}))
+        report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                               paths["measurements"], tmp_path / "run_h", config_file=cfg,
+                               method="heuristic")
+        assert report["result"]["n_solver_calls"] == 5  # as a 2-iteration kalibre run
 
     def test_vanilla_method_runs(self, generated, tmp_path):
         out, paths = generated
@@ -315,6 +438,39 @@ class TestMainExitCodes:
                      "--scenario", str(tmp_path / "g" / "scenario.json"),
                      "--state", str(tmp_path / "g" / "state.json"),
                      "--out", str(tmp_path / "out.csv")]) == 0
+
+
+CALIBRATE_ARGS = ["calibrate", "--layout", "l.json", "--scenario", "s.json", "--state",
+                  "t.json", "--measurements", "m.csv", "--out-dir", "run"]
+STUDY_ARGS = ["study-datavolume", "--layout", "l.json", "--scenario", "s.json",
+              "--state", "t.json", "--out-dir", "study"]
+
+
+class TestBadNumbersAreUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        CALIBRATE_ARGS + ["--iters", "0"],
+        CALIBRATE_ARGS + ["--iters", "x"],
+        CALIBRATE_ARGS + ["--seed", "-1"],
+        STUDY_ARGS + ["--fractions", "abc"],
+        STUDY_ARGS + ["--fractions", "nan"],
+        STUDY_ARGS + ["--fractions", "1.5"],
+        STUDY_ARGS + ["--fractions", "0.1,0"],
+        ["generate", "--out-dir", "g", "--seed", "-3"],
+    ])
+    def test_exit_1_at_argument_parsing(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_whole_train_set_is_a_valid_fraction(self, generated, tmp_path):
+        out, paths = generated
+        study = tmp_path / "study"
+        assert main(["study-datavolume", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--pool-size", "20", "--fractions", "1", "--out-dir", str(study)]) == 0
+        rows = (study / "study.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"16"}  # 80% of the pool
 
 
 class TestWeightSnapshots:

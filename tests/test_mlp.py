@@ -9,11 +9,12 @@ from hallcal.mlp import (
     init_mlp,
     mlp_forward,
     mlp_grad_alpha,
+    mlp_grad_weights,
     mlp_loss_l1,
     mlp_loss_l2,
     mlp_train,
 )
-from hallcal.optim import TrainConfig
+from hallcal.optim import AdamState, TrainConfig, adam_step
 from hallcal.surrogate import PenaltyParams, TrainingSample
 
 L, M, N = 2, 5, 4
@@ -115,3 +116,33 @@ def test_standardizer_floors_constant_features():
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDatasetError):
         mlp_train(init_mlp(IN_DIM, N, seed=0), [], TrainConfig())
+
+
+def test_search_objective_rejects_wrong_measurement_length():
+    rng = np.random.default_rng(7)
+    w = init_mlp(IN_DIM, N, seed=7)
+    x = make_input(rng)
+    for objective in (mlp_loss_l2, mlp_grad_alpha):
+        with pytest.raises(DimensionMismatchError):
+            objective(w, x, np.array([25.0]), PenaltyParams())
+
+
+def test_train_equals_plain_adam_loop():
+    """mlp_train against mlp_loss_l1 and mlp_grad_weights evaluated afresh
+    each epoch, with a decay stage inside the run."""
+    rng = np.random.default_rng(8)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(5)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=8), batch)
+    hyper = TrainConfig(epochs=12, learning_rate=0.01, decay_every=5)
+    params = w0.pack()
+    best_params, best_loss = params.copy(), mlp_loss_l1(w0, batch)
+    state = AdamState.init(params.size, hyper.learning_rate)
+    for epoch in range(hyper.epochs):
+        g = mlp_grad_weights(w0.unpack(params), batch)
+        state.learning_rate = hyper.lr_at(epoch)
+        state, params = adam_step(state, params, g.pack())
+        loss = mlp_loss_l1(w0.unpack(params), batch)
+        if loss < best_loss:
+            best_loss, best_params = loss, params.copy()
+    assert np.array_equal(mlp_train(w0, batch, hyper).pack(), best_params)

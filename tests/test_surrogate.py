@@ -31,6 +31,7 @@ from hallcal.surrogate import (
     loss_l2,
     penalty_h,
     train,
+    train_trainable,
 )
 
 
@@ -445,6 +446,22 @@ class TestTrainableAdjacency:
         trained = __import__("hallcal.surrogate", fromlist=["train_trainable"]).train_trainable(
             tw, hot, batch, TrainConfig())
         assert loss_l1_trainable(trained, hot, batch) < 0.1 * initial
+
+    def test_train_equals_plain_adam_loop(self):
+        tw0, hot, batch = self.small_setup()
+        n, l, m = 4, 2, 3
+        hyper = TrainConfig(epochs=60, decay_every=20)
+        params = tw0.pack()
+        best_params, best_loss = params.copy(), loss_l1_trainable(tw0, hot, batch)
+        state = AdamState.init(params.size, hyper.learning_rate)
+        for epoch in range(hyper.epochs):
+            g = grad_trainable(TrainableAdjacencyWeights.unpack(params, n, l, m), hot, batch)
+            state.learning_rate = hyper.lr_at(epoch)
+            state, params = adam_step(state, params, g.pack())
+            loss = loss_l1_trainable(TrainableAdjacencyWeights.unpack(params, n, l, m), hot, batch)
+            if loss < best_loss:
+                best_loss, best_params = loss, params.copy()
+        assert np.array_equal(train_trainable(tw0, hot, batch, hyper).pack(), best_params)
 
     def test_parameter_count(self):
         tw, _, _ = self.small_setup()
