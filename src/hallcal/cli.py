@@ -8,11 +8,10 @@ failure. One --seed flag fans out to every component seed.
 from __future__ import annotations
 
 import argparse
-import json
+import shlex
 import sys
 import time
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +37,9 @@ from .errors import (
     UnknownMethodError,
 )
 from .hall import build_adjacency
-from .optim import Bounds, EsConfig, cmaes_1p1
-from .scenarios import _operating_state, _per_type_alpha, make_grid_layout
-from .solver import ExternalSolver, ExternalSolverSpec, Scenario, ZonalSolver, synthesize_measurements
+from .optim import EsConfig, cmaes_1p1
+from .scenarios import make_reference_scenario
+from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
 from .study import run_datavolume_study
 
 METHOD_KALIBRE = "kalibre"
@@ -67,54 +66,12 @@ class RunSettings:
             raise ValueError("cut_threshold must be >= 0")
 
 
-def _parse_fields(cls, doc: dict, name: str, path):
-    """Build `cls` from the keys of `doc` it owns, popping each one; fields
-    missing from `doc` keep their defaults."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        if f.metadata.get("inline"):
-            kwargs[f.name] = _parse_fields(hints[f.name], doc, name, path)
-        elif f.name in doc:
-            key = f"{name}.{f.name}".lstrip(".")
-            kwargs[f.name] = _parse_value(hints[f.name], doc.pop(f.name), key, path)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {name}: {exc}" if name else f"{path}: {exc}") from exc
-
-
-def _parse_value(tp, value, name: str, path):
-    """Check one JSON value against its field's type: a config must be an
-    object with known keys, a bool or an int exactly that JSON type, a float
-    any finite number (widened to float)."""
-    if tp is Bounds:
-        if not (isinstance(value, list) and len(value) == 2):
-            raise ParseError(f"{path}: {name} must be [lower, upper]")
-        value = dict(zip(("lower", "upper"), value))
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ParseError(f"{path}: {name or 'config'} must be a JSON object")
-        rest = dict(value)
-        obj = _parse_fields(tp, rest, name, path)
-        if rest:
-            key = f"{name}.{min(rest)}".lstrip(".")
-            raise ParseError(f"{path}: {key}: unknown config field")
-        return obj
-    if type(value) is tp and tp in (bool, int):
-        return value
-    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    kind = {bool: "true or false", int: "an integer", float: "a finite number"}[tp]
-    raise ParseError(f"{path}: {name} must be {kind}, got {json.dumps(value)}")
-
-
 def load_settings(config_path, iters=None, seed=None) -> RunSettings:
     """Settings from the config file (defaults without one), then the
     --iters and --seed overrides. An ES budget the file leaves unset is
     3 + max_iterations, the solver calls a surrogate run makes."""
     doc = fileio._load_json(config_path) if config_path else {}
-    settings = _parse_value(RunSettings, doc, "", config_path or "<defaults>")
+    settings = fileio.from_json(RunSettings, doc, config_path or "<defaults>")
     calib, es = settings.calib, settings.es
     if iters is not None:
         calib = replace(calib, max_iterations=iters)
@@ -126,17 +83,7 @@ def load_settings(config_path, iters=None, seed=None) -> RunSettings:
     return replace(settings, calib=calib, es=es)
 
 
-def settings_echo(settings) -> dict:
-    """The config-file form of `settings`; load_settings reads it back."""
-    doc = {}
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if isinstance(value, Bounds):
-            value = [value.lower, value.upper]
-        elif is_dataclass(value):
-            value = settings_echo(value)
-        doc.update(value if f.metadata.get("inline") else {f.name: value})
-    return doc
+settings_echo = fileio.to_json  # the config-file form of settings; load_settings reads it
 
 
 # -- commands -----------------------------------------------------------------
@@ -145,13 +92,10 @@ def settings_echo(settings) -> dict:
 def cmd_generate(out_dir, seed=0, n_cracs=4, n_servers=64, n_cold=16, n_hot=8,
                  noise_sd=0.1, recirculation=0.05, containment=True) -> dict:
     """Write layout, scenario, state, and synthesized measurement files."""
-    rng = np.random.default_rng(seed)
-    layout = make_grid_layout(n_cracs=n_cracs, n_servers=n_servers, n_cold=n_cold,
-                              n_hot=n_hot, containment=containment)
-    scenario = Scenario(layout=layout, alpha_true=_per_type_alpha(layout, rng),
-                        recirculation_fraction=recirculation, sensor_noise_sd=noise_sd,
-                        seed=seed)
-    state = _operating_state(layout, rng)
+    scenario, state = make_reference_scenario(
+        seed=seed, n_cracs=n_cracs, n_servers=n_servers, n_cold=n_cold, n_hot=n_hot,
+        noise_sd=noise_sd, recirculation=recirculation, containment=containment)
+    layout = scenario.layout
     measurements = synthesize_measurements(scenario, state)
 
     out = Path(out_dir)
@@ -177,7 +121,7 @@ def _make_solver(kind, layout, scenario, external_command=None, workdir=None,
     if kind == "external":
         if not external_command:
             raise ParseError("--solver external requires --external-command")
-        spec = ExternalSolverSpec(command=tuple(external_command.split()),
+        spec = ExternalSolverSpec(command=tuple(shlex.split(external_command)),
                                   workdir=Path(workdir or "external_work"),
                                   timeout_s=timeout_s)
         return ExternalSolver(spec, layout)

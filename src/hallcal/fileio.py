@@ -1,29 +1,28 @@
-"""File formats: layout, scenario, and state as JSON; measurements,
-flow-rate vectors, traces, and study tables as headered CSV.
+"""File formats: layout, scenario, state and run settings as JSON;
+measurements, flow-rate vectors, traces, and study tables as headered CSV.
 
 Writers emit deterministic bytes (sorted keys, repr-exact floats) so a
 rerun with identical inputs reproduces every file byte for byte; loaders
-raise ParseError naming the offending file and line.
+raise ParseError naming the offending file and its line or field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError
-from .hall import COLD, HOT, Crac, HallLayout, Sensor, Server, validate_layout
+from .errors import InvalidInputError, ParseError
+from .hall import HallLayout, validate_layout
+from .optim import Bounds
 from .solver import OperatingState, Scenario
-
-SCENARIO_FIELDS = (
-    "recirculation_fraction", "fan_law_exponent", "ambient_c", "sensor_noise_sd",
-    "seed", "crac_nominal_cfm", "server_nominal_cfm_per_w", "ambient_leakage",
-    "sensor_mixing", "tolerance_c", "max_sweeps", "damping",
-)
 
 
 def _dump_json(payload, path: Path) -> None:
@@ -39,76 +38,143 @@ def _load_json(path: Path):
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
 
-def _require(mapping: dict, key: str, path) -> object:
-    if key not in mapping:
-        raise ParseError(f"{path}: missing field {key!r}")
-    return mapping[key]
+# -- dataclasses as JSON --------------------------------------------------------
+#
+# Every JSON input is a dataclass as an object keyed by its field names; a
+# nested dataclass is a nested object (merged into the enclosing one when its
+# field has metadata {"inline": True}), tuples and arrays are lists, and
+# Bounds is [lower, upper].
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
-# -- layout -------------------------------------------------------------------
+@functools.cache
+def _schema(cls) -> tuple:
+    """(field, type) pairs of a dataclass, its type hints resolved once."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def from_json(cls, doc, path, name: str = "", **given):
+    """`cls` from its JSON form `doc`, read from the file `path`; `name` is
+    the dotted field `doc` sits at. Fields in `given` are taken as they
+    are and must not appear in `doc`.
+
+    A bool takes only true/false, an int only a JSON integer, a float any
+    finite number (an integer is widened), a str only a string; a tuple or
+    an array is a list of such values. A missing required field, an
+    unknown key, a value of the wrong type and a value the dataclass
+    rejects each raise ParseError naming the file and the dotted field.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {name or 'document'} must be a JSON object")
+    rest = dict(doc)
+    obj = _parse_fields(cls, rest, name, path, given)
+    if rest:
+        raise ParseError(f"{path}: {f'{name}.{min(rest)}'.lstrip('.')}: unknown field")
+    return obj
+
+
+def _parse_fields(cls, doc: dict, name: str, path, given: dict):
+    """Build `cls` from the keys of `doc` it owns, popping each one; fields
+    missing from `doc` keep their defaults."""
+    kwargs = dict(given)
+    for f, tp in _schema(cls):
+        key = f"{name}.{f.name}".lstrip(".")
+        if f.name in given:
+            continue
+        elif f.metadata.get("inline"):
+            kwargs[f.name] = _parse_fields(tp, doc, name, path, {})
+        elif f.name in doc:
+            kwargs[f.name] = _parse_value(tp, doc.pop(f.name), key, path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ParseError(f"{path}: {key}: missing field")
+    try:
+        return cls(**kwargs)
+    except (ValueError, InvalidInputError) as exc:
+        raise ParseError(f"{path}: {name}: {exc}" if name else f"{path}: {exc}") from exc
+
+
+def _parse_value(tp, value, name: str, path):
+    """Check one JSON value against its field's type."""
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif tp in _KINDS:
+        if type(value) is tp:
+            return value
+    elif tp is np.ndarray:
+        return np.array(_parse_value(tuple[float, ...], value, name, path), dtype=float)
+    elif typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, list):
+            raise ParseError(f"{path}: {name} must be a list, got {json.dumps(value)}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ParseError(f"{path}: {name} must be a list of {len(args)} values, "
+                             f"got {json.dumps(value)}")
+        return tuple(_parse_value(t, v, f"{name}.{i}", path)
+                     for i, (t, v) in enumerate(zip(args, value)))
+    else:
+        if tp is Bounds:
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ParseError(f"{path}: {name} must be [lower, upper]")
+            value = dict(zip(("lower", "upper"), value))
+        return from_json(tp, value, path, name)
+    raise ParseError(f"{path}: {name} must be {_KINDS[tp]}, got {json.dumps(value)}")
+
+
+def to_json(obj, omit: Sequence[str] = ()) -> dict:
+    """The JSON form of the dataclass `obj`, leaving out the fields in
+    `omit`; from_json reads it back."""
+    doc = {}
+    for f in fields(obj):
+        if f.name not in omit:
+            value = _echo_value(getattr(obj, f.name))
+            doc.update(value if f.metadata.get("inline") else {f.name: value})
+    return doc
+
+
+def _echo_value(value):
+    if isinstance(value, Bounds):
+        return [value.lower, value.upper]
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, tuple):
+        return [_echo_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+# -- layout / scenario / state ------------------------------------------------
+#
+# scenario.json is a Scenario without its layout, which comes from layout.json.
 
 
 def save_layout(layout: HallLayout, path: Path) -> None:
-    _dump_json({
-        "containment": layout.containment,
-        "cracs": [{"id": c.id, "position": list(c.position)} for c in layout.cracs],
-        "servers": [{"id": s.id, "position": list(s.position), "type_tag": s.type_tag,
-                     "rated_power": s.rated_power} for s in layout.servers],
-        "sensors": [{"id": s.id, "position": list(s.position), "aisle": s.aisle}
-                    for s in layout.sensors],
-    }, Path(path))
+    _dump_json(to_json(layout), Path(path))
 
 
 def load_layout(path: Path) -> HallLayout:
-    doc = _load_json(path)
-    try:
-        cracs = tuple(Crac(id=c["id"], position=tuple(c["position"]))
-                      for c in _require(doc, "cracs", path))
-        servers = tuple(Server(id=s["id"], position=tuple(s["position"]),
-                               type_tag=s["type_tag"], rated_power=float(s["rated_power"]))
-                        for s in _require(doc, "servers", path))
-        sensors = tuple(Sensor(id=s["id"], position=tuple(s["position"]), aisle=s["aisle"])
-                        for s in _require(doc, "sensors", path))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed facility record ({exc})") from exc
-    for s in sensors:
-        if s.aisle not in (COLD, HOT):
-            raise ParseError(f"{path}: sensor {s.id} has unknown aisle {s.aisle!r}")
-    return validate_layout(HallLayout(cracs=cracs, servers=servers, sensors=sensors,
-                                      containment=bool(doc.get("containment", True))))
-
-
-# -- scenario / state ---------------------------------------------------------
+    return validate_layout(from_json(HallLayout, _load_json(path), path))
 
 
 def save_scenario(scenario: Scenario, path: Path) -> None:
-    payload = {name: getattr(scenario, name) for name in SCENARIO_FIELDS}
-    payload["alpha_true"] = list(scenario.alpha_true)
-    _dump_json(payload, Path(path))
+    _dump_json(to_json(scenario, omit=("layout",)), Path(path))
 
 
 def load_scenario(path: Path, layout: HallLayout) -> Scenario:
-    doc = _load_json(path)
-    alpha = np.array(_require(doc, "alpha_true", path), dtype=float)
-    kwargs = {name: doc[name] for name in SCENARIO_FIELDS if name in doc}
-    return Scenario(layout=layout, alpha_true=alpha, **kwargs)
+    return from_json(Scenario, _load_json(path), path, layout=layout)
 
 
 def save_state(state: OperatingState, path: Path) -> None:
-    _dump_json({
-        "crac_setpoints": list(state.crac_setpoints),
-        "crac_fan_speeds": list(state.crac_fan_speeds),
-        "server_powers": list(state.server_powers),
-    }, Path(path))
+    _dump_json(to_json(state), Path(path))
 
 
 def load_state(path: Path) -> OperatingState:
-    doc = _load_json(path)
-    return OperatingState(
-        crac_setpoints=np.array(_require(doc, "crac_setpoints", path), dtype=float),
-        crac_fan_speeds=np.array(_require(doc, "crac_fan_speeds", path), dtype=float),
-        server_powers=np.array(_require(doc, "server_powers", path), dtype=float),
-    )
+    return from_json(OperatingState, _load_json(path), path)
 
 
 # -- csv tables ---------------------------------------------------------------
@@ -178,29 +244,6 @@ def save_alpha(server_ids: Sequence[str], alpha: np.ndarray, path: Path) -> None
 def load_alpha(path: Path, server_ids: Sequence[str]) -> np.ndarray:
     """Flow-rate vector ordered like `server_ids`."""
     return read_keyed_records(path, server_ids, header="server_id,alpha_cfm_per_w")
-
-
-def save_weights(weights, path: Path) -> None:
-    """Flat numeric snapshot of a trainable weight set, one value per line."""
-    lines = [repr(float(v)) for v in weights.pack()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_weight_vector(path: Path) -> np.ndarray:
-    """The flat vector back; reshape via the owning weight class's unpack."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: file not found") from exc
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: bad number {line.strip()!r}") from exc
-    return np.array(values)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

@@ -10,7 +10,7 @@ influence is exactly zero, plus the one-hot hot-aisle sensor mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,9 +187,6 @@ def hot_aisle_mask(layout: HallLayout) -> np.ndarray:
     return np.array([1.0 if s.aisle == HOT else 0.0 for s in layout.sensors])
 
 
-DistanceMetric = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between two position sets, (len a, len b)."""
     diff = a[:, None, :] - b[None, :, :]
@@ -198,14 +195,13 @@ def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _reciprocal_distance_columns(
     facility_pos: np.ndarray, sensor_pos: np.ndarray, cut_threshold: float, cls: str,
-    metric: DistanceMetric,
 ) -> np.ndarray:
     """Per-sensor-column normalized 1/distance weights with thresholding.
 
     Normalized weights below cut_threshold are zeroed, survivors are
     renormalized so every column sums to 1 again.
     """
-    dist = metric(facility_pos, sensor_pos)
+    dist = euclidean_distances(facility_pos, sensor_pos)
     if np.any(dist == 0.0):
         f, s = np.argwhere(dist == 0.0)[0]
         raise ZeroDistanceError(f"{cls} {f} coincides with sensor {s}")
@@ -219,22 +215,20 @@ def _reciprocal_distance_columns(
     return w / col_sums
 
 
-def build_adjacency(layout: HallLayout, cut_threshold: float = DEFAULT_CUT_THRESHOLD,
-                    metric: Optional[DistanceMetric] = None) -> AdjacencyPriors:
+def build_adjacency(layout: HallLayout,
+                    cut_threshold: float = DEFAULT_CUT_THRESHOLD) -> AdjacencyPriors:
     """Derive the adjacency priors from the hall geometry.
 
-    Raw facility-to-sensor weight is the reciprocal spatial distance
-    (Euclidean unless another metric is supplied); weights are normalized
-    per sensor column, cut below `cut_threshold`, and renormalized over
-    the surviving entries.
+    Raw facility-to-sensor weight is the reciprocal Euclidean distance;
+    weights are normalized per sensor column, cut below `cut_threshold`,
+    and renormalized over the surviving entries.
     """
     validate_layout(layout)
     if cut_threshold < 0:
         raise ValueError("cut_threshold must be >= 0")
-    metric = metric or euclidean_distances
     sensor_pos = layout.sensor_positions()
     w_cs = _reciprocal_distance_columns(layout.crac_positions(), sensor_pos,
-                                        cut_threshold, "CRAC", metric)
+                                        cut_threshold, "CRAC")
     w_ss = _reciprocal_distance_columns(layout.server_positions(), sensor_pos,
-                                        cut_threshold, "server", metric)
+                                        cut_threshold, "server")
     return AdjacencyPriors(w_cs=w_cs, w_ss=w_ss, hot_mask=hot_aisle_mask(layout))

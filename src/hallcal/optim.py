@@ -71,6 +71,8 @@ class EsConfig:
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be > 0")
+        if self.adapt_every < 1:
+            raise ValueError("adapt_every must be >= 1")
         if self.adapt_factor <= 0 or self.seed < 0:
             raise ValueError("need adapt_factor > 0 and seed >= 0")
 

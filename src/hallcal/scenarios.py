@@ -69,37 +69,33 @@ def make_grid_layout(n_cracs: int = 4, n_servers: int = 64, n_cold: int = 16,
                                       sensors=sensors, containment=containment))
 
 
-def _per_type_alpha(layout: HallLayout, rng: np.random.Generator,
-                    low: float = 0.13, high: float = 0.33) -> np.ndarray:
+def make_reference_scenario(seed: int = 0, n_cracs: int = 4, n_servers: int = 64,
+                            n_cold: int = 16, n_hot: int = 8, noise_sd: float = 0.1,
+                            recirculation: float = 0.05,
+                            containment: bool = True) -> tuple[Scenario, OperatingState]:
+    """A grid hall with per-type hidden flow rates and a random operating
+    state. The defaults are the desk-scale benchmark hall: 4 CRACs, 64
+    servers, 24 sensors (16 cold, 8 hot), sensor noise 0.1 degC, 5% bypass
+    recirculation, contained aisles."""
+    rng = np.random.default_rng(seed)
+    layout = make_grid_layout(n_cracs=n_cracs, n_servers=n_servers, n_cold=n_cold,
+                              n_hot=n_hot, containment=containment)
     # drawn inside the operational rise band so the hidden truth is
     # penalty-feasible: kappa/alpha in (5, 15) degC for this range
-    tags = sorted({s.type_tag for s in layout.servers})
-    values = {t: rng.uniform(low, high) for t in tags}
-    return np.array([values[s.type_tag] for s in layout.servers])
-
-
-def _operating_state(layout: HallLayout, rng: np.random.Generator) -> OperatingState:
-    l = layout.n_cracs
-    return OperatingState(
-        crac_setpoints=rng.uniform(19.0, 21.0, l),
-        crac_fan_speeds=rng.uniform(0.65, 0.9, l),
-        server_powers=rng.uniform(0.5, 0.75, layout.n_servers) * layout.rated_powers(),
-    )
-
-
-def make_reference_scenario(seed: int = 0) -> tuple[Scenario, OperatingState]:
-    """The desk-scale benchmark hall: 4 CRACs, 64 servers, 24 sensors
-    (16 cold, 8 hot), sensor noise 0.1 degC, 5% bypass recirculation."""
-    rng = np.random.default_rng(seed)
-    layout = make_grid_layout(n_cracs=4, n_servers=64, n_cold=16, n_hot=8)
+    alpha = {t: rng.uniform(0.13, 0.33) for t in sorted({s.type_tag for s in layout.servers})}
     scenario = Scenario(
         layout=layout,
-        alpha_true=_per_type_alpha(layout, rng),
-        recirculation_fraction=0.05,
-        sensor_noise_sd=0.1,
+        alpha_true=np.array([alpha[s.type_tag] for s in layout.servers]),
+        recirculation_fraction=recirculation,
+        sensor_noise_sd=noise_sd,
         seed=seed,
     )
-    return scenario, _operating_state(layout, rng)
+    state = OperatingState(
+        crac_setpoints=rng.uniform(19.0, 21.0, n_cracs),
+        crac_fan_speeds=rng.uniform(0.65, 0.9, n_cracs),
+        server_powers=rng.uniform(0.5, 0.75, n_servers) * layout.rated_powers(),
+    )
+    return scenario, state
 
 
 def make_identifiable_scenario(seed: int = 0) -> tuple[Scenario, OperatingState]:

@@ -19,7 +19,6 @@ power) would violate.
 
 from __future__ import annotations
 
-import json
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -276,11 +275,9 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
 
     lines = [f"{sid}, {float(alpha)!r}" for sid, alpha in zip(server_ids, x.flow_rates)]
     config_path.write_text("\n".join(lines) + "\n")
-    (workdir / "state.json").write_text(json.dumps({
-        "crac_setpoints": list(x.crac_setpoints),
-        "crac_fan_speeds": list(x.crac_fan_speeds),
-        "server_powers": list(x.server_powers),
-    }, indent=2) + "\n")
+    from . import fileio  # fileio imports this module
+    fileio.save_state(OperatingState(x.crac_setpoints, x.crac_fan_speeds, x.server_powers),
+                      workdir / "state.json")
 
     try:
         proc = subprocess.run([*spec.command, str(workdir)], capture_output=True,
@@ -293,8 +290,7 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
 
     if not output_path.exists():
         raise ParseError(f"external solver produced no {spec.output_filename}")
-    from .fileio import read_keyed_records  # fileio imports this module
-    return read_keyed_records(output_path, sensor_ids)
+    return fileio.read_keyed_records(output_path, sensor_ids)
 
 
 class ExternalSolver(ThermalSolver):

@@ -365,56 +365,79 @@ def _full_softmax(w_cs: np.ndarray, fans: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=-2, keepdims=True)
 
 
+def _trainable_blocks(tw: TrainableAdjacencyWeights, setpoints: np.ndarray, fans: np.ndarray,
+                      pw: np.ndarray):
+    """Softmax coefficients, X_cold and X_hot of the trainable variant for
+    one input (l,) or a batch (B, l); pw is P / alpha."""
+    coeff = _full_softmax(tw.w_cs, fans)
+    return coeff, (setpoints[..., :, None] * coeff).sum(axis=-2), pw @ tw.w_ss
+
+
 def forward_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                       x: SystemInput) -> np.ndarray:
     _check_alpha(x.flow_rates)
-    coeff = _full_softmax(tw.w_cs, x.crac_fan_speeds)
-    x_cold = (x.crac_setpoints[:, None] * coeff).sum(axis=0)
-    x_hot = ((x.server_powers / x.flow_rates)[:, None] * tw.w_ss).sum(axis=0)
+    _, x_cold, x_hot = _trainable_blocks(tw, x.crac_setpoints, x.crac_fan_speeds,
+                                         x.server_powers / x.flow_rates)
     return _predict(tw.linear, hot_mask, x_cold, x_hot)
+
+
+def _trainable_data(batch: list[TrainingSample]):
+    """A batch's setpoints, fan speeds, P / alpha and targets; no weight
+    enters them, so a trainer stacks them once."""
+    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
+    return setpoints, fans, powers / alphas, targets
+
+
+def _trainable_residual(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray, data):
+    """Softmax coefficients (B, l, n), features and batch residual (B, n) of
+    the trainable variant; the loss and the gradient both start from them."""
+    setpoints, fans, pw, targets = data
+    coeff, x_cold, x_hot = _trainable_blocks(tw, setpoints, fans, pw)
+    features = (x_cold, x_hot, targets)
+    return coeff, features, _batch_residual(tw.linear, hot_mask, features)
+
+
+def _trainable_grad(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray, data,
+                    coeff: np.ndarray, features, residual: np.ndarray) -> TrainableAdjacencyWeights:
+    setpoints, fans, pw, _ = data
+    w = tw.linear
+    scale = 2.0 / residual.size
+
+    # softmax jacobian: dX_cold/dz_ik = c_ik (T_ci - X_cold_k); dz/dw_cs = V_i
+    upstream = scale * residual * w.a  # (B, n)
+    dz = coeff * (setpoints[:, :, None] - features[0][:, None, :])  # (B, l, n)
+    g_wcs = (upstream[:, None, :] * dz * fans[:, :, None]).sum(axis=0)
+    g_wss = np.einsum("bm,bn->mn", pw, scale * residual * hot_mask * w.c)
+    return TrainableAdjacencyWeights(linear=_weight_grad(hot_mask, features, residual),
+                                     w_cs=g_wcs, w_ss=g_wss)
 
 
 def loss_l1_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                       batch: list[TrainingSample]) -> float:
-    if not batch:
-        raise EmptyBatchError("batch is empty")
-    preds = np.stack([forward_trainable(tw, hot_mask, s.input) for s in batch])
-    targets = np.stack([s.target for s in batch])
-    return float(np.mean((preds - targets) ** 2))
+    residual = _trainable_residual(tw, hot_mask, _trainable_data(batch))[2]
+    return float(np.mean(residual ** 2))
 
 
 def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                    batch: list[TrainingSample]) -> TrainableAdjacencyWeights:
     """Analytic gradient of the trainable-adjacency variant's L1."""
-    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
-    coeff = _full_softmax(tw.w_cs, fans)  # (B, l, n)
-    x_cold = (setpoints[:, :, None] * coeff).sum(axis=1)  # (B, n)
-    pw = powers / alphas  # (B, m)
-    features = (x_cold, pw @ tw.w_ss, targets)  # X_hot is (B, n)
-    w = tw.linear
-    residual = _batch_residual(w, hot_mask, features)
-    scale = 2.0 / residual.size
-
-    # softmax jacobian: dX_cold/dz_ik = c_ik (T_ci - X_cold_k); dz/dw_cs = V_i
-    upstream = scale * residual * w.a  # (B, n)
-    dz = coeff * (setpoints[:, :, None] - x_cold[:, None, :])  # (B, l, n)
-    g_wcs = (upstream[:, None, :] * dz * fans[:, :, None]).sum(axis=0)
-    g_wss = np.einsum("bm,bn->mn", pw, scale * residual * hot_mask * w.c)
-
-    return TrainableAdjacencyWeights(linear=_weight_grad(hot_mask, features, residual),
-                                     w_cs=g_wcs, w_ss=g_wss)
+    data = _trainable_data(batch)
+    return _trainable_grad(tw, hot_mask, data, *_trainable_residual(tw, hot_mask, data))
 
 
 def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                     dataset: list[TrainingSample], hyper: TrainConfig) -> TrainableAdjacencyWeights:
-    """Same schedule as train(), over the enlarged weight set."""
+    """Same schedule as train(), over the enlarged weight set; the batch is
+    stacked once and each epoch's loss and gradient share one residual."""
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     n = tw0.linear.n_sensors
     l, m = tw0.w_cs.shape[0], tw0.w_ss.shape[0]
+    data = _trainable_data(dataset)
 
     def loss_and_grad(params: np.ndarray):
         tw = TrainableAdjacencyWeights.unpack(params, n, l, m)
-        return loss_l1_trainable(tw, hot_mask, dataset), grad_trainable(tw, hot_mask, dataset).pack()
+        parts = _trainable_residual(tw, hot_mask, data)
+        return float(np.mean(parts[2] ** 2)), _trainable_grad(tw, hot_mask, data, *parts).pack()
 
     return TrainableAdjacencyWeights.unpack(adam_fit(tw0.pack(), loss_and_grad, hyper), n, l, m)

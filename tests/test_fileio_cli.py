@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hallcal import fileio
 from hallcal.cli import (
     RunSettings,
+    _make_solver,
     cmd_calibrate,
     cmd_generate,
     cmd_solve,
@@ -25,7 +27,7 @@ from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallErro
 from hallcal.optim import AdamConfig, Bounds, DeConfig, EsConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario
-from hallcal.solver import synthesize_measurements
+from hallcal.solver import external_solve, synthesize_measurements
 
 ECHO_SOLVER = Path(__file__).parents[1] / "scripts" / "echo_solver.py"
 
@@ -206,6 +208,7 @@ BAD_CONFIGS = [
     ('{"input_noise_frac": -0.1}', "input_noise_frac"),
     ('{"cut_threshold": -1}', "cut_threshold"),
     ('{"es": {"adapt_factor": 0}}', "es: need adapt_factor > 0"),
+    ('{"es": {"adapt_every": 0}}', "es: adapt_every"),
 ]
 
 BAD_CONFIG_IDS = [re.sub(r"\W+", "_", doc).strip("_") for doc, _ in BAD_CONFIGS]
@@ -245,6 +248,51 @@ class TestConfigSchema:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+# one-field edits of a generated case that the loaders must refuse:
+# (file, edit, the dotted field its error names)
+BAD_INPUTS = {
+    "containment_string": ("layout", lambda d: d.update(containment="false"), "containment"),
+    "rated_power_nan": ("layout", lambda d: d["servers"][0].update(rated_power=float("nan")),
+                        "servers.0.rated_power"),
+    "rated_power_string": ("layout", lambda d: d["servers"][3].update(rated_power="400"),
+                           "servers.3.rated_power"),
+    "position_of_two": ("layout", lambda d: d["cracs"][1].update(position=[2.5, 0.5]),
+                        "cracs.1.position"),
+    "scenario_unknown_key": ("scenario", lambda d: d.update(recirculation=0.4), "recirculation"),
+    "max_sweeps_string": ("scenario", lambda d: d.update(max_sweeps="500"), "max_sweeps"),
+    "max_sweeps_fraction": ("scenario", lambda d: d.update(max_sweeps=2.5), "max_sweeps"),
+    "damping_string": ("scenario", lambda d: d.update(damping="0.5"), "damping"),
+    "ambient_nan": ("scenario", lambda d: d.update(ambient_c=float("nan")), "ambient_c"),
+    "recirculation_out_of_range": ("scenario", lambda d: d.update(recirculation_fraction=2),
+                                   "recirculation_fraction"),
+    "alpha_true_short": ("scenario", lambda d: d["alpha_true"].pop(), "alpha_true"),
+    "alpha_true_missing": ("scenario", lambda d: d.pop("alpha_true"), "alpha_true: missing"),
+    "state_unknown_key": ("state", lambda d: d.update(ambient_c=22.0), "ambient_c"),
+    "setpoint_nan": ("state", lambda d: d["crac_setpoints"].__setitem__(1, float("nan")),
+                     "crac_setpoints.1"),
+}
+
+
+class TestInputSchema:
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_is_a_parse_error_exit_2(self, generated, tmp_path, capsys, case):
+        out, paths = generated
+        name, edit, field = BAD_INPUTS[case]
+        doc = json.loads(Path(paths[name]).read_text())
+        edit(doc)
+        files = dict(paths, **{name: tmp_path / f"{name}.json"})
+        files[name].write_text(json.dumps(doc))
+        message = re.escape(f"{name}.json: ") + ".*" + re.escape(field)
+        with pytest.raises(ParseError, match=message):
+            layout = fileio.load_layout(files["layout"])
+            fileio.load_scenario(files["scenario"], layout)
+            fileio.load_state(files["state"])
+        code = main(["solve", "--layout", str(files["layout"]),
+                     "--scenario", str(files["scenario"]), "--state", str(files["state"])])
+        assert code == 2
+        assert re.search("^error: .*" + message, capsys.readouterr().err)
 
 
 class TestCalibrateCommand:
@@ -360,6 +408,22 @@ class TestCalibrateCommand:
         assert report["result"]["n_solver_calls"] == 4
 
 
+def test_external_command_is_split_like_a_shell(tmp_path):
+    # the echo solver under a path with a space, quoted on the command line
+    solver_dir = tmp_path / "echo solver"
+    solver_dir.mkdir()
+    script = solver_dir / "echo_solver.py"
+    script.write_bytes(ECHO_SOLVER.read_bytes())
+    scenario, state = make_identifiable_scenario(seed=0)
+    solver = _make_solver("external", scenario.layout, scenario,
+                          external_command=f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+                          workdir=tmp_path / "work")
+    assert solver.spec.command == (sys.executable, str(script))
+    x = state.to_input(scenario.alpha_true)
+    out = external_solve(solver.spec, x, [s.id for s in scenario.layout.servers])
+    assert np.array_equal(out, scenario.alpha_true)
+
+
 class TestSolveCommand:
     def test_solve_at_truth_matches_noiseless_measurements(self, tmp_path):
         paths = cmd_generate(tmp_path / "c", seed=2, n_servers=8, n_cold=3,
@@ -471,22 +535,3 @@ class TestBadNumbersAreUsageErrors:
                      "--pool-size", "20", "--fractions", "1", "--out-dir", str(study)]) == 0
         rows = (study / "study.csv").read_text().splitlines()[1:]
         assert {row.split(",")[2] for row in rows} == {"16"}  # 80% of the pool
-
-
-class TestWeightSnapshots:
-    def test_surrogate_weights_round_trip(self, tmp_path):
-        from hallcal.surrogate import SurrogateWeights
-
-        rng = np.random.default_rng(1)
-        w = SurrogateWeights(a=rng.normal(1, 0.1, 5), b=rng.normal(0, 1, 5),
-                             c=rng.uniform(0.5, 2, 5), d=rng.normal(0, 1, 5))
-        fileio.save_weights(w, tmp_path / "weights.txt")
-        flat = fileio.load_weight_vector(tmp_path / "weights.txt")
-        restored = SurrogateWeights.unpack(flat, 5)
-        assert np.array_equal(restored.pack(), w.pack())
-
-    def test_corrupt_snapshot_names_line(self, tmp_path):
-        path = tmp_path / "weights.txt"
-        path.write_text("1.5\nnot-a-number\n")
-        with pytest.raises(ParseError, match="line 2"):
-            fileio.load_weight_vector(path)

@@ -154,22 +154,6 @@ def test_closer_facility_gets_larger_weight(seed):
     assert priors.w_cs[0, 0] > priors.w_cs[1, 0]
 
 
-def test_custom_distance_metric():
-    # horizontal-plane distance ignores the z offset entirely
-    def planar(a, b):
-        diff = a[:, None, :2] - b[None, :, :2]
-        return np.sqrt(np.sum(diff * diff, axis=2))
-
-    layout = TestBuildAdjacency().two_crac_layout(1.0, 3.0)
-    shifted = HallLayout(
-        cracs=tuple(Crac(id=c.id, position=(c.position[0], c.position[1], 5.0))
-                    for c in layout.cracs),
-        servers=layout.servers, sensors=layout.sensors,
-    )
-    priors = build_adjacency(shifted, cut_threshold=0.0, metric=planar)
-    np.testing.assert_allclose(priors.w_cs[:, 0], [0.75, 0.25])
-
-
 def test_build_adjacency_deterministic(reference):
     scenario, _ = reference
     a = build_adjacency(scenario.layout)

@@ -440,6 +440,12 @@ class TestTrainableAdjacency:
                      - loss_l1_trainable(TrainableAdjacencyWeights.unpack(fm, n, l, m), hot, batch)) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-8)
 
+    def test_batched_loss_matches_per_sample_loop(self):
+        tw, hot, batch = self.small_setup()
+        per_sample = np.mean([np.mean((forward_trainable(tw, hot, s.input) - s.target) ** 2)
+                              for s in batch])
+        assert loss_l1_trainable(tw, hot, batch) == pytest.approx(per_sample, rel=1e-12)
+
     def test_training_reduces_loss(self):
         tw, hot, batch = self.small_setup()
         initial = loss_l1_trainable(tw, hot, batch)
