@@ -1,63 +1,37 @@
 #!/usr/bin/env python3
 """Compare the three calibration methods on the reference hall at an equal
 solver-call budget: knowledge surrogate, vanilla MLP surrogate, and the
-(1+1)-ES heuristic that pays one solver call per candidate."""
+(1+1)-ES heuristic that pays one solver call per candidate. Each method runs
+through `hallcal calibrate`'s own path with default settings."""
 
 import argparse
-from dataclasses import replace
 
-import numpy as np
-
-from hallcal.engine import (
-    CalibConfig,
-    KnowledgeSurrogateModel,
-    VanillaSurrogateModel,
-    calibrate,
-    mae,
+from hallcal.cli import (
+    METHOD_HEURISTIC,
+    METHOD_KALIBRE,
+    METHOD_VANILLA,
+    load_settings,
+    run_calibration,
 )
-from hallcal.hall import build_adjacency
-from hallcal.optim import EsConfig, cmaes_1p1
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--iters", type=int, default=15)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     scenario, state = make_reference_scenario(seed=args.seed)
-    priors = build_adjacency(scenario.layout)
     measurements = synthesize_measurements(scenario, state)
-    budget = 3 + args.iters
-    rows = []
-
-    for method in ("kalibre", "vanilla"):
-        solver = ZonalSolver(scenario)
-        cfg = CalibConfig(seed=args.seed, max_iterations=args.iters)
-        if method == "kalibre":
-            model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
-        else:
-            cfg = replace(cfg, train=replace(cfg.train, learning_rate=0.01))
-            model = VanillaSurrogateModel(scenario.layout, cfg.penalty, cfg.train,
-                                          seed=args.seed)
-        result = calibrate(solver, model, measurements, state, scenario.layout, cfg)
-        rows.append((method, result.best_mae, result.n_solver_calls))
-
-    solver = ZonalSolver(scenario)
-
-    def objective(alpha):
-        return mae(solver.solve(state.to_input(alpha)), measurements)
-
-    x0 = np.full(scenario.layout.n_servers, 1.505)
-    es = cmaes_1p1(objective, CalibConfig().bounds,
-                   EsConfig(max_evals=budget, seed=args.seed), x0)
-    rows.append(("heuristic", es.fun, es.n_evals))
+    settings = load_settings(None, iters=args.iters, seed=args.seed)
 
     print(f"{'method':<12} {'best MAE (degC)':>16} {'solver calls':>13}")
-    for method, best, calls in rows:
-        print(f"{method:<12} {best:>16.4f} {calls:>13}")
+    for method in (METHOD_KALIBRE, METHOD_VANILLA, METHOD_HEURISTIC):
+        result = run_calibration(method, ZonalSolver(scenario), measurements, state,
+                                 scenario.layout, settings)
+        print(f"{method:<12} {result.best_mae:>16.4f} {result.n_solver_calls:>13}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Calibrate the reference hall with the knowledge surrogate and print the
-per-iteration convergence trace."""
+per-iteration convergence trace. The run takes `hallcal calibrate`'s own
+path with default settings."""
 
 import argparse
 
-from hallcal.engine import CalibConfig, KnowledgeSurrogateModel, calibrate
-from hallcal.hall import build_adjacency
+from hallcal.cli import METHOD_KALIBRE, load_settings, run_calibration
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
@@ -17,13 +17,10 @@ def main():
     args = parser.parse_args()
 
     scenario, state = make_reference_scenario(seed=args.seed)
-    priors = build_adjacency(scenario.layout)
-    solver = ZonalSolver(scenario)
     measurements = synthesize_measurements(scenario, state)
-
-    cfg = CalibConfig(seed=args.seed, max_iterations=args.iters)
-    model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
-    result = calibrate(solver, model, measurements, state, scenario.layout, cfg)
+    settings = load_settings(None, iters=args.iters, seed=args.seed)
+    result = run_calibration(METHOD_KALIBRE, ZonalSolver(scenario), measurements, state,
+                             scenario.layout, settings)
 
     print(f"{'iter':>4} {'val MAE':>9} {'mean L2':>12} {'mean |g|':>10} "
           f"{'solver calls':>12} {'dataset':>8}")

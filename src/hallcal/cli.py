@@ -2,7 +2,8 @@
 calibrate by any of the three methods, and run the data-volume study.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 solver
-failure. One --seed flag fans out to every component seed.
+failure. A calibration run has one seed, the config's `seed` or --seed;
+the DE and ES seeds derive from it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import (
     SolverTimeoutError,
     UnknownMethodError,
 )
-from .hall import build_adjacency
+from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
+from .mlp import MLP_LEARNING_RATE
 from .optim import EsConfig, cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
@@ -57,9 +59,9 @@ class RunSettings:
     load_settings parses that form and settings_echo writes it."""
 
     calib: CalibConfig = field(default_factory=CalibConfig, metadata={"inline": True})
-    cut_threshold: float = 0.01
+    cut_threshold: float = DEFAULT_CUT_THRESHOLD
     es: EsConfig = field(default_factory=EsConfig)
-    mlp_learning_rate: float = 0.01
+    mlp_learning_rate: float = MLP_LEARNING_RATE
 
     def __post_init__(self):
         if self.cut_threshold < 0:
@@ -77,7 +79,6 @@ def load_settings(config_path, iters=None, seed=None) -> RunSettings:
         calib = replace(calib, max_iterations=iters)
     if seed is not None:
         calib = replace(calib, seed=seed)
-        es = replace(es, seed=seed)
     if "max_evals" not in doc.get("es", {}):
         es = replace(es, max_evals=3 + calib.max_iterations)
     return replace(settings, calib=calib, es=es)
@@ -114,16 +115,14 @@ def cmd_generate(out_dir, seed=0, n_cracs=4, n_servers=64, n_cold=16, n_hot=8,
     return {k: str(v) for k, v in paths.items()}
 
 
-def _make_solver(kind, layout, scenario, external_command=None, workdir=None,
-                 timeout_s=60.0):
+def _make_solver(kind, layout, scenario, external_command=None, workdir=None):
     if kind == "zonal":
         return ZonalSolver(scenario)
     if kind == "external":
         if not external_command:
             raise ParseError("--solver external requires --external-command")
         spec = ExternalSolverSpec(command=tuple(shlex.split(external_command)),
-                                  workdir=Path(workdir or "external_work"),
-                                  timeout_s=timeout_s)
+                                  workdir=Path(workdir or "external_work"))
         return ExternalSolver(spec, layout)
     raise ParseError(f"unknown solver kind {kind!r}")
 
@@ -173,27 +172,28 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     inputs = {"layout": str(layout_file), "scenario": str(scenario_file),
               "state": str(state_file), "measurements": str(measurements_file),
               "solver": solver_kind}
-
-    if method == METHOD_KALIBRE:
-        priors = build_adjacency(layout, settings.cut_threshold)
-        model = KnowledgeSurrogateModel(priors, settings.calib.penalty, settings.calib.train)
-        result = calibrate(solver, model, measurements, state, layout, settings.calib)
-    elif method == METHOD_VANILLA:
-        mlp_train_cfg = replace(settings.calib.train, learning_rate=settings.mlp_learning_rate)
-        model = VanillaSurrogateModel(layout, settings.calib.penalty, mlp_train_cfg,
-                                      seed=settings.calib.seed)
-        result = calibrate(solver, model, measurements, state, layout, settings.calib)
-    elif method == METHOD_HEURISTIC:
-        result = _heuristic_calibrate(solver, measurements, state, layout, settings)
-    else:
-        raise UnknownMethodError(f"unknown method {method!r}")
-
+    result = run_calibration(method, solver, measurements, state, layout, settings)
     return _write_calibration_report(Path(out_dir), method, settings, inputs,
                                      layout, measurements, result)
 
 
-def _heuristic_calibrate(solver, measurements, state, layout, settings: RunSettings) -> CalibrationResult:
-    """(1+1)-ES directly on solver MAE: one solver call per candidate."""
+def run_calibration(method, solver, measurements, state, layout,
+                    settings: RunSettings) -> CalibrationResult:
+    """Calibrate by one method. The surrogate methods run the engine's loop;
+    the heuristic runs the (1+1)-ES directly on solver MAE, one solver call
+    per candidate."""
+    calib = settings.calib
+    if method == METHOD_KALIBRE:
+        priors = build_adjacency(layout, settings.cut_threshold)
+        model = KnowledgeSurrogateModel(priors, calib.penalty, calib.train)
+        return calibrate(solver, model, measurements, state, layout, calib)
+    if method == METHOD_VANILLA:
+        train_cfg = replace(calib.train, learning_rate=settings.mlp_learning_rate)
+        model = VanillaSurrogateModel(layout, calib.penalty, train_cfg, seed=calib.seed)
+        return calibrate(solver, model, measurements, state, layout, calib)
+    if method != METHOD_HEURISTIC:
+        raise UnknownMethodError(f"unknown method {method!r}")
+
     cache = {}
     eval_times = []
 
@@ -205,8 +205,8 @@ def _heuristic_calibrate(solver, measurements, state, layout, settings: RunSetti
         cache[solver.n_calls] = (alpha.copy(), temps, value)
         return value
 
-    x0 = np.full(layout.n_servers, settings.calib.bounds.midpoint)
-    res = cmaes_1p1(objective, settings.calib.bounds, settings.es, x0)
+    x0 = np.full(layout.n_servers, calib.bounds.midpoint)
+    res = cmaes_1p1(objective, calib.bounds, settings.es, x0, calib.seed)
     best_call = min(cache, key=lambda k: cache[k][2])
     alpha_star, temps, best = cache[best_call]
     traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
@@ -280,6 +280,8 @@ def _checked(cast, ok, rule: str):
 _iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+_noise_sd = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_recirculation = _checked(float, lambda v: 0.0 <= v < 1.0, "a fraction in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--servers", type=int, default=64)
     g.add_argument("--sensors-cold", type=int, default=16)
     g.add_argument("--sensors-hot", type=int, default=8)
-    g.add_argument("--noise-sd", type=float, default=0.1)
-    g.add_argument("--recirculation", type=float, default=0.05)
+    g.add_argument("--noise-sd", type=_noise_sd, default=0.1)
+    g.add_argument("--recirculation", type=_recirculation, default=0.05)
     g.add_argument("--no-containment", action="store_true")
 
     s = sub.add_parser("solve", help="one-shot zonal solve")

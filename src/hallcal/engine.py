@@ -13,7 +13,7 @@ samples at the bound extremes and midpoint, then one per iteration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,7 @@ from .surrogate import (
     train,
 )
 
+SEARCH_BOUNDS = Bounds(0.01, 3.0)  # cfm/W, the default flow-rate search box
 SETPOINT_RANGE_C = 12.0  # plausible CRAC setpoint band, for augmentation scaling
 FAN_RANGE = 1.0
 
@@ -63,8 +64,7 @@ class AugmentScales:
     target_sd: float
 
 
-def default_augment_scales(layout: HallLayout, bounds: Bounds,
-                           input_noise_frac: float = 0.01,
+def default_augment_scales(layout: HallLayout, input_noise_frac: float = 0.01,
                            target_noise_sd: float = 0.1) -> AugmentScales:
     """Input noise at a fraction of each feature's plausible range (relative
     for flow rates); target noise at a fixed sensor-grade scale in degC."""
@@ -209,7 +209,7 @@ def _penalty_feasible_band(cfg: "CalibConfig") -> Optional[Bounds]:
 
 @dataclass(frozen=True)
 class CalibConfig:
-    bounds: Bounds = field(default_factory=lambda: Bounds(0.01, 3.0))
+    bounds: Bounds = SEARCH_BOUNDS
     max_iterations: int = 15
     augment_batch: int = 16
     input_noise_frac: float = 0.01
@@ -284,8 +284,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
                                       result=partial_result()) from exc
 
     if cfg.augment_batch > 0:
-        scales = default_augment_scales(layout, cfg.bounds, cfg.input_noise_frac,
-                                        cfg.target_noise_sd)
+        scales = default_augment_scales(layout, cfg.input_noise_frac, cfg.target_noise_sd)
         train_set = augment(raw, cfg.augment_batch, scales,
                             seed=seeds[0].generate_state(1)[0], bounds=cfg.bounds)
     else:
@@ -320,9 +319,8 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
         de_seed = int(seeds[it].generate_state(1)[0])
         if cfg.use_de:
-            res = hybrid_search(objective, gradient, cfg.bounds,
-                                replace(cfg.de, seed=de_seed), cfg.adam, alpha,
-                                init_bounds=_penalty_feasible_band(cfg))
+            res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
+                                de_seed, init_bounds=_penalty_feasible_band(cfg))
         else:
             res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
         alpha = res.x

@@ -149,11 +149,16 @@ def _check_unique(ids: Sequence[str], cls: str) -> None:
 def _check_positions(positions: np.ndarray, cls: str) -> None:
     if not np.all(np.isfinite(positions)):
         raise NonFinitePositionError(f"non-finite {cls} position")
-    # same-class facilities may not coincide
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if np.array_equal(positions[i], positions[j]):
-                raise DuplicatePositionError(f"{cls} entries {i} and {j} share a position")
+    # same-class facilities may not coincide. A stable sort puts equal rows
+    # next to each other in index order, so the smallest index with a later
+    # twin and that twin are the pair a scan over (i, j > i) meets first.
+    order = np.lexsort(positions.T[::-1])
+    ranked = positions[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    if same.any():
+        pairs = np.stack([order[:-1], order[1:]], axis=1)[same]
+        i, j = pairs[np.argmin(pairs[:, 0])]
+        raise DuplicatePositionError(f"{cls} entries {i} and {j} share a position")
 
 
 def validate_layout(layout: HallLayout) -> HallLayout:

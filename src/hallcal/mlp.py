@@ -21,6 +21,7 @@ from .surrogate import PenaltyParams, TrainingSample, search_grad, search_loss
 
 HIDDEN_SIZES = (518, 128, 32)
 STD_FLOOR = 1e-8  # features that never vary would otherwise blow up
+MLP_LEARNING_RATE = 0.01  # the surrogate's 0.1 is too hot for a deep net
 
 
 def flatten_input(x: SystemInput) -> np.ndarray:

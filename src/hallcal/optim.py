@@ -49,15 +49,12 @@ class DeConfig:
     crossover_rate: float = 0.6
     max_iterations: int = 100
     differential_weight: float = 0.8
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,15 +63,14 @@ class EsConfig:
     adapt_every: int = 20
     adapt_factor: float = 1.5
     max_evals: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be > 0")
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
-        if self.adapt_factor <= 0 or self.seed < 0:
-            raise ValueError("need adapt_factor > 0 and seed >= 0")
+        if self.adapt_factor <= 0:
+            raise ValueError("need adapt_factor > 0")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,6 @@ class SearchResult:
     # stage diagnostics, populated by the searcher that produces them
     losses: Optional[list[float]] = None
     grad_norms: Optional[list[float]] = None
-    sigma_trace: Optional[list[float]] = None
     adaptations: Optional[list[tuple[float, float]]] = None
     de_fun: Optional[float] = None
 
@@ -205,7 +200,7 @@ def _lhs_population(rng: np.random.Generator, count: int, dim: int, bounds: Boun
 
 
 def de_search(objective: Callable[[np.ndarray], float], bounds: Bounds,
-              cfg: DeConfig, x0: np.ndarray,
+              cfg: DeConfig, x0: np.ndarray, seed: int,
               init_bounds: Optional[Bounds] = None) -> SearchResult:
     """DE/rand/1/bin over the box, population anchored at x0.
 
@@ -216,7 +211,7 @@ def de_search(objective: Callable[[np.ndarray], float], bounds: Bounds,
     the whole box. Every candidate is clipped into the box before
     evaluation; ties keep the incumbent.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     dim = x0.size
     obj = _Counted(objective)
 
@@ -269,10 +264,11 @@ def adam_search(objective: Callable[[np.ndarray], float],
 def hybrid_search(objective: Callable[[np.ndarray], float],
                   gradient: Callable[[np.ndarray], np.ndarray],
                   bounds: Bounds, de_cfg: DeConfig, adam_cfg: AdamConfig,
-                  x0: np.ndarray, init_bounds: Optional[Bounds] = None) -> SearchResult:
+                  x0: np.ndarray, seed: int,
+                  init_bounds: Optional[Bounds] = None) -> SearchResult:
     """Differential evolution followed by projected-Adam refinement of the
     DE winner; returns whichever of the two stages found the lower value."""
-    de = de_search(objective, bounds, de_cfg, x0, init_bounds=init_bounds)
+    de = de_search(objective, bounds, de_cfg, x0, seed, init_bounds=init_bounds)
     adam = adam_search(objective, gradient, bounds, adam_cfg, de.x)
     if adam.fun <= de.fun:
         x, fun = adam.x, adam.fun
@@ -285,7 +281,7 @@ def hybrid_search(objective: Callable[[np.ndarray], float],
 
 
 def cmaes_1p1(objective: Callable[[np.ndarray], float], bounds: Bounds,
-              cfg: EsConfig, x0: np.ndarray) -> SearchResult:
+              cfg: EsConfig, x0: np.ndarray, seed: int) -> SearchResult:
     """(1+1) evolution strategy with 1/5-success-rule step adaptation.
 
     One Gaussian offspring per iteration, clipped into the box; a strictly
@@ -293,12 +289,11 @@ def cmaes_1p1(objective: Callable[[np.ndarray], float], bounds: Bounds,
     step size is scaled up when the windowed success rate exceeds 1/5 and
     down when it falls below.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     obj = _Counted(objective)
     parent = bounds.clip(np.asarray(x0, dtype=float))
     f_parent = obj(parent)
     sigma = cfg.sigma0
-    sigma_trace = [sigma]
     adaptations: list[tuple[float, float]] = []
     window_successes = 0
     window_count = 0
@@ -319,8 +314,6 @@ def cmaes_1p1(objective: Callable[[np.ndarray], float], bounds: Bounds,
             adaptations.append((rate, sigma))
             window_successes = 0
             window_count = 0
-        sigma_trace.append(sigma)
 
     return SearchResult(x=obj.best_x, fun=obj.best_f, n_evals=obj.n_evals,
-                        best_trace=obj.best_trace, sigma_trace=sigma_trace,
-                        adaptations=adaptations)
+                        best_trace=obj.best_trace, adaptations=adaptations)

@@ -245,21 +245,22 @@ def synthesize_measurements(scenario: Scenario, state: OperatingState,
 
 # -- external-solver bridge ---------------------------------------------------
 
+CONFIG_FILENAME = "flow_config.txt"
+OUTPUT_FILENAME = "sensor_output.txt"
+
 
 @dataclass(frozen=True)
 class ExternalSolverSpec:
     """Contract with an external solver process.
 
     The bridge writes one "server_id, alpha" record per line into
-    `config_filename` under `workdir` (plus a state.json sidecar), invokes
+    CONFIG_FILENAME under `workdir` (plus a state.json sidecar), invokes
     `command` with the workdir as its argument, and parses one
-    "sensor_id, temperature_c" record per line from `output_filename`.
+    "sensor_id, temperature_c" record per line from OUTPUT_FILENAME.
     """
 
     command: tuple[str, ...]
     workdir: Path
-    config_filename: str = "flow_config.txt"
-    output_filename: str = "sensor_output.txt"
     timeout_s: float = 60.0
 
 
@@ -268,8 +269,8 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
     """Round-trip one solve through the external command."""
     workdir = Path(spec.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    config_path = workdir / spec.config_filename
-    output_path = workdir / spec.output_filename
+    config_path = workdir / CONFIG_FILENAME
+    output_path = workdir / OUTPUT_FILENAME
     if output_path.exists():
         output_path.unlink()
 
@@ -289,7 +290,7 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
         raise CommandFailedError(f"external solver exited {proc.returncode}: {tail}")
 
     if not output_path.exists():
-        raise ParseError(f"external solver produced no {spec.output_filename}")
+        raise ParseError(f"external solver produced no {OUTPUT_FILENAME}")
     return fileio.read_keyed_records(output_path, sensor_ids)
 
 

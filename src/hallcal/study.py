@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import mae
+from .engine import SEARCH_BOUNDS, mae
 from .errors import PoolTooSmallError
 from .hall import HallLayout, build_adjacency
-from .mlp import fit_standardizer, init_mlp, mlp_forward, mlp_train
-from .optim import Bounds, TrainConfig
+from .mlp import MLP_LEARNING_RATE, fit_standardizer, init_mlp, mlp_forward, mlp_train
+from .optim import TrainConfig
 from .solver import OperatingState, Scenario, ZonalSolver
 from .surrogate import (
     TrainableAdjacencyWeights,
@@ -34,7 +34,7 @@ KNOWLEDGE_FIXED = "knowledge-fixed"
 KNOWLEDGE_TRAINABLE = "knowledge-trainable"
 VANILLA = "vanilla"
 
-MLP_TRAIN = TrainConfig(learning_rate=0.01)  # 0.1 is too hot for a deep net
+MLP_TRAIN = TrainConfig(learning_rate=MLP_LEARNING_RATE)
 
 
 @dataclass(frozen=True)
@@ -46,36 +46,33 @@ class StudyCell:
 
 
 def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
-               bounds: Bounds, seed: int) -> list[TrainingSample]:
-    """Solver samples at flow rates drawn uniformly over the box."""
+               seed: int) -> list[TrainingSample]:
+    """Solver samples at flow rates drawn uniformly over the search box."""
     if pool_size < 10:
         raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
     rng = np.random.default_rng(seed)
     solver = ZonalSolver(scenario)
     pool = []
     for _ in range(pool_size):
-        alpha = rng.uniform(bounds.lower, bounds.upper, scenario.layout.n_servers)
+        alpha = rng.uniform(SEARCH_BOUNDS.lower, SEARCH_BOUNDS.upper, scenario.layout.n_servers)
         x = state.to_input(alpha)
         pool.append(TrainingSample(input=x, target=solver.solve(x)))
     return pool
 
 
 def run_datavolume_study(scenario: Scenario, state: OperatingState,
-                         fractions: list[float], pool_size: int, seed: int,
-                         bounds: Bounds = Bounds(0.01, 3.0),
-                         cut_threshold: float = 0.01,
-                         train_cfg: TrainConfig = TrainConfig()) -> list[StudyCell]:
+                         fractions: list[float], pool_size: int, seed: int) -> list[StudyCell]:
     """Train all three surrogates at every fraction; returns one cell per
     (fraction, surrogate) pair."""
     layout: HallLayout = scenario.layout
-    pool = build_pool(scenario, state, pool_size, bounds, seed)
+    pool = build_pool(scenario, state, pool_size, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(pool))
     n_train = int(round(0.8 * len(pool)))
     train_pool = [pool[i] for i in perm[:n_train]]
     test_pool = [pool[i] for i in perm[n_train:]]
 
-    priors = build_adjacency(layout, cut_threshold)
+    priors = build_adjacency(layout)
     n = layout.n_sensors
 
     def test_mae(predict) -> float:
@@ -89,13 +86,13 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
                 f"fraction {fraction} of {len(train_pool)} training samples is empty")
         subset = train_pool[:k]
 
-        w = train(init_weights(n), priors, subset, train_cfg)
+        w = train(init_weights(n), priors, subset, TrainConfig())
         cells.append(StudyCell(fraction, KNOWLEDGE_FIXED,
                                test_mae(lambda x: forward(w, priors, x)), k))
 
         tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
                                         w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
-        tw = train_trainable(tw0, priors.hot_mask, subset, train_cfg)
+        tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
         cells.append(StudyCell(fraction, KNOWLEDGE_TRAINABLE,
                                test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x)), k))
 

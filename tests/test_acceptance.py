@@ -84,7 +84,7 @@ def test_criterion_2_budget_dominance_over_heuristic(reference_runs):
         return mae(solver.solve(state.to_input(alpha)), measurements)
 
     x0 = np.full(run["scenario"].layout.n_servers, BOUNDS.midpoint)
-    es = cmaes_1p1(objective, BOUNDS, EsConfig(max_evals=150, seed=0), x0)
+    es = cmaes_1p1(objective, BOUNDS, EsConfig(max_evals=150), x0, seed=0)
     es_mae_at_18 = es.best_trace[17]
     assert es_mae_at_18 >= 2.0 * kalibre_mae
 
@@ -232,17 +232,17 @@ def test_criterion_6_structural_invariants(reference_runs):
             lambda a: loss_l2(w, priors, state.to_input(a), meas, params))
         gradient = lambda a: grad_alpha(w, priors, state.to_input(a), meas, params)
         x0 = np.full(layout.n_servers, BOUNDS.midpoint)
-        hybrid_search(objective, gradient, BOUNDS, DeConfig(max_iterations=10, seed=seed),
-                      AdamConfig(steps=20), x0)
+        hybrid_search(objective, gradient, BOUNDS, DeConfig(max_iterations=10),
+                      AdamConfig(steps=20), x0, seed=seed)
         es_objective = CandidateRecorder(
             lambda a: loss_l2(w, priors, state.to_input(a), meas, params))
-        cmaes_1p1(es_objective, BOUNDS, EsConfig(max_evals=50, seed=seed), x0)
+        cmaes_1p1(es_objective, BOUNDS, EsConfig(max_evals=50), x0, seed=seed)
         for c in objective.candidates + es_objective.candidates:
             assert BOUNDS.contains(c)
 
         solver = ZonalSolver(scenario)
         raw = init_samples(BOUNDS, state, solver, layout.n_servers)
-        scales = default_augment_scales(layout, BOUNDS)
+        scales = default_augment_scales(layout)
         assert len(augment(raw, 16, scales, seed=seed, bounds=BOUNDS)) == 48
 
         result = run["result"]

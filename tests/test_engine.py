@@ -68,7 +68,7 @@ class TestInitSamples:
 
 class TestAugment:
     def scales(self, layout, **overrides):
-        base = default_augment_scales(layout, Bounds(0.01, 3.0))
+        base = default_augment_scales(layout)
         return replace(base, **overrides)
 
     def test_three_samples_batch_16_gives_48(self, small_case):

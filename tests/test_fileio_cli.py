@@ -173,13 +173,12 @@ def run_settings(draw):
         penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
                               draw(unit), draw(positive)),
         train=TrainConfig(draw(counts), draw(positive), draw(unit), draw(counts)),
-        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(unit), draw(counts),
-                    draw(positive), draw(seeds)),
+        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(unit), draw(counts), draw(positive)),
         adam=AdamConfig(draw(positive), draw(counts), draw(unit), draw(unit), draw(positive)),
         use_de=draw(st.booleans()),
         seed=draw(seeds),
     )
-    es = EsConfig(draw(positive), draw(counts), draw(positive), draw(counts), draw(seeds))
+    es = EsConfig(draw(positive), draw(counts), draw(positive), draw(counts))
     return RunSettings(calib=calib, cut_threshold=draw(unit), es=es,
                        mlp_learning_rate=draw(positive))
 
@@ -203,7 +202,8 @@ BAD_CONFIGS = [
     ('{"bounds": [1.0]}', "bounds"),
     ('{"bounds": [2.0, 1.0]}', "bounds"),
     ('{"seed": -1}', "seed"),
-    ('{"de": {"seed": -1}}', "de: seed"),
+    ('{"de": {"seed": 1}}', "de.seed: unknown field"),
+    ('{"es": {"seed": 1}}', "es.seed: unknown field"),
     ('{"train": {"decay_every": 0}}', "train: decay_every"),
     ('{"input_noise_frac": -0.1}', "input_noise_frac"),
     ('{"cut_threshold": -1}', "cut_threshold"),
@@ -335,6 +335,21 @@ class TestCalibrateCommand:
                       paths["measurements"], replay, config_file=cfg_file)
         for f in ("report.json", "traces.csv", "sensors.csv", "alpha_star.csv"):
             assert (first / f).read_bytes() == (replay / f).read_bytes()
+
+    @pytest.mark.parametrize("method", ["kalibre", "vanilla", "heuristic"])
+    def test_seed_flag_equals_config_seed(self, generated, tmp_path, method):
+        # the config's seed is the run's only seed, as --seed sets it; the
+        # small ES step lets the heuristic leave its start point in 5 solves
+        out, paths = generated
+        base = {"train": {"epochs": 20}, "es": {"sigma0": 0.2}}
+        for name, doc, seed in (("flag", base, 3), ("file", dict(base, seed=3), None)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                          paths["measurements"], tmp_path / name, config_file=cfg,
+                          iters=2, seed=seed, method=method)
+        for f in ("traces.csv", "alpha_star.csv"):
+            assert (tmp_path / "flag" / f).read_bytes() == (tmp_path / "file" / f).read_bytes()
 
     def test_heuristic_trace_per_solver_call(self, generated, tmp_path):
         out, paths = generated
@@ -526,6 +541,17 @@ class TestBadNumbersAreUsageErrors:
             main(argv)
         assert exc.value.code == 1
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-sd", "nan"), ("--noise-sd", "inf"), ("--noise-sd", "-1"),
+        ("--recirculation", "1.0"), ("--recirculation", "-0.1"),
+    ])
+    def test_generate_rejects_bad_noise_and_recirculation(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out-dir", str(tmp_path / "g"), flag, value])
+        assert exc.value.code == 1
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_whole_train_set_is_a_valid_fraction(self, generated, tmp_path):
         out, paths = generated

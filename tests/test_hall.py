@@ -154,6 +154,40 @@ def test_closer_facility_gets_larger_weight(seed):
     assert priors.w_cs[0, 0] > priors.w_cs[1, 0]
 
 
+def loop_duplicate_pair(positions):
+    """The first coinciding pair in (i, j > i) order, as the original double
+    loop in validate_layout found it; None when all positions differ."""
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            if np.array_equal(positions[i], positions[j]):
+                return i, j
+    return None
+
+
+@given(seed=st.integers(0, 10 ** 6), n_servers=st.integers(1, 40),
+       plants=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4),
+       signed_zero=st.none() | st.tuples(st.integers(0, 39), st.integers(0, 39)))
+@settings(max_examples=150, deadline=None)
+def test_duplicate_position_names_the_loops_first_pair(seed, n_servers, plants, signed_zero):
+    layout = random_layout(seed, 2, n_servers, 2, 2)
+    positions = [s.position for s in layout.servers]
+    for src, dst in plants:
+        positions[dst % n_servers] = positions[src % n_servers]
+    if signed_zero is not None:  # -0.0 and 0.0 coincide for array_equal
+        positions[signed_zero[0] % n_servers] = (0.0, 1.0, 2.0)
+        positions[signed_zero[1] % n_servers] = (-0.0, 1.0, 2.0)
+    servers = tuple(Server(id=s.id, position=p, type_tag=s.type_tag, rated_power=s.rated_power)
+                    for s, p in zip(layout.servers, positions))
+    planted = HallLayout(layout.cracs, servers, layout.sensors)
+    expected = loop_duplicate_pair(np.array(positions))
+    if expected is None:
+        validate_layout(planted)
+    else:
+        with pytest.raises(DuplicatePositionError) as exc:
+            validate_layout(planted)
+        assert str(exc.value) == f"server entries {expected[0]} and {expected[1]} share a position"
+
+
 def test_build_adjacency_deterministic(reference):
     scenario, _ = reference
     a = build_adjacency(scenario.layout)

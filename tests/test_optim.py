@@ -75,27 +75,27 @@ class TestAdamStep:
 class TestDeSearch:
     def test_quadratic_minimum_inside_box(self):
         # objective within 1e-2 of the analytic minimum (0) in <= 100 iterations
-        res = de_search(quadratic, BOX, DeConfig(seed=2), np.full(8, 5.0))
+        res = de_search(quadratic, BOX, DeConfig(), np.full(8, 5.0), seed=2)
         assert res.fun <= 1e-2
 
     def test_minimum_outside_box_lands_on_boundary(self):
         res = de_search(lambda x: float(np.sum((x - 12.0) ** 2)), BOX,
-                        DeConfig(seed=0), np.full(8, 5.0))
+                        DeConfig(), np.full(8, 5.0), seed=0)
         np.testing.assert_allclose(res.x, BOX.upper, atol=1e-9)
 
     def test_all_candidates_feasible(self):
         rec = Recorder(quadratic)
-        de_search(rec, BOX, DeConfig(seed=1), np.full(8, 5.0))
+        de_search(rec, BOX, DeConfig(), np.full(8, 5.0), seed=1)
         for c in rec.candidates:
             assert BOX.contains(c)
 
     def test_nonfinite_objective_raises(self):
         with pytest.raises(ObjectiveNonFiniteError):
-            de_search(lambda x: float("nan"), BOX, DeConfig(seed=0), np.full(4, 1.0))
+            de_search(lambda x: float("nan"), BOX, DeConfig(), np.full(4, 1.0), seed=0)
 
     def test_deterministic_under_seed(self):
-        r1 = de_search(quadratic, BOX, DeConfig(seed=7), np.full(8, 5.0))
-        r2 = de_search(quadratic, BOX, DeConfig(seed=7), np.full(8, 5.0))
+        r1 = de_search(quadratic, BOX, DeConfig(), np.full(8, 5.0), seed=7)
+        r2 = de_search(quadratic, BOX, DeConfig(), np.full(8, 5.0), seed=7)
         assert np.array_equal(r1.x, r2.x) and r1.fun == r2.fun
 
 
@@ -111,40 +111,40 @@ def rosenbrock_grad(x):
 
 class TestHybridSearch:
     def test_never_worse_than_de_alone(self):
-        de_cfg = DeConfig(max_iterations=20, seed=3)
+        de_cfg = DeConfig(max_iterations=20)
         adam_cfg = AdamConfig(learning_rate=0.01, steps=200)
-        de_only = de_search(quadratic, BOX, de_cfg, np.full(8, 5.0))
+        de_only = de_search(quadratic, BOX, de_cfg, np.full(8, 5.0), seed=3)
         hybrid = hybrid_search(quadratic, quadratic_grad, BOX, de_cfg, adam_cfg,
-                               np.full(8, 5.0))
+                               np.full(8, 5.0), seed=3)
         assert hybrid.fun <= de_only.fun
 
     def test_adam_refines_coarse_de_on_rosenbrock(self):
         # a short DE run only locates the valley; the gradient stage must
         # then cut the objective by at least 10x
         box = Bounds(0.01, 3.0)
-        de_cfg = DeConfig(max_iterations=10, seed=0)
+        de_cfg = DeConfig(max_iterations=10)
         adam_cfg = AdamConfig(learning_rate=0.01, steps=2000)
-        de_only = de_search(rosenbrock, box, de_cfg, np.array([2.5, 0.5]))
+        de_only = de_search(rosenbrock, box, de_cfg, np.array([2.5, 0.5]), seed=0)
         hybrid = hybrid_search(rosenbrock, rosenbrock_grad, box, de_cfg, adam_cfg,
-                               np.array([2.5, 0.5]))
+                               np.array([2.5, 0.5]), seed=0)
         assert hybrid.de_fun == de_only.fun
         assert hybrid.fun <= 0.1 * de_only.fun
 
     def test_result_within_bounds(self):
-        hybrid = hybrid_search(quadratic, quadratic_grad, BOX, DeConfig(seed=1),
-                               AdamConfig(), np.full(8, 11.0))
+        hybrid = hybrid_search(quadratic, quadratic_grad, BOX, DeConfig(),
+                               AdamConfig(), np.full(8, 11.0), seed=1)
         assert BOX.contains(hybrid.x)
 
 
 class TestCmaes:
     def test_sphere_decreases_100x_within_500_evals(self):
         x0 = np.full(8, 5.0)
-        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=500, seed=0), x0)
+        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=500), x0, seed=0)
         assert res.fun <= quadratic(x0) / 100.0
         assert res.n_evals == 500
 
     def test_one_fifth_rule_direction(self):
-        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=400, seed=1), np.full(8, 5.0))
+        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=400), np.full(8, 5.0), seed=1)
         sigma = EsConfig().sigma0
         assert res.adaptations, "expected at least one adaptation window"
         for rate, sigma_after in res.adaptations:
@@ -158,21 +158,21 @@ class TestCmaes:
 
     def test_candidates_feasible_and_counted(self):
         rec = Recorder(quadratic)
-        res = cmaes_1p1(rec, BOX, EsConfig(max_evals=100, seed=2), np.full(8, 5.0))
+        res = cmaes_1p1(rec, BOX, EsConfig(max_evals=100), np.full(8, 5.0), seed=2)
         assert len(rec.candidates) == res.n_evals == 100
         for c in rec.candidates:
             assert BOX.contains(c)
 
     def test_deterministic_under_seed(self):
-        r1 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150, seed=5), np.full(8, 5.0))
-        r2 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150, seed=5), np.full(8, 5.0))
+        r1 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150), np.full(8, 5.0), seed=5)
+        r2 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150), np.full(8, 5.0), seed=5)
         assert np.array_equal(r1.x, r2.x) and r1.best_trace == r2.best_trace
 
 
 @pytest.mark.parametrize("runner", [
-    lambda rec: de_search(rec, BOX, DeConfig(seed=4), np.full(8, 5.0)),
+    lambda rec: de_search(rec, BOX, DeConfig(), np.full(8, 5.0), seed=4),
     lambda rec: adam_search(rec, quadratic_grad, BOX, AdamConfig(steps=50), np.full(8, 5.0)),
-    lambda rec: cmaes_1p1(rec, BOX, EsConfig(max_evals=120, seed=4), np.full(8, 5.0)),
+    lambda rec: cmaes_1p1(rec, BOX, EsConfig(max_evals=120), np.full(8, 5.0), seed=4),
 ])
 def test_budget_accounting_and_monotone_best(runner):
     rec = Recorder(quadratic)

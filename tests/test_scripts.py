@@ -1,0 +1,29 @@
+import importlib.util
+from pathlib import Path
+
+from hallcal.cli import cmd_calibrate, cmd_generate
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_methods_matches_calibrate(tmp_path, capsys):
+    # the script runs each method down the same path as `hallcal calibrate`
+    load_script("compare_methods").main(["--iters", "2", "--seed", "1"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    printed = {method: (best, int(calls)) for method, best, calls in map(str.split, rows)}
+
+    paths = cmd_generate(tmp_path / "case", seed=1)
+    assert list(printed) == ["kalibre", "vanilla", "heuristic"]
+    for method, (best, calls) in printed.items():
+        report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                               paths["measurements"], tmp_path / method, method=method,
+                               iters=2, seed=1)["result"]
+        assert (f"{report['best_mae_c']:.4f}", report["n_solver_calls"]) == (best, calls)
+        assert calls == 5
