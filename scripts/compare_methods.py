@@ -4,12 +4,13 @@ solver-call budget: knowledge surrogate, vanilla MLP surrogate, and the
 (1+1)-ES heuristic that pays one solver call per candidate. Each method runs
 through `hallcal calibrate`'s own path with default settings."""
 
-import argparse
-
 from hallcal.cli import (
     METHOD_HEURISTIC,
     METHOD_KALIBRE,
     METHOD_VANILLA,
+    _iterations,
+    _Parser,
+    _seed,
     load_settings,
     run_calibration,
 )
@@ -18,9 +19,9 @@ from hallcal.solver import ZonalSolver, synthesize_measurements
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iters", type=int, default=15)
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--iters", type=_iterations, default=15)
     args = parser.parse_args(argv)
 
     scenario, state = make_reference_scenario(seed=args.seed)

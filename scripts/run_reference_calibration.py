@@ -3,18 +3,16 @@
 per-iteration convergence trace. The run takes `hallcal calibrate`'s own
 path with default settings."""
 
-import argparse
-
-from hallcal.cli import METHOD_KALIBRE, load_settings, run_calibration
+from hallcal.cli import METHOD_KALIBRE, _iterations, _Parser, _seed, load_settings, run_calibration
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iters", type=int, default=15)
-    args = parser.parse_args()
+def main(argv=None):
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--iters", type=_iterations, default=15)
+    args = parser.parse_args(argv)
 
     scenario, state = make_reference_scenario(seed=args.seed)
     measurements = synthesize_measurements(scenario, state)

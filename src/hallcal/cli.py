@@ -38,11 +38,10 @@ from .errors import (
     UnknownMethodError,
 )
 from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
-from .mlp import MLP_LEARNING_RATE
 from .optim import EsConfig, cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
-from .study import run_datavolume_study
+from .study import MIN_POOL_SIZE, run_datavolume_study
 
 METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
@@ -61,7 +60,6 @@ class RunSettings:
     calib: CalibConfig = field(default_factory=CalibConfig, metadata={"inline": True})
     cut_threshold: float = DEFAULT_CUT_THRESHOLD
     es: EsConfig = field(default_factory=EsConfig)
-    mlp_learning_rate: float = MLP_LEARNING_RATE
 
     def __post_init__(self):
         if self.cut_threshold < 0:
@@ -185,11 +183,10 @@ def run_calibration(method, solver, measurements, state, layout,
     calib = settings.calib
     if method == METHOD_KALIBRE:
         priors = build_adjacency(layout, settings.cut_threshold)
-        model = KnowledgeSurrogateModel(priors, calib.penalty, calib.train)
+        model = KnowledgeSurrogateModel(priors, calib.penalty)
         return calibrate(solver, model, measurements, state, layout, calib)
     if method == METHOD_VANILLA:
-        train_cfg = replace(calib.train, learning_rate=settings.mlp_learning_rate)
-        model = VanillaSurrogateModel(layout, calib.penalty, train_cfg, seed=calib.seed)
+        model = VanillaSurrogateModel(layout, calib.penalty, calib.train, seed=calib.seed)
         return calibrate(solver, model, measurements, state, layout, calib)
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
@@ -280,8 +277,14 @@ def _checked(cast, ok, rule: str):
 _iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+_pool_size = _checked(int, lambda v: v >= MIN_POOL_SIZE, f"an integer >= {MIN_POOL_SIZE}")
 _noise_sd = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 _recirculation = _checked(float, lambda v: 0.0 <= v < 1.0, "a fraction in [0, 1)")
+
+
+def _fractions(text: str) -> list[float]:
+    """A comma-separated list of _fraction values."""
+    return [_fraction(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--layout", required=True)
     d.add_argument("--scenario", required=True)
     d.add_argument("--state", required=True)
-    d.add_argument("--fractions", default="0.05,0.15,0.30,0.50",
-                   type=lambda text: [_fraction(part) for part in text.split(",")])
-    d.add_argument("--pool-size", type=int, default=200)
+    d.add_argument("--fractions", default="0.05,0.15,0.30,0.50", type=_fractions)
+    d.add_argument("--pool-size", type=_pool_size, default=200)
     d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--out-dir", required=True)
     return parser

@@ -3,9 +3,10 @@
 Each iteration spends exactly one solver call: the solve at the current
 flow-rate vector simultaneously validates the previous search result
 against the measurements and extends the training dataset. The surrogate
-is then retrained on everything accumulated so far (warm-started), the
-flow rates are re-searched against the measurements through the frozen
-surrogate, and the winner becomes the next iteration's solver input.
+is then refitted on everything accumulated so far (the knowledge surrogate
+in closed form, the MLP by Adam from its last weights), the flow rates are
+re-searched against the measurements through the frozen surrogate, and the
+winner becomes the next iteration's solver input.
 A run of k iterations therefore performs 3 + k solver calls: three seed
 samples at the bound extremes and midpoint, then one per iteration.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import CalibrationAbortedError, DimensionMismatchError, HallcalError
 from .hall import AdjacencyPriors, HallLayout, SystemInput
 from .mlp import (
+    MLP_TRAIN,
     MlpWeights,
     fit_standardizer,
     init_mlp,
@@ -36,16 +38,18 @@ from .surrogate import (
     SurrogateWeights,
     TrainingSample,
     cooling_feature,
+    fit_weights,
     forward,
     grad_alpha,
     init_weights,
     loss_l2,
-    train,
 )
 
 SEARCH_BOUNDS = Bounds(0.01, 3.0)  # cfm/W, the default flow-rate search box
 SETPOINT_RANGE_C = 12.0  # plausible CRAC setpoint band, for augmentation scaling
 FAN_RANGE = 1.0
+INPUT_NOISE_FRAC = 0.01  # augmentation input noise, as a fraction of each range
+TARGET_NOISE_SD = 0.1  # augmentation target noise, degC
 
 
 @dataclass(frozen=True)
@@ -64,16 +68,15 @@ class AugmentScales:
     target_sd: float
 
 
-def default_augment_scales(layout: HallLayout, input_noise_frac: float = 0.01,
-                           target_noise_sd: float = 0.1) -> AugmentScales:
+def default_augment_scales(layout: HallLayout) -> AugmentScales:
     """Input noise at a fraction of each feature's plausible range (relative
     for flow rates); target noise at a fixed sensor-grade scale in degC."""
     return AugmentScales(
-        setpoint_sd=input_noise_frac * SETPOINT_RANGE_C,
-        fan_sd=input_noise_frac * FAN_RANGE,
-        power_sd=input_noise_frac * layout.rated_powers(),
-        alpha_rel_sd=input_noise_frac,
-        target_sd=target_noise_sd,
+        setpoint_sd=INPUT_NOISE_FRAC * SETPOINT_RANGE_C,
+        fan_sd=INPUT_NOISE_FRAC * FAN_RANGE,
+        power_sd=INPUT_NOISE_FRAC * layout.rated_powers(),
+        alpha_rel_sd=INPUT_NOISE_FRAC,
+        target_sd=TARGET_NOISE_SD,
     )
 
 
@@ -132,17 +135,15 @@ class KnowledgeSurrogateModel:
     state misses the memo. Every call still runs all input checks.
     """
 
-    def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams,
-                 train_cfg: TrainConfig):
+    def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams):
         self.priors = priors
         self.penalty = penalty
-        self.train_cfg = train_cfg
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
         self._cooling_key: Optional[tuple] = None
         self._cooling: Optional[np.ndarray] = None
 
     def fit(self, dataset: list[TrainingSample]) -> None:
-        self.weights = train(self.weights, self.priors, dataset, self.train_cfg)
+        self.weights = fit_weights(self.priors, dataset, self.penalty.kappa)
 
     def predict(self, x: SystemInput) -> np.ndarray:
         return forward(self.weights, self.priors, x)
@@ -211,11 +212,8 @@ def _penalty_feasible_band(cfg: "CalibConfig") -> Optional[Bounds]:
 class CalibConfig:
     bounds: Bounds = SEARCH_BOUNDS
     max_iterations: int = 15
-    augment_batch: int = 16
-    input_noise_frac: float = 0.01
-    target_noise_sd: float = 0.1
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = MLP_TRAIN  # the vanilla MLP's schedule; the knowledge fit has none
     de: DeConfig = field(default_factory=DeConfig)
     adam: AdamConfig = field(default_factory=AdamConfig)
     use_de: bool = True
@@ -224,10 +222,8 @@ class CalibConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.augment_batch < 0:
-            raise ValueError("augment_batch must be >= 0")
-        if min(self.input_noise_frac, self.target_noise_sd, self.seed) < 0:
-            raise ValueError("input_noise_frac, target_noise_sd and seed must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -264,7 +260,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
         raise DimensionMismatchError("measurement length does not match the layout")
 
     n_servers = layout.n_servers
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.max_iterations + 1)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.max_iterations)
     alpha = np.full(n_servers, cfg.bounds.midpoint)
 
     traces: list[IterationTrace] = []
@@ -278,17 +274,10 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
                                  n_solver_calls=solver.n_calls)
 
     try:
-        raw = init_samples(cfg.bounds, state, solver, n_servers)
+        dataset = init_samples(cfg.bounds, state, solver, n_servers)
     except HallcalError as exc:
         raise CalibrationAbortedError(f"solver failed during seeding: {exc}",
                                       result=partial_result()) from exc
-
-    if cfg.augment_batch > 0:
-        scales = default_augment_scales(layout, cfg.input_noise_frac, cfg.target_noise_sd)
-        train_set = augment(raw, cfg.augment_batch, scales,
-                            seed=seeds[0].generate_state(1)[0], bounds=cfg.bounds)
-    else:
-        train_set = list(raw)
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
@@ -305,11 +294,8 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             alpha_star = alpha.copy()
             best_temps = temps
 
-        sample = TrainingSample(input=x, target=temps)
-        raw.append(sample)
-        train_set.append(sample)
-
-        model.fit(train_set)
+        dataset.append(TrainingSample(input=x, target=temps))
+        model.fit(dataset)
 
         def objective(a: np.ndarray) -> float:
             return model.l2(state.to_input(a), measurements)
@@ -317,7 +303,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
         def gradient(a: np.ndarray) -> np.ndarray:
             return model.l2_grad_alpha(state.to_input(a), measurements)
 
-        de_seed = int(seeds[it].generate_state(1)[0])
+        de_seed = int(seeds[it - 1].generate_state(1)[0])
         if cfg.use_de:
             res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
                                 de_seed, init_bounds=_penalty_feasible_band(cfg))
@@ -332,7 +318,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             mean_grad_mag=float(np.mean(res.grad_norms)),
             de_l2=res.de_fun,
             solver_calls=solver.n_calls,
-            dataset_size=len(raw),
+            dataset_size=len(dataset),
             wall_time_s=time.perf_counter() - t0,
         ))
 

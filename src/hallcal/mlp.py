@@ -21,7 +21,7 @@ from .surrogate import PenaltyParams, TrainingSample, search_grad, search_loss
 
 HIDDEN_SIZES = (518, 128, 32)
 STD_FLOOR = 1e-8  # features that never vary would otherwise blow up
-MLP_LEARNING_RATE = 0.01  # the surrogate's 0.1 is too hot for a deep net
+MLP_TRAIN = TrainConfig(learning_rate=0.01)  # TrainConfig's 0.1 is too hot for a deep net
 
 
 def flatten_input(x: SystemInput) -> np.ndarray:
@@ -167,8 +167,8 @@ def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
 
 
 def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig) -> MlpWeights:
-    """Full-batch Adam on the squared-error loss; same snapshotting contract
-    as the knowledge surrogate's trainer."""
+    """Full-batch Adam on the squared-error loss with hyper's staged decay;
+    returns the weights with the lowest observed loss."""
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     feats, targets = _stack_batch(dataset)

@@ -2,10 +2,10 @@
 surrogate needs.
 
 A pool of solver samples at uniform-random flow rates is split 8:2 into
-train and test sets; the knowledge surrogate (adjacency fixed), the
-knowledge surrogate with trainable adjacency, and the vanilla MLP are
-each trained on growing fractions of the train set and scored by test
-MAE against the solver outputs.
+train and test sets; the knowledge surrogate (adjacency fixed, fitted in
+closed form), the knowledge surrogate with trainable adjacency, and the
+vanilla MLP (both trained by Adam) are each fitted on growing fractions of
+the train set and scored by test MAE against the solver outputs.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ import numpy as np
 from .engine import SEARCH_BOUNDS, mae
 from .errors import PoolTooSmallError
 from .hall import HallLayout, build_adjacency
-from .mlp import MLP_LEARNING_RATE, fit_standardizer, init_mlp, mlp_forward, mlp_train
+from .mlp import MLP_TRAIN, fit_standardizer, init_mlp, mlp_forward, mlp_train
 from .optim import TrainConfig
 from .solver import OperatingState, Scenario, ZonalSolver
 from .surrogate import (
     TrainableAdjacencyWeights,
     TrainingSample,
+    fit_weights,
     forward,
     forward_trainable,
     init_weights,
-    train,
     train_trainable,
 )
 
@@ -34,7 +34,7 @@ KNOWLEDGE_FIXED = "knowledge-fixed"
 KNOWLEDGE_TRAINABLE = "knowledge-trainable"
 VANILLA = "vanilla"
 
-MLP_TRAIN = TrainConfig(learning_rate=MLP_LEARNING_RATE)
+MIN_POOL_SIZE = 10  # the smallest pool the study splits
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class StudyCell:
 def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
                seed: int) -> list[TrainingSample]:
     """Solver samples at flow rates drawn uniformly over the search box."""
-    if pool_size < 10:
+    if pool_size < MIN_POOL_SIZE:
         raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
     rng = np.random.default_rng(seed)
     solver = ZonalSolver(scenario)
@@ -62,8 +62,11 @@ def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
 
 def run_datavolume_study(scenario: Scenario, state: OperatingState,
                          fractions: list[float], pool_size: int, seed: int) -> list[StudyCell]:
-    """Train all three surrogates at every fraction; returns one cell per
-    (fraction, surrogate) pair."""
+    """Train all three surrogates at every fraction of the train set, each
+    in (0, 1]; returns one cell per (fraction, surrogate) pair."""
+    bad = [f for f in fractions if not 0.0 < f <= 1.0]
+    if bad:
+        raise PoolTooSmallError(f"fractions {bad} are not in (0, 1]")
     layout: HallLayout = scenario.layout
     pool = build_pool(scenario, state, pool_size, seed)
     rng = np.random.default_rng(seed)
@@ -86,7 +89,7 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
                 f"fraction {fraction} of {len(train_pool)} training samples is empty")
         subset = train_pool[:k]
 
-        w = train(init_weights(n), priors, subset, TrainConfig())
+        w = fit_weights(priors, subset)
         cells.append(StudyCell(fraction, KNOWLEDGE_FIXED,
                                test_mae(lambda x: forward(w, priors, x)), k))
 

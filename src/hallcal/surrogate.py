@@ -10,8 +10,9 @@ The model splits into a cooling block and a heating block. For sensor k:
 
 Cold-aisle sensors see only the cooling block; hot-aisle sensors see both.
 The trainable weights are the 4n per-sensor linear coefficients; the
-adjacency matrices stay fixed (a variant that trains them too lives at the
-bottom, used by the data-volume study).
+adjacency matrices stay fixed, so the model is linear in its weights and
+fit_weights fits them in closed form (a variant that trains the adjacency
+too, by Adam, lives at the bottom, used by the data-volume study).
 
 The heating block's physical anchor is the per-watt air stream: a server
 moving alpha cfm/W heats its air by kappa / alpha degC, with kappa set by
@@ -40,6 +41,8 @@ CFM_TO_M3S = 0.3048 ** 3 / 60.0
 
 # degC rise of a per-watt air stream of 1 cfm/W: dT = KAPPA_CFM_PER_W / alpha
 KAPPA_CFM_PER_W = 1.0 / (AIR_DENSITY * AIR_HEAT_CAPACITY * CFM_TO_M3S)
+
+FIT_RIDGE = 1e-6  # fit_weights' pull toward the physics prior, per sample
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def _stack_batch(batch: list[TrainingSample]):
 
 def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
     """Input-only features of a sample batch: X_cold (B, n), X_hot (B, n) and
-    the targets (B, n). No weight enters them, so a trainer computes them once."""
+    the targets (B, n). No weight enters them, so a fit computes them once."""
     setpoints, fans, powers, alphas, targets = _stack_batch(batch)
     return _mix_setpoints(priors, setpoints, fans), _heating_sum(priors, powers, alphas), targets
 
@@ -305,29 +308,29 @@ def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     return search_grad(pred, x, t_meas, params, mse_grad)
 
 
-def train(w0: SurrogateWeights, priors: AdjacencyPriors, dataset: list[TrainingSample],
-          hyper: TrainConfig) -> SurrogateWeights:
-    """Full-batch Adam on loss_l1 with a staged learning-rate decay.
+def fit_weights(priors: AdjacencyPriors, dataset: list[TrainingSample],
+                kappa: float = KAPPA_CFM_PER_W) -> SurrogateWeights:
+    """Closed-form fit of (a, b, c) for every sensor: ridge least squares on
+    loss_l1, pulled toward the physics prior a=1, b=0, c=kappa.
 
-    Returns the weights with the lowest observed loss, which is w0 itself
-    when no epoch improves on it.
-
-    X_cold, X_hot and the targets depend on the dataset alone, so they are
-    computed once per call. Each epoch then forms one residual, which gives
-    both the loss and the gradient; they are the same expressions loss_l1
-    and grad_weights evaluate, on the same values, so the result equals
-    the plain loop over those two functions bit for bit.
+    With the adjacency fixed the prediction is linear in the weights, so
+    each sensor's fit is one 3x3 solve of (G + lam I) theta = X^T t +
+    lam theta0 over the columns X_cold, 1 and hot_mask * X_hot. A cold
+    sensor's X_hot column is zero, so its c stays at kappa; d stays 0,
+    because on a hot sensor it is collinear with b. The ridge weight
+    lam = FIT_RIDGE * batch size keeps the solve regular when every sample
+    shares one state, where a and b are collinear too.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
-    n = w0.n_sensors
-    features = _batch_features(priors, dataset)
-
-    def loss_and_grad(params: np.ndarray):
-        residual = _batch_residual(SurrogateWeights.unpack(params, n), priors.hot_mask, features)
-        return float(np.mean(residual ** 2)), _weight_grad(priors.hot_mask, features, residual).pack()
-
-    return SurrogateWeights.unpack(adam_fit(w0.pack(), loss_and_grad, hyper), n)
+    x_cold, x_hot, targets = _batch_features(priors, dataset)
+    cols = np.stack([x_cold, np.ones_like(x_cold), priors.hot_mask * x_hot], axis=-1)  # (B, n, 3)
+    lam = FIT_RIDGE * len(dataset)
+    prior = np.array([1.0, 0.0, kappa])
+    gram = np.einsum("bkq,bkr->kqr", cols, cols) + lam * np.eye(3)
+    rhs = np.einsum("bkq,bk->kq", cols, targets) + lam * prior
+    a, b, c = np.linalg.solve(gram, rhs[..., None])[..., 0].T
+    return SurrogateWeights(a=a, b=b, c=c, d=np.zeros_like(a))
 
 
 # -- variant with trainable adjacency (data-volume study) --------------------
@@ -427,8 +430,9 @@ def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
 
 def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                     dataset: list[TrainingSample], hyper: TrainConfig) -> TrainableAdjacencyWeights:
-    """Same schedule as train(), over the enlarged weight set; the batch is
-    stacked once and each epoch's loss and gradient share one residual."""
+    """Full-batch Adam on loss_l1_trainable with hyper's staged decay; the
+    batch is stacked once and each epoch's loss and gradient share one
+    residual. Returns the weights with the lowest observed loss."""
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     n = tw0.linear.n_sensors

@@ -50,7 +50,7 @@ def reference_runs():
         solver = ZonalSolver(scenario)
         measurements = synthesize_measurements(scenario, state)
         cfg = CalibConfig(seed=seed, max_iterations=15)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         result = calibrate(solver, model, measurements, state, scenario.layout, cfg)
         runs[seed] = dict(scenario=scenario, state=state, measurements=measurements,
                           result=result, solver=solver)
@@ -123,7 +123,7 @@ def test_criterion_4_hybrid_search_acceleration():
     for use_de in (True, False):
         solver = ZonalSolver(scenario)
         cfg = CalibConfig(seed=0, max_iterations=10, use_de=use_de)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         result = calibrate(solver, model, measurements, state, scenario.layout, cfg)
         losses[use_de] = result.traces[-1].mean_l2
     assert losses[True] <= 0.10 * losses[False]
@@ -263,7 +263,7 @@ def test_criterion_7_oracle_recovery():
     solver = ZonalSolver(scenario)
     measurements = synthesize_measurements(scenario, state)
     cfg = CalibConfig(seed=0, max_iterations=15)
-    model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+    model = KnowledgeSurrogateModel(priors, cfg.penalty)
     result = calibrate(solver, model, measurements, state, scenario.layout, cfg)
     rel = np.abs(result.alpha_star - scenario.alpha_true) / scenario.alpha_true
     assert np.all(rel <= 0.10), f"relative errors {rel}"

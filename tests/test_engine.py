@@ -136,7 +136,7 @@ class TestKnowledgeModelObjective:
     def model(self, small_case):
         scenario, _, priors = small_case
         n = scenario.layout.n_sensors
-        model = KnowledgeSurrogateModel(priors, PenaltyParams(), TrainConfig())
+        model = KnowledgeSurrogateModel(priors, PenaltyParams())
         rng = np.random.default_rng(4)
         model.weights = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.3, 4 * n), n)
         return model
@@ -206,7 +206,7 @@ class TestCalibrate:
         solver = ZonalSolver(mid_truth)
         meas = synthesize_measurements(replace(mid_truth, sensor_noise_sd=0.1), state)
         cfg = small_config(max_iterations=1)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         res = calibrate(solver, model, meas, state, mid_truth.layout, cfg)
         np.testing.assert_array_equal(res.alpha_star, 1.505)
         assert res.traces[0].validation_mae < 0.3  # ~ mean |N(0, 0.1)|
@@ -216,7 +216,7 @@ class TestCalibrate:
         solver = ZonalSolver(scenario)
         meas = synthesize_measurements(scenario, state)
         cfg = small_config(max_iterations=5)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         res = calibrate(solver, model, meas, state, scenario.layout, cfg)
         assert res.n_solver_calls == 3 + 5
         assert [t.solver_calls for t in res.traces] == [4, 5, 6, 7, 8]
@@ -228,7 +228,7 @@ class TestCalibrate:
         solver = ZonalSolver(scenario)
         meas = synthesize_measurements(scenario, state)
         cfg = small_config(max_iterations=6)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         res = calibrate(solver, model, meas, state, scenario.layout, cfg)
         vals = [t.validation_mae for t in res.traces]
         assert res.best_mae == pytest.approx(min(vals))
@@ -241,7 +241,7 @@ class TestCalibrate:
         results = []
         for _ in range(2):
             cfg = small_config(max_iterations=3)
-            model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+            model = KnowledgeSurrogateModel(priors, cfg.penalty)
             results.append(calibrate(ZonalSolver(scenario), model, meas, state,
                                      scenario.layout, cfg))
         a, b = results
@@ -254,7 +254,7 @@ class TestCalibrate:
         solver = FailingSolver(scenario, fail_after=5)  # dies inside iteration 3
         meas = synthesize_measurements(scenario, state)
         cfg = small_config(max_iterations=8)
-        model = KnowledgeSurrogateModel(priors, cfg.penalty, cfg.train)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
         with pytest.raises(CalibrationAbortedError) as exc_info:
             calibrate(solver, model, meas, state, scenario.layout, cfg)
         partial = exc_info.value.result

@@ -167,9 +167,6 @@ def run_settings(draw):
     calib = CalibConfig(
         bounds=Bounds(lower, lower + draw(st.floats(1e-3, 10.0))),
         max_iterations=draw(counts),
-        augment_batch=draw(st.integers(0, 10 ** 6)),
-        input_noise_frac=draw(unit),
-        target_noise_sd=draw(unit),
         penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
                               draw(unit), draw(positive)),
         train=TrainConfig(draw(counts), draw(positive), draw(unit), draw(counts)),
@@ -179,8 +176,7 @@ def run_settings(draw):
         seed=draw(seeds),
     )
     es = EsConfig(draw(positive), draw(counts), draw(positive), draw(counts))
-    return RunSettings(calib=calib, cut_threshold=draw(unit), es=es,
-                       mlp_learning_rate=draw(positive))
+    return RunSettings(calib=calib, cut_threshold=draw(unit), es=es)
 
 
 # config files the loader must refuse, each with the field its error names
@@ -209,6 +205,8 @@ BAD_CONFIGS = [
     ('{"cut_threshold": -1}', "cut_threshold"),
     ('{"es": {"adapt_factor": 0}}', "es: need adapt_factor > 0"),
     ('{"es": {"adapt_every": 0}}', "es: adapt_every"),
+    ('{"augment_batch": 16}', "augment_batch: unknown field"),
+    ('{"mlp_learning_rate": 0.01}', "mlp_learning_rate: unknown field"),
 ]
 
 BAD_CONFIG_IDS = [re.sub(r"\W+", "_", doc).strip("_") for doc, _ in BAD_CONFIGS]
@@ -462,6 +460,15 @@ class TestStudyCommand:
             cmd_study_datavolume(paths["layout"], paths["scenario"], paths["state"],
                                  tmp_path / "study", fractions=(0.01,), pool_size=20)
 
+    @pytest.mark.parametrize("fraction", [2.0, 0.0, -0.5, float("nan")])
+    def test_fraction_outside_unit_interval(self, generated, tmp_path, fraction):
+        # above 1, n_train would exceed the train set the cells were fitted on
+        out, paths = generated
+        with pytest.raises(PoolTooSmallError, match=r"not in \(0, 1\]"):
+            cmd_study_datavolume(paths["layout"], paths["scenario"], paths["state"],
+                                 tmp_path / "study", fractions=(0.5, fraction), pool_size=20)
+        assert not (tmp_path / "study").exists()
+
     def test_small_study_writes_table(self, generated, tmp_path):
         out, paths = generated
         cells = cmd_study_datavolume(paths["layout"], paths["scenario"], paths["state"],
@@ -535,6 +542,7 @@ class TestBadNumbersAreUsageErrors:
         STUDY_ARGS + ["--fractions", "1.5"],
         STUDY_ARGS + ["--fractions", "0.1,0"],
         ["generate", "--out-dir", "g", "--seed", "-3"],
+        STUDY_ARGS + ["--pool-size", "5"],
     ])
     def test_exit_1_at_argument_parsing(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

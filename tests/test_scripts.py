@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from hallcal.cli import cmd_calibrate, cmd_generate
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -27,3 +29,24 @@ def test_compare_methods_matches_calibrate(tmp_path, capsys):
                                iters=2, seed=1)["result"]
         assert (f"{report['best_mae_c']:.4f}", report["n_solver_calls"]) == (best, calls)
         assert calls == 5
+
+
+BAD_NUMBERS = [
+    ("run_reference_calibration", ["--iters", "0"]),
+    ("run_reference_calibration", ["--seed", "-1"]),
+    ("compare_methods", ["--iters", "0"]),
+    ("compare_methods", ["--seed", "1.5"]),
+    ("run_datavolume_study", ["--pool-size", "5"]),
+    ("run_datavolume_study", ["--seed", "-1"]),
+    ("run_datavolume_study", ["--fractions", "0.5,2"]),
+    ("run_datavolume_study", ["--fractions", "nan"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", BAD_NUMBERS,
+                         ids=[f"{name}{''.join(argv)}" for name, argv in BAD_NUMBERS])
+def test_bad_number_is_a_usage_error(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(argv)
+    assert exc.value.code == 1
+    assert f"error: argument {argv[0]}" in capsys.readouterr().err

@@ -15,11 +15,14 @@ from hallcal.surrogate import (
     AIR_DENSITY,
     AIR_HEAT_CAPACITY,
     CFM_TO_M3S,
+    FIT_RIDGE,
     KAPPA_CFM_PER_W,
     PenaltyParams,
     SurrogateWeights,
     TrainableAdjacencyWeights,
     TrainingSample,
+    _batch_features,
+    fit_weights,
     forward,
     forward_trainable,
     grad_alpha,
@@ -30,7 +33,6 @@ from hallcal.surrogate import (
     loss_l1_trainable,
     loss_l2,
     penalty_h,
-    train,
     train_trainable,
 )
 
@@ -289,76 +291,85 @@ class TestGradAlpha:
         assert worst < 1e-5
 
 
-class TestTrain:
-    def test_already_fit_returns_same_weights(self):
-        priors = single_sensor_priors()
-        w0 = init_weights(1)
-        x = make_input(20.0, 0.5, 100.0, 0.2)
-        batch = [TrainingSample(input=x, target=forward(w0, priors, x))]
-        w1 = train(w0, priors, batch, TrainConfig())
-        assert np.array_equal(w0.pack(), w1.pack())
+class TestFitWeights:
+    @staticmethod
+    def known_weights(priors, rng):
+        # d = 0 (collinear with b); c of a cold sensor is unseen, so it is the prior's
+        n = priors.n_sensors
+        hot = priors.hot_mask == 1.0
+        return SurrogateWeights(a=rng.uniform(0.8, 1.2, n), b=rng.normal(0, 1, n),
+                                c=np.where(hot, rng.uniform(1.0, 2.5, n), KAPPA_CFM_PER_W),
+                                d=np.zeros(n))
 
-    def test_single_sample_fits_tightly(self, reference, reference_priors):
-        scenario, state = reference
-        rng = np.random.default_rng(11)
-        x = state.to_input(rng.uniform(0.15, 0.3, scenario.layout.n_servers))
-        target = 20.0 + rng.uniform(0, 10, scenario.layout.n_sensors)
-        batch = [TrainingSample(input=x, target=target)]
-        w0 = init_weights(scenario.layout.n_sensors)
-        initial = loss_l1(w0, reference_priors, batch)
-        final = loss_l1(train(w0, reference_priors, batch, TrainConfig()),
-                        reference_priors, batch)
-        assert final < 1e-3 * initial
+    @staticmethod
+    def varied_batch(w, priors, layout, rng, size=8):
+        batch = []
+        for _ in range(size):
+            l, m = layout.n_cracs, layout.n_servers
+            x = SystemInput(rng.uniform(16, 26, l), rng.uniform(0.2, 1.0, l),
+                            rng.uniform(100, 500, m), rng.uniform(0.1, 3.0, m))
+            batch.append(TrainingSample(input=x, target=forward(w, priors, x)))
+        return batch
 
-    def test_training_deterministic(self, reference, reference_priors):
+    def test_recovers_known_weights_over_varied_states(self, reference, reference_priors):
+        scenario, _ = reference
+        rng = np.random.default_rng(21)
+        w = self.known_weights(reference_priors, rng)
+        fit = fit_weights(reference_priors, self.varied_batch(w, reference_priors,
+                                                               scenario.layout, rng))
+        # the ridge's pull toward the prior shifts b by about 1e-3 degC
+        np.testing.assert_allclose(fit.a, w.a, atol=1e-4)
+        np.testing.assert_allclose(fit.b, w.b, atol=2e-3)
+        np.testing.assert_allclose(fit.c, w.c, rtol=1e-6)
+        assert np.array_equal(fit.d, np.zeros_like(w.d))
+        fresh = self.varied_batch(w, reference_priors, scenario.layout, rng, size=1)[0]
+        np.testing.assert_allclose(forward(fit, reference_priors, fresh.input), fresh.target,
+                                   atol=1e-3)
+
+    def test_solves_the_ridge_problem(self, reference, reference_priors):
+        # per-sensor least squares on [X; sqrt(lam) I] theta = [t; sqrt(lam) theta0]
+        scenario, _ = reference
+        rng = np.random.default_rng(22)
+        w = self.known_weights(reference_priors, rng)
+        batch = [TrainingSample(s.input, s.target + rng.normal(0, 0.3, s.target.size))
+                 for s in self.varied_batch(w, reference_priors, scenario.layout, rng)]
+        fit = fit_weights(reference_priors, batch)
+        x_cold, x_hot, targets = _batch_features(reference_priors, batch)
+        root = np.sqrt(FIT_RIDGE * len(batch))
+        for k in range(reference_priors.n_sensors):
+            cols = np.column_stack([x_cold[:, k], np.ones(len(batch)),
+                                    reference_priors.hot_mask[k] * x_hot[:, k]])
+            lhs = np.vstack([cols, root * np.eye(3)])
+            rhs = np.concatenate([targets[:, k], root * np.array([1.0, 0.0, KAPPA_CFM_PER_W])])
+            expected = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            np.testing.assert_allclose([fit.a[k], fit.b[k], fit.c[k]], expected, rtol=1e-8)
+
+    def test_one_shared_state_fits_its_targets(self, reference, reference_priors):
+        # as in the calibration loop: only the flow rates vary, so a and b are collinear
         scenario, state = reference
-        rng = np.random.default_rng(12)
-        x = state.to_input(rng.uniform(0.15, 0.3, scenario.layout.n_servers))
-        batch = [TrainingSample(input=x, target=rng.uniform(18, 30, scenario.layout.n_sensors))]
-        w0 = init_weights(scenario.layout.n_sensors)
-        w1 = train(w0, reference_priors, batch, TrainConfig())
-        w2 = train(w0, reference_priors, batch, TrainConfig())
-        assert np.array_equal(w1.pack(), w2.pack())
+        rng = np.random.default_rng(23)
+        w = self.known_weights(reference_priors, rng)
+        batch = []
+        for _ in range(5):
+            x = state.to_input(rng.uniform(0.01, 3.0, scenario.layout.n_servers))
+            batch.append(TrainingSample(input=x, target=forward(w, reference_priors, x)))
+        fit = fit_weights(reference_priors, batch)
+        assert np.all(np.isfinite(fit.pack()))
+        for s in batch:
+            np.testing.assert_allclose(forward(fit, reference_priors, s.input), s.target,
+                                       atol=1e-6)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            train(init_weights(1), single_sensor_priors(), [], TrainConfig())
+            fit_weights(single_sensor_priors(), [])
 
-    @staticmethod
-    def plain_adam_loop(w0, priors, dataset, hyper):
-        """train() written as loss_l1 and grad_weights evaluated afresh each epoch."""
-        n = w0.n_sensors
-        params = w0.pack()
-        best_params, best_loss = params.copy(), loss_l1(w0, priors, dataset)
-        state = AdamState.init(params.size, hyper.learning_rate)
-        for epoch in range(hyper.epochs):
-            g = grad_weights(SurrogateWeights.unpack(params, n), priors, dataset)
-            state.learning_rate = hyper.lr_at(epoch)
-            state, params = adam_step(state, params, g.pack())
-            loss = loss_l1(SurrogateWeights.unpack(params, n), priors, dataset)
-            if loss < best_loss:
-                best_loss, best_params = loss, params.copy()
-        return best_params
-
-    def test_equals_plain_adam_loop_on_reference_hall(self, reference, reference_priors):
-        scenario, state = reference
-        m, n = scenario.layout.n_servers, scenario.layout.n_sensors
-        rng = np.random.default_rng(13)
-        batch = [TrainingSample(input=state.to_input(rng.uniform(0.1, 0.5, m)),
-                                target=rng.uniform(18, 35, n)) for _ in range(6)]
-        # warm start away from the prior, as in the calibration loop
-        w0 = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.2, 4 * n), n)
-        hyper = TrainConfig(epochs=120, decay_every=40)
-        expected = self.plain_adam_loop(w0, reference_priors, batch, hyper)
-        assert np.array_equal(train(w0, reference_priors, batch, hyper).pack(), expected)
-
-    def test_equals_plain_adam_loop_on_single_sensor(self):
-        priors = single_sensor_priors(w_ss_weight=0.7)
-        batch = [TrainingSample(input=make_input(18.0 + i, 0.3 + 0.1 * i, 150.0, 0.1 + 0.05 * i),
-                                target=[30.0 - i]) for i in range(4)]
-        w0 = init_weights(1)
-        expected = self.plain_adam_loop(w0, priors, batch, TrainConfig())
-        assert np.array_equal(train(w0, priors, batch, TrainConfig()).pack(), expected)
+    def test_deterministic(self, reference, reference_priors):
+        scenario, _ = reference
+        rng = np.random.default_rng(24)
+        w = self.known_weights(reference_priors, rng)
+        batch = self.varied_batch(w, reference_priors, scenario.layout, rng)
+        assert np.array_equal(fit_weights(reference_priors, batch).pack(),
+                              fit_weights(reference_priors, batch).pack())
 
 
 class TestStructuralProperties:
