@@ -3,14 +3,14 @@ data-hall thermal models."""
 
 from .engine import CalibConfig, CalibrationResult, calibrate, mae
 from .hall import AdjacencyPriors, HallLayout, SystemInput, build_adjacency, validate_layout
-from .optim import AdamConfig, Bounds, DeConfig, EsConfig, TrainConfig
+from .optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from .solver import OperatingState, Scenario, ZonalSolver, synthesize_measurements
 from .surrogate import KAPPA_CFM_PER_W, PenaltyParams, SurrogateWeights, TrainingSample
 
 __all__ = [
     "AdamConfig", "AdjacencyPriors", "Bounds", "CalibConfig", "CalibrationResult",
-    "DeConfig", "EsConfig", "HallLayout", "KAPPA_CFM_PER_W", "OperatingState",
-    "PenaltyParams", "Scenario", "SurrogateWeights", "SystemInput", "TrainConfig",
-    "TrainingSample", "ZonalSolver", "build_adjacency", "calibrate", "mae",
-    "synthesize_measurements", "validate_layout",
+    "DeConfig", "HallLayout", "KAPPA_CFM_PER_W", "OperatingState", "PenaltyParams",
+    "Scenario", "SurrogateWeights", "SystemInput", "TrainConfig", "TrainingSample",
+    "ZonalSolver", "build_adjacency", "calibrate", "mae", "synthesize_measurements",
+    "validate_layout",
 ]

@@ -38,7 +38,7 @@ from .errors import (
     UnknownMethodError,
 )
 from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
-from .optim import EsConfig, cmaes_1p1
+from .optim import cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
 from .study import MIN_POOL_SIZE, run_datavolume_study
@@ -59,7 +59,6 @@ class RunSettings:
 
     calib: CalibConfig = field(default_factory=CalibConfig, metadata={"inline": True})
     cut_threshold: float = DEFAULT_CUT_THRESHOLD
-    es: EsConfig = field(default_factory=EsConfig)
 
     def __post_init__(self):
         if self.cut_threshold < 0:
@@ -68,18 +67,15 @@ class RunSettings:
 
 def load_settings(config_path, iters=None, seed=None) -> RunSettings:
     """Settings from the config file (defaults without one), then the
-    --iters and --seed overrides. An ES budget the file leaves unset is
-    3 + max_iterations, the solver calls a surrogate run makes."""
+    --iters and --seed overrides."""
     doc = fileio._load_json(config_path) if config_path else {}
     settings = fileio.from_json(RunSettings, doc, config_path or "<defaults>")
-    calib, es = settings.calib, settings.es
+    calib = settings.calib
     if iters is not None:
         calib = replace(calib, max_iterations=iters)
     if seed is not None:
         calib = replace(calib, seed=seed)
-    if "max_evals" not in doc.get("es", {}):
-        es = replace(es, max_evals=3 + calib.max_iterations)
-    return replace(settings, calib=calib, es=es)
+    return replace(settings, calib=calib)
 
 
 settings_echo = fileio.to_json  # the config-file form of settings; load_settings reads it
@@ -179,7 +175,7 @@ def run_calibration(method, solver, measurements, state, layout,
                     settings: RunSettings) -> CalibrationResult:
     """Calibrate by one method. The surrogate methods run the engine's loop;
     the heuristic runs the (1+1)-ES directly on solver MAE, one solver call
-    per candidate."""
+    per candidate, for the 3 + max_iterations calls a surrogate run makes."""
     calib = settings.calib
     if method == METHOD_KALIBRE:
         priors = build_adjacency(layout, settings.cut_threshold)
@@ -191,26 +187,27 @@ def run_calibration(method, solver, measurements, state, layout,
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
 
-    cache = {}
+    best = (None, None, np.inf)  # (alpha, temps, value) of the earliest best call
     eval_times = []
 
     def objective(alpha):
+        nonlocal best
         t0 = time.perf_counter()
         temps = solver.solve(state.to_input(alpha))
         value = mae(temps, measurements)
         eval_times.append(time.perf_counter() - t0)
-        cache[solver.n_calls] = (alpha.copy(), temps, value)
+        if value < best[2]:
+            best = (alpha.copy(), temps, value)
         return value
 
     x0 = np.full(layout.n_servers, calib.bounds.midpoint)
-    res = cmaes_1p1(objective, calib.bounds, settings.es, x0, calib.seed)
-    best_call = min(cache, key=lambda k: cache[k][2])
-    alpha_star, temps, best = cache[best_call]
+    res = cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
+    alpha_star, temps, best_mae = best
     traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
                              mean_grad_mag=float("nan"), de_l2=None, solver_calls=i + 1,
                              dataset_size=0, wall_time_s=t)
               for i, (v, t) in enumerate(zip(res.best_trace, eval_times))]
-    return CalibrationResult(alpha_star=alpha_star, best_mae=best,
+    return CalibrationResult(alpha_star=alpha_star, best_mae=best_mae,
                              best_solver_temps=temps, traces=traces,
                              n_solver_calls=solver.n_calls)
 

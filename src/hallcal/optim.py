@@ -5,6 +5,10 @@ adaptation.
 All searchers clip every candidate into the feasible box before the
 objective sees it, keep a monotone best-so-far trace, and count objective
 invocations exactly (the counts feed the solver-budget comparisons).
+Settings with one value in use are module constants: Adam's moment
+decays and epsilon, DE's crossover rate and differential weight, and the
+ES's adaptation window and factor. The ES's initial step is a fixed
+fraction of the search box's span, so a changed box keeps a sensible step.
 """
 
 from __future__ import annotations
@@ -15,6 +19,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ObjectiveNonFiniteError
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DE_CROSSOVER_RATE = 0.6
+DE_DIFFERENTIAL_WEIGHT = 0.8
+ES_STEP_FRACTION = 1.0 / 6.0  # initial ES step as a fraction of the box span
+ES_ADAPT_EVERY = 20  # mutations per 1/5-rule window
+ES_ADAPT_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -46,31 +59,13 @@ class Bounds:
 @dataclass(frozen=True)
 class DeConfig:
     population_size: int = 10
-    crossover_rate: float = 0.6
     max_iterations: int = 100
-    differential_weight: float = 0.8
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class EsConfig:
-    sigma0: float = 5.0
-    adapt_every: int = 20
-    adapt_factor: float = 1.5
-    max_evals: int = 100
-
-    def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
-        if self.adapt_every < 1:
-            raise ValueError("adapt_every must be >= 1")
-        if self.adapt_factor <= 0:
-            raise ValueError("need adapt_factor > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,9 +74,12 @@ class AdamConfig:
 
     learning_rate: float = 1e-3
     steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,12 @@ class TrainConfig:
     decay_every: int = 50
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.decay <= 1:
+            raise ValueError("decay must be in (0, 1]")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
 
@@ -108,16 +112,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     learning_rate: float = 1e-3
 
     @classmethod
-    def init(cls, size: int, learning_rate: float, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(size), v=np.zeros(size), step=0,
-                   beta1=beta1, beta2=beta2, eps=eps, learning_rate=learning_rate)
+    def init(cls, size: int, learning_rate: float) -> "AdamState":
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0, learning_rate=learning_rate)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
@@ -125,14 +124,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[A
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise DimensionMismatchError("params, grad and moments must share a shape")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, beta1=state.beta1, beta2=state.beta2,
-                          eps=state.eps, learning_rate=state.learning_rate)
-    return new_state, new_params
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate), new_params
 
 
 def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -224,8 +221,8 @@ def de_search(objective: Callable[[np.ndarray], float], bounds: Bounds,
         for i in range(cfg.population_size):
             candidates = [j for j in range(cfg.population_size) if j != i]
             r0, r1, r2 = rng.choice(candidates, size=3, replace=False)
-            mutant = bounds.clip(pop[r0] + cfg.differential_weight * (pop[r1] - pop[r2]))
-            cross = rng.random(dim) < cfg.crossover_rate
+            mutant = bounds.clip(pop[r0] + DE_DIFFERENTIAL_WEIGHT * (pop[r1] - pop[r2]))
+            cross = rng.random(dim) < DE_CROSSOVER_RATE
             cross[rng.integers(dim)] = True
             trial = np.where(cross, mutant, pop[i])
             f_trial = obj(trial)
@@ -247,7 +244,7 @@ def adam_search(objective: Callable[[np.ndarray], float],
     """
     obj = _Counted(objective)
     params = bounds.clip(np.asarray(x0, dtype=float))
-    state = AdamState.init(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    state = AdamState.init(params.size, cfg.learning_rate)
     losses: list[float] = []
     grad_norms: list[float] = []
     for _ in range(cfg.steps):
@@ -281,36 +278,38 @@ def hybrid_search(objective: Callable[[np.ndarray], float],
 
 
 def cmaes_1p1(objective: Callable[[np.ndarray], float], bounds: Bounds,
-              cfg: EsConfig, x0: np.ndarray, seed: int) -> SearchResult:
+              max_evals: int, x0: np.ndarray, seed: int) -> SearchResult:
     """(1+1) evolution strategy with 1/5-success-rule step adaptation.
 
-    One Gaussian offspring per iteration, clipped into the box; a strictly
-    better offspring replaces the parent. Every `adapt_every` mutations the
-    step size is scaled up when the windowed success rate exceeds 1/5 and
-    down when it falls below.
+    The initial step is ES_STEP_FRACTION of the box span. One Gaussian
+    offspring per iteration, clipped into the box; a strictly better
+    offspring replaces the parent. Every ES_ADAPT_EVERY mutations the step
+    is multiplied by ES_ADAPT_FACTOR when the windowed success rate exceeds
+    1/5 and divided by it when the rate falls below. Stops after max_evals
+    objective calls, the parent's included.
     """
     rng = np.random.default_rng(seed)
     obj = _Counted(objective)
     parent = bounds.clip(np.asarray(x0, dtype=float))
     f_parent = obj(parent)
-    sigma = cfg.sigma0
+    sigma = ES_STEP_FRACTION * bounds.span
     adaptations: list[tuple[float, float]] = []
     window_successes = 0
     window_count = 0
 
-    while obj.n_evals < cfg.max_evals:
+    while obj.n_evals < max_evals:
         child = bounds.clip(parent + sigma * rng.standard_normal(parent.size))
         f_child = obj(child)
         window_count += 1
         if f_child < f_parent:
             parent, f_parent = child, f_child
             window_successes += 1
-        if window_count == cfg.adapt_every:
+        if window_count == ES_ADAPT_EVERY:
             rate = window_successes / window_count
             if rate > 0.2:
-                sigma *= cfg.adapt_factor
+                sigma *= ES_ADAPT_FACTOR
             elif rate < 0.2:
-                sigma /= cfg.adapt_factor
+                sigma /= ES_ADAPT_FACTOR
             adaptations.append((rate, sigma))
             window_successes = 0
             window_count = 0

@@ -19,7 +19,7 @@ from hallcal.engine import (
 )
 from hallcal.errors import CommandFailedError, ParseError, SolverTimeoutError
 from hallcal.hall import SystemInput, build_adjacency
-from hallcal.optim import AdamConfig, Bounds, DeConfig, EsConfig, cmaes_1p1, hybrid_search
+from hallcal.optim import AdamConfig, Bounds, DeConfig, cmaes_1p1, hybrid_search
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.study import KNOWLEDGE_FIXED, VANILLA, run_datavolume_study
@@ -84,7 +84,7 @@ def test_criterion_2_budget_dominance_over_heuristic(reference_runs):
         return mae(solver.solve(state.to_input(alpha)), measurements)
 
     x0 = np.full(run["scenario"].layout.n_servers, BOUNDS.midpoint)
-    es = cmaes_1p1(objective, BOUNDS, EsConfig(max_evals=150), x0, seed=0)
+    es = cmaes_1p1(objective, BOUNDS, 150, x0, seed=0)
     es_mae_at_18 = es.best_trace[17]
     assert es_mae_at_18 >= 2.0 * kalibre_mae
 
@@ -236,7 +236,7 @@ def test_criterion_6_structural_invariants(reference_runs):
                       AdamConfig(steps=20), x0, seed=seed)
         es_objective = CandidateRecorder(
             lambda a: loss_l2(w, priors, state.to_input(a), meas, params))
-        cmaes_1p1(es_objective, BOUNDS, EsConfig(max_evals=50), x0, seed=seed)
+        cmaes_1p1(es_objective, BOUNDS, 50, x0, seed=seed)
         for c in objective.candidates + es_objective.candidates:
             assert BOUNDS.contains(c)
 

@@ -24,7 +24,7 @@ from hallcal.cli import (
 )
 from hallcal.engine import CalibConfig
 from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallError, UnknownMethodError
-from hallcal.optim import AdamConfig, Bounds, DeConfig, EsConfig, TrainConfig
+from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario
 from hallcal.solver import external_solve, synthesize_measurements
@@ -136,25 +136,6 @@ class TestParseErrors:
             load_settings(cfg)
 
 
-class TestLoadSettings:
-    @pytest.mark.parametrize("max_evals", [18, 19])
-    def test_explicit_es_budget_survives_iters(self, tmp_path, max_evals):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"es": {"max_evals": max_evals}}))
-        assert load_settings(cfg, iters=5).es.max_evals == max_evals
-
-    def test_es_budget_defaults_to_three_plus_iters(self):
-        assert load_settings(None, iters=97).es.max_evals == 100
-        assert load_settings(None).es.max_evals == 18
-
-
-    def test_es_budget_follows_config_iterations(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"max_iterations": 20}))
-        assert load_settings(cfg).es.max_evals == 23
-        assert load_settings(cfg, iters=4).es.max_evals == 7
-
-
 @st.composite
 def run_settings(draw):
     """Random valid settings, every field drawn."""
@@ -162,6 +143,7 @@ def run_settings(draw):
     seeds = st.integers(0, 2 ** 63)
     positive = st.floats(1e-9, 1e9)
     unit = st.floats(0.0, 1.0)
+    decay = st.floats(0.0, 1.0, exclude_min=True)
     lower = draw(st.floats(1e-4, 1.0))
     dt_low = draw(st.floats(1e-3, 50.0))
     calib = CalibConfig(
@@ -169,14 +151,13 @@ def run_settings(draw):
         max_iterations=draw(counts),
         penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
                               draw(unit), draw(positive)),
-        train=TrainConfig(draw(counts), draw(positive), draw(unit), draw(counts)),
-        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(unit), draw(counts), draw(positive)),
-        adam=AdamConfig(draw(positive), draw(counts), draw(unit), draw(unit), draw(positive)),
+        train=TrainConfig(draw(counts), draw(positive), draw(decay), draw(counts)),
+        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(counts)),
+        adam=AdamConfig(draw(positive), draw(counts)),
         use_de=draw(st.booleans()),
         seed=draw(seeds),
     )
-    es = EsConfig(draw(positive), draw(counts), draw(positive), draw(counts))
-    return RunSettings(calib=calib, cut_threshold=draw(unit), es=es)
+    return RunSettings(calib=calib, cut_threshold=draw(unit))
 
 
 # config files the loader must refuse, each with the field its error names
@@ -187,7 +168,7 @@ BAD_CONFIGS = [
     ('{"cut_threshold": NaN}', "cut_threshold"),
     ('{"penalty": {"dt_low": 20}}', "penalty: need 0 < dt_low"),
     ('{"bounds": [0.01, NaN]}', "bounds.upper"),
-    ('{"es": {"sigma0": -1}}', "es: sigma0"),
+    ('{"es": {"sigma0": -1}}', "es: unknown field"),
     ('{"max_iterations": 0}', "max_iterations"),
     ('{"train": {"epochs": "3"}}', "train.epochs"),
     ('{"de": {"population_size": 10.0}}', "de.population_size"),
@@ -199,14 +180,24 @@ BAD_CONFIGS = [
     ('{"bounds": [2.0, 1.0]}', "bounds"),
     ('{"seed": -1}', "seed"),
     ('{"de": {"seed": 1}}', "de.seed: unknown field"),
-    ('{"es": {"seed": 1}}', "es.seed: unknown field"),
+    ('{"es": {"seed": 1}}', "es: unknown field"),
     ('{"train": {"decay_every": 0}}', "train: decay_every"),
     ('{"input_noise_frac": -0.1}', "input_noise_frac"),
     ('{"cut_threshold": -1}', "cut_threshold"),
-    ('{"es": {"adapt_factor": 0}}', "es: need adapt_factor > 0"),
-    ('{"es": {"adapt_every": 0}}', "es: adapt_every"),
+    ('{"es": {"adapt_factor": 0}}', "es: unknown field"),
+    ('{"es": {"adapt_every": 0}}', "es: unknown field"),
     ('{"augment_batch": 16}', "augment_batch: unknown field"),
     ('{"mlp_learning_rate": 0.01}', "mlp_learning_rate: unknown field"),
+    ('{"es": {}}', "es: unknown field"),
+    ('{"de": {"crossover_rate": 0.6}}', "de.crossover_rate: unknown field"),
+    ('{"adam": {"beta1": 0.9}}', "adam.beta1: unknown field"),
+    ('{"adam": {"learning_rate": -0.01}}', "adam: learning_rate"),
+    ('{"adam": {"steps": -3}}', "adam: steps"),
+    ('{"de": {"max_iterations": -1}}', "de: max_iterations"),
+    ('{"train": {"epochs": 0}}', "train: epochs"),
+    ('{"train": {"learning_rate": -1}}', "train: learning_rate"),
+    ('{"train": {"decay": -1}}', "train: decay"),
+    ('{"train": {"decay": 0}}', "train: decay"),
 ]
 
 BAD_CONFIG_IDS = [re.sub(r"\W+", "_", doc).strip("_") for doc, _ in BAD_CONFIGS]
@@ -336,10 +327,9 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize("method", ["kalibre", "vanilla", "heuristic"])
     def test_seed_flag_equals_config_seed(self, generated, tmp_path, method):
-        # the config's seed is the run's only seed, as --seed sets it; the
-        # small ES step lets the heuristic leave its start point in 5 solves
+        # the config's seed is the run's only seed, as --seed sets it
         out, paths = generated
-        base = {"train": {"epochs": 20}, "es": {"sigma0": 0.2}}
+        base = {"train": {"epochs": 20}}
         for name, doc, seed in (("flag", base, 3), ("file", dict(base, seed=3), None)):
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(doc))

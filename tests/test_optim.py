@@ -7,7 +7,6 @@ from hallcal.optim import (
     AdamState,
     Bounds,
     DeConfig,
-    EsConfig,
     adam_search,
     adam_step,
     cmaes_1p1,
@@ -139,13 +138,25 @@ class TestHybridSearch:
 class TestCmaes:
     def test_sphere_decreases_100x_within_500_evals(self):
         x0 = np.full(8, 5.0)
-        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=500), x0, seed=0)
+        res = cmaes_1p1(quadratic, BOX, 500, x0, seed=0)
         assert res.fun <= quadratic(x0) / 100.0
         assert res.n_evals == 500
 
+    def test_step_scales_with_the_box(self):
+        # the initial step is a fixed fraction of the span, so one seed
+        # draws the same first child in span units on any box
+        steps = []
+        for box in (Bounds(0.01, 3.0), Bounds(1.0, 101.0)):
+            rec = Recorder(lambda x: 1.0)
+            x0 = np.full(16, box.midpoint)
+            cmaes_1p1(rec, box, 2, x0, seed=3)
+            steps.append((rec.candidates[1] - x0) / box.span)
+        assert np.any(steps[0] != 0.0)
+        np.testing.assert_allclose(steps[0], steps[1], rtol=1e-12, atol=1e-15)
+
     def test_one_fifth_rule_direction(self):
-        res = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=400), np.full(8, 5.0), seed=1)
-        sigma = EsConfig().sigma0
+        res = cmaes_1p1(quadratic, BOX, 400, np.full(8, 5.0), seed=1)
+        sigma = BOX.span / 6
         assert res.adaptations, "expected at least one adaptation window"
         for rate, sigma_after in res.adaptations:
             if rate > 0.2:
@@ -158,21 +169,21 @@ class TestCmaes:
 
     def test_candidates_feasible_and_counted(self):
         rec = Recorder(quadratic)
-        res = cmaes_1p1(rec, BOX, EsConfig(max_evals=100), np.full(8, 5.0), seed=2)
+        res = cmaes_1p1(rec, BOX, 100, np.full(8, 5.0), seed=2)
         assert len(rec.candidates) == res.n_evals == 100
         for c in rec.candidates:
             assert BOX.contains(c)
 
     def test_deterministic_under_seed(self):
-        r1 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150), np.full(8, 5.0), seed=5)
-        r2 = cmaes_1p1(quadratic, BOX, EsConfig(max_evals=150), np.full(8, 5.0), seed=5)
+        r1 = cmaes_1p1(quadratic, BOX, 150, np.full(8, 5.0), seed=5)
+        r2 = cmaes_1p1(quadratic, BOX, 150, np.full(8, 5.0), seed=5)
         assert np.array_equal(r1.x, r2.x) and r1.best_trace == r2.best_trace
 
 
 @pytest.mark.parametrize("runner", [
     lambda rec: de_search(rec, BOX, DeConfig(), np.full(8, 5.0), seed=4),
     lambda rec: adam_search(rec, quadratic_grad, BOX, AdamConfig(steps=50), np.full(8, 5.0)),
-    lambda rec: cmaes_1p1(rec, BOX, EsConfig(max_evals=120), np.full(8, 5.0), seed=4),
+    lambda rec: cmaes_1p1(rec, BOX, 120, np.full(8, 5.0), seed=4),
 ])
 def test_budget_accounting_and_monotone_best(runner):
     rec = Recorder(quadratic)
@@ -189,5 +200,3 @@ def test_bounds_validation():
         Bounds(2.0, 1.0)
     with pytest.raises(ValueError):
         DeConfig(population_size=3)
-    with pytest.raises(ValueError):
-        EsConfig(sigma0=0.0)
