@@ -1,14 +1,13 @@
 """Iterative four-step calibration loop.
 
-Each iteration spends exactly one solver call: the solve at the current
-flow-rate vector simultaneously validates the previous search result
-against the measurements and extends the training dataset. The surrogate
-is then refitted on everything accumulated so far (the knowledge surrogate
-in closed form, the MLP by Adam from its last weights), the flow rates are
-re-searched against the measurements through the frozen surrogate, and the
-winner becomes the next iteration's solver input.
-A run of k iterations therefore performs 3 + k solver calls: three seed
-samples at the bound extremes and midpoint, then one per iteration.
+Three seed solves, at the bound extremes and the midpoint, start the
+training dataset. Each iteration then fits the surrogate to everything
+accumulated so far (the knowledge surrogate in closed form, the MLP by
+Adam from its last weights), searches the flow rates against the
+measurements through the frozen surrogate, solves at the search result,
+validates that solve against the measurements and appends it to the
+dataset. Every solve is at a new point, and a run of k iterations
+performs 3 + k solver calls.
 """
 
 from __future__ import annotations
@@ -281,20 +280,6 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
-        x = state.to_input(alpha)
-        try:
-            temps = solver.solve(x)
-        except HallcalError as exc:
-            raise CalibrationAbortedError(f"solver failed at iteration {it}: {exc}",
-                                          result=partial_result()) from exc
-
-        val = mae(temps, measurements)
-        if val < best_mae:
-            best_mae = val
-            alpha_star = alpha.copy()
-            best_temps = temps
-
-        dataset.append(TrainingSample(input=x, target=temps))
         model.fit(dataset)
 
         def objective(a: np.ndarray) -> float:
@@ -310,6 +295,20 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
         else:
             res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
         alpha = res.x
+
+        x = state.to_input(alpha)
+        try:
+            temps = solver.solve(x)
+        except HallcalError as exc:
+            raise CalibrationAbortedError(f"solver failed at iteration {it}: {exc}",
+                                          result=partial_result()) from exc
+
+        val = mae(temps, measurements)
+        if val < best_mae:
+            best_mae = val
+            alpha_star = alpha.copy()
+            best_temps = temps
+        dataset.append(TrainingSample(input=x, target=temps))
 
         traces.append(IterationTrace(
             iteration=it,

@@ -20,14 +20,15 @@ from hallcal.cli import (
     cmd_study_datavolume,
     load_settings,
     main,
+    run_calibration,
     settings_echo,
 )
 from hallcal.engine import CalibConfig
 from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallError, UnknownMethodError
 from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
-from hallcal.scenarios import make_identifiable_scenario
-from hallcal.solver import external_solve, synthesize_measurements
+from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
+from hallcal.solver import ZonalSolver, external_solve, synthesize_measurements
 
 ECHO_SOLVER = Path(__file__).parents[1] / "scripts" / "echo_solver.py"
 
@@ -338,6 +339,16 @@ class TestCalibrateCommand:
                           iters=2, seed=seed, method=method)
         for f in ("traces.csv", "alpha_star.csv"):
             assert (tmp_path / "flag" / f).read_bytes() == (tmp_path / "file" / f).read_bytes()
+
+    def test_heuristic_improves_on_its_start_within_default_budget(self):
+        # the ES step is a sixth of the box span, so within the 18 solves of
+        # a default run it finds a point better than the midpoint it starts at
+        scenario, state = make_reference_scenario(seed=0)
+        result = run_calibration("heuristic", ZonalSolver(scenario),
+                                 synthesize_measurements(scenario, state), state,
+                                 scenario.layout, load_settings(None))
+        assert result.n_solver_calls == 18
+        assert result.best_mae < result.traces[0].validation_mae
 
     def test_heuristic_trace_per_solver_call(self, generated, tmp_path):
         out, paths = generated
