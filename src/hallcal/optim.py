@@ -5,10 +5,8 @@ adaptation.
 All searchers clip every candidate into the feasible box before the
 objective sees it, keep a monotone best-so-far trace, and count objective
 invocations exactly (the counts feed the solver-budget comparisons).
-Settings with one value in use are module constants: Adam's moment
-decays and epsilon, DE's crossover rate and differential weight, and the
-ES's adaptation window and factor. The ES's initial step is a fixed
-fraction of the search box's span, so a changed box keeps a sensible step.
+Settings with one value in use are the module constants below; the ES
+step starts at a fixed fraction of the box span, so it follows the box.
 """
 
 from __future__ import annotations
