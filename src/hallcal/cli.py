@@ -126,9 +126,10 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_csv(out_dir / "traces.csv",
                      ["iteration", "validation_mae_c", "mean_l2", "mean_grad_mag",
-                      "de_l2", "solver_calls", "dataset_size"],
+                      "de_l2", "search_residual", "solver_calls", "dataset_size"],
                      [[t.iteration, t.validation_mae, t.mean_l2, t.mean_grad_mag,
-                       t.de_l2, t.solver_calls, t.dataset_size] for t in result.traces])
+                       t.de_l2, t.search_residual, t.solver_calls, t.dataset_size]
+                      for t in result.traces])
     fileio.write_csv(out_dir / "timings.csv", ["iteration", "wall_time_s"],
                      [[t.iteration, t.wall_time_s] for t in result.traces])
     predicted = result.best_solver_temps
@@ -188,25 +189,26 @@ def run_calibration(method, solver, measurements, state, layout,
         raise UnknownMethodError(f"unknown method {method!r}")
 
     best = (None, None, np.inf)  # (alpha, temps, value) of the earliest best call
-    eval_times = []
+    maes, eval_times = [], []  # each solve's own MAE and time
 
     def objective(alpha):
         nonlocal best
         t0 = time.perf_counter()
         temps = solver.solve(state.to_input(alpha))
         value = mae(temps, measurements)
+        maes.append(value)
         eval_times.append(time.perf_counter() - t0)
         if value < best[2]:
             best = (alpha.copy(), temps, value)
         return value
 
     x0 = np.full(layout.n_servers, calib.bounds.midpoint)
-    res = cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
+    cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
     alpha_star, temps, best_mae = best
     traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
-                             mean_grad_mag=float("nan"), de_l2=None, solver_calls=i + 1,
-                             dataset_size=0, wall_time_s=t)
-              for i, (v, t) in enumerate(zip(res.best_trace, eval_times))]
+                             mean_grad_mag=float("nan"), de_l2=None, search_residual=None,
+                             solver_calls=i + 1, dataset_size=0, wall_time_s=t)
+              for i, (v, t) in enumerate(zip(maes, eval_times))]
     return CalibrationResult(alpha_star=alpha_star, best_mae=best_mae,
                              best_solver_temps=temps, traces=traces,
                              n_solver_calls=solver.n_calls)

@@ -4,9 +4,10 @@ Three seed solves, at the bound extremes and the midpoint, start the
 training dataset. Each iteration then fits the surrogate to everything
 accumulated so far (the knowledge surrogate in closed form, the MLP by
 Adam from its last weights), searches the flow rates against the
-measurements through the frozen surrogate, solves at the search result,
-validates that solve against the measurements and appends it to the
-dataset. Every solve is at a new point, and a run of k iterations
+measurements through the frozen surrogate (the knowledge surrogate
+exactly, by its convex search; the MLP by DE+Adam), solves at the search
+result, validates that solve against the measurements and appends it to
+the dataset. Every solve is at a new point, and a run of k iterations
 performs 3 + k solver calls.
 """
 
@@ -30,12 +31,21 @@ from .mlp import (
     mlp_loss_l2,
     mlp_train,
 )
-from .optim import AdamConfig, Bounds, DeConfig, TrainConfig, adam_search, hybrid_search
+from .optim import (
+    AdamConfig,
+    Bounds,
+    DeConfig,
+    SearchResult,
+    TrainConfig,
+    adam_search,
+    hybrid_search,
+)
 from .solver import OperatingState, ThermalSolver
 from .surrogate import (
     PenaltyParams,
     SurrogateWeights,
     TrainingSample,
+    convex_search,
     cooling_feature,
     fit_weights,
     forward,
@@ -127,9 +137,9 @@ class KnowledgeSurrogateModel:
 
     A search varies only the flow rates, and X_cold, the cooling block's
     output, depends only on the setpoints, the fan speeds and the fixed
-    priors. l2 and l2_grad_alpha therefore keep the last X_cold, keyed on
-    the shape and bytes of the setpoints and fan speeds, and reuse it while
-    those bytes repeat. Equal bytes give an equal X_cold, so the reuse is
+    priors. l2, l2_grad_alpha and search therefore keep the last X_cold,
+    keyed on the shape and bytes of the setpoints and fan speeds, and reuse
+    it while those bytes repeat. Equal bytes give an equal X_cold, so the reuse is
     exact; the key holds values, not the arrays, so an in-place edit of a
     state misses the memo. Every call still runs all input checks.
     """
@@ -161,6 +171,11 @@ class KnowledgeSurrogateModel:
     def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
         return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty,
                           x_cold=self._cooling_of(x))
+
+    def search(self, x: SystemInput, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
+        """The exact minimum of l2 over the box, starting at x.flow_rates."""
+        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds,
+                             x_cold=self._cooling_of(x))
 
 
 class VanillaSurrogateModel:
@@ -215,7 +230,7 @@ class CalibConfig:
     train: TrainConfig = MLP_TRAIN  # the vanilla MLP's schedule; the knowledge fit has none
     de: DeConfig = field(default_factory=DeConfig)
     adam: AdamConfig = field(default_factory=AdamConfig)
-    use_de: bool = True
+    use_de: Optional[bool] = None  # None: the model's exact search if it has one, else DE+Adam
     seed: int = 0
 
     def __post_init__(self):
@@ -232,6 +247,7 @@ class IterationTrace:
     mean_l2: float
     mean_grad_mag: float
     de_l2: Optional[float]
+    search_residual: Optional[float]
     solver_calls: int
     dataset_size: int
     wall_time_s: float
@@ -289,11 +305,14 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             return model.l2_grad_alpha(state.to_input(a), measurements)
 
         de_seed = int(seeds[it - 1].generate_state(1)[0])
-        if cfg.use_de:
+        exact = getattr(model, "search", None) if cfg.use_de is None else None
+        if exact is not None:
+            res = exact(state.to_input(alpha), measurements, cfg.bounds)
+        elif cfg.use_de is False:
+            res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
+        else:
             res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
                                 de_seed, init_bounds=_penalty_feasible_band(cfg))
-        else:
-            res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
         alpha = res.x
 
         x = state.to_input(alpha)
@@ -316,6 +335,7 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             mean_l2=float(np.mean(res.losses)),
             mean_grad_mag=float(np.mean(res.grad_norms)),
             de_l2=res.de_fun,
+            search_residual=res.residual,
             solver_calls=solver.n_calls,
             dataset_size=len(dataset),
             wall_time_s=time.perf_counter() - t0,

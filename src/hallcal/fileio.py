@@ -42,8 +42,8 @@ def _load_json(path: Path):
 #
 # Every JSON input is a dataclass as an object keyed by its field names; a
 # nested dataclass is a nested object (merged into the enclosing one when its
-# field has metadata {"inline": True}), tuples and arrays are lists, and
-# Bounds is [lower, upper].
+# field has metadata {"inline": True}), tuples and arrays are lists, an
+# Optional field takes null, and Bounds is [lower, upper].
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -105,6 +105,9 @@ def _parse_value(tp, value, name: str, path):
             return value
     elif tp is np.ndarray:
         return np.array(_parse_value(tuple[float, ...], value, name, path), dtype=float)
+    elif type(None) in typing.get_args(tp):  # Optional[X]: null or an X
+        (inner,) = [t for t in typing.get_args(tp) if t is not type(None)]
+        return None if value is None else _parse_value(inner, value, name, path)
     elif typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(value, list):

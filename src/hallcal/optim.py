@@ -164,6 +164,7 @@ class SearchResult:
     grad_norms: Optional[list[float]] = None
     adaptations: Optional[list[tuple[float, float]]] = None
     de_fun: Optional[float] = None
+    residual: Optional[float] = None  # an exact search's stationarity residual at x
 
 
 class _Counted:

@@ -25,6 +25,7 @@ from hallcal.optim import Bounds, DeConfig, TrainConfig
 from hallcal.scenarios import make_identifiable_scenario
 from hallcal.solver import OperatingState, ThermalSolver, ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
+    SEARCH_TOL,
     PenaltyParams,
     SurrogateWeights,
     TrainingSample,
@@ -275,6 +276,20 @@ class TestCalibrate:
         assert partial is not None
         assert len(partial.traces) == 2
         assert partial.best_mae == pytest.approx(min(t.validation_mae for t in partial.traces))
+
+    @pytest.mark.parametrize("use_de, stage", [(None, "convex"), (True, "de"), (False, "adam")])
+    def test_use_de_selects_the_search(self, small_case, use_de, stage):
+        # None takes the knowledge model's exact search; True and False force DE+Adam and Adam
+        scenario, state, priors = small_case
+        meas = synthesize_measurements(scenario, state)
+        cfg = small_config(max_iterations=2, use_de=use_de)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
+        res = calibrate(ZonalSolver(scenario), model, meas, state, scenario.layout, cfg)
+        for t in res.traces:
+            assert (t.de_l2 is not None) == (stage == "de")
+            assert (t.search_residual is not None) == (stage == "convex")
+            if stage == "convex":
+                assert t.search_residual <= SEARCH_TOL
 
     def test_vanilla_model_runs_through_engine(self, small_case):
         scenario, state, _ = small_case

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -23,7 +24,7 @@ from hallcal.cli import (
     run_calibration,
     settings_echo,
 )
-from hallcal.engine import CalibConfig
+from hallcal.engine import CalibConfig, mae
 from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallError, UnknownMethodError
 from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
@@ -155,7 +156,7 @@ def run_settings(draw):
         train=TrainConfig(draw(counts), draw(positive), draw(decay), draw(counts)),
         de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(counts)),
         adam=AdamConfig(draw(positive), draw(counts)),
-        use_de=draw(st.booleans()),
+        use_de=draw(st.sampled_from([None, True, False])),
         seed=draw(seeds),
     )
     return RunSettings(calib=calib, cut_threshold=draw(unit))
@@ -212,6 +213,12 @@ class TestConfigSchema:
             path = Path(tmp) / "config.json"
             fileio._dump_json(settings_echo(settings_), path)
             assert load_settings(path) == settings_
+
+    def test_null_use_de_is_the_default(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"use_de": None}))
+        assert load_settings(cfg) == load_settings(None)
+        assert load_settings(cfg).calib.use_de is None
 
     def test_echo_widens_integral_floats(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -339,6 +346,39 @@ class TestCalibrateCommand:
                           iters=2, seed=seed, method=method)
         for f in ("traces.csv", "alpha_star.csv"):
             assert (tmp_path / "flag" / f).read_bytes() == (tmp_path / "file" / f).read_bytes()
+
+    def test_vanilla_default_search_is_de_adam(self, generated, tmp_path):
+        # the MLP has no exact search, so use_de=None runs DE+Adam as use_de=True does
+        out, paths = generated
+        for name, use_de in (("default", None), ("de", True)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"train": {"epochs": 20}, "use_de": use_de}))
+            cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                          paths["measurements"], tmp_path / name, config_file=cfg,
+                          iters=2, seed=1, method="vanilla")
+        for f in ("traces.csv", "alpha_star.csv"):
+            assert (tmp_path / "default" / f).read_bytes() == (tmp_path / "de" / f).read_bytes()
+        rows = list(csv.DictReader((tmp_path / "default" / "traces.csv").read_text().splitlines()))
+        assert all(r["de_l2"] and not r["search_residual"] for r in rows)
+
+    def test_heuristic_traces_each_solves_own_mae(self, tmp_path, monkeypatch):
+        # on reference seed 0: validation_mae_c is each solve's MAE, not the running best
+        paths = cmd_generate(tmp_path / "case", seed=0)
+        inputs = []
+        solve = ZonalSolver._solve
+        monkeypatch.setattr(ZonalSolver, "_solve", lambda self, x: inputs.append(x) or solve(self, x))
+        report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                               paths["measurements"], tmp_path / "run", seed=0,
+                               method="heuristic")
+        monkeypatch.undo()
+        maes = [float(r["validation_mae_c"])
+                for r in csv.DictReader((tmp_path / "run" / "traces.csv").read_text().splitlines())]
+        assert any(b > a for a, b in zip(maes, maes[1:]))
+        assert min(maes) == report["result"]["best_mae_c"]
+        layout = fileio.load_layout(paths["layout"])
+        solver = ZonalSolver(fileio.load_scenario(paths["scenario"], layout))
+        meas = fileio.load_measurements(paths["measurements"], [s.id for s in layout.sensors])
+        assert maes == [mae(solver.solve(x), meas) for x in inputs]
 
     def test_heuristic_improves_on_its_start_within_default_budget(self):
         # the ES step is a sixth of the box span, so within the 18 solves of

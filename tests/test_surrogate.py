@@ -3,31 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallcal import surrogate
+from hallcal.engine import SEARCH_BOUNDS, CalibConfig, _penalty_feasible_band, init_samples
 from hallcal.errors import (
     DimensionMismatchError,
     EmptyBatchError,
     EmptyDatasetError,
     NonPositiveFlowRateError,
+    ObjectiveNonFiniteError,
 )
-from hallcal.hall import AdjacencyPriors, SystemInput
-from hallcal.optim import AdamState, TrainConfig, adam_step
+from hallcal.hall import AdjacencyPriors, SystemInput, build_adjacency
+from hallcal.optim import AdamState, Bounds, TrainConfig, adam_step, hybrid_search
+from hallcal.scenarios import make_reference_scenario
+from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
     AIR_DENSITY,
     AIR_HEAT_CAPACITY,
     CFM_TO_M3S,
     FIT_RIDGE,
     KAPPA_CFM_PER_W,
+    SEARCH_TOL,
     PenaltyParams,
     SurrogateWeights,
     TrainableAdjacencyWeights,
     TrainingSample,
     _batch_features,
+    convex_search,
     fit_weights,
     forward,
     forward_trainable,
     grad_alpha,
     grad_trainable,
     grad_weights,
+    hinge_box_prox,
     init_weights,
     loss_l1,
     loss_l1_trainable,
@@ -370,6 +378,126 @@ class TestFitWeights:
         batch = self.varied_batch(w, reference_priors, scenario.layout, rng)
         assert np.array_equal(fit_weights(reference_priors, batch).pack(),
                               fit_weights(reference_priors, batch).pack())
+
+
+@pytest.fixture(scope="module")
+def frozen_cases():
+    """Per reference seed 0-4: a knowledge surrogate fitted to the three seed
+    solves and three solves at random in-band flow rates, its priors, the
+    operating state and the measurements."""
+    cases = []
+    for seed in range(5):
+        scenario, state = make_reference_scenario(seed=seed)
+        priors = build_adjacency(scenario.layout)
+        solver = ZonalSolver(scenario)
+        m = scenario.layout.n_servers
+        dataset = init_samples(SEARCH_BOUNDS, state, solver, m)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = state.to_input(rng.uniform(0.12, 0.35, m))
+            dataset.append(TrainingSample(input=x, target=solver.solve(x)))
+        cases.append((fit_weights(priors, dataset), priors, state,
+                      synthesize_measurements(scenario, state)))
+    return cases
+
+
+def five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi):
+    """The hinge's prox written piece by piece, then the box clip."""
+    out = np.select([v < k_lo - s, v <= k_lo, v <= k_hi, v <= k_hi + s],
+                    [v + s, k_lo, v, k_hi], v - s)
+    return np.clip(out, u_lo, u_hi)
+
+
+class TestConvexSearch:
+    params = PenaltyParams()
+
+    def search(self, case, alpha0, bounds=SEARCH_BOUNDS):
+        w, priors, state, meas = case
+        return convex_search(w, priors, state.to_input(alpha0), meas, self.params, bounds)
+
+    def test_not_worse_than_hybrid_search(self, frozen_cases):
+        cfg = CalibConfig()
+        for seed, case in enumerate(frozen_cases):
+            w, priors, state, meas = case
+            x0 = np.full(state.server_powers.size, SEARCH_BOUNDS.midpoint)
+            hybrid = hybrid_search(
+                lambda a: loss_l2(w, priors, state.to_input(a), meas, self.params),
+                lambda a: grad_alpha(w, priors, state.to_input(a), meas, self.params),
+                SEARCH_BOUNDS, cfg.de, cfg.adam, x0, seed, init_bounds=_penalty_feasible_band(cfg))
+            assert self.search(case, x0).fun <= hybrid.fun * (1.0 + 1e-12)
+
+    def test_agrees_with_a_3000_step_run(self, frozen_cases, monkeypatch):
+        x0 = np.full(frozen_cases[0][2].server_powers.size, SEARCH_BOUNDS.midpoint)
+        found = [self.search(case, x0) for case in frozen_cases]
+        monkeypatch.setattr(surrogate, "SEARCH_MAX_STEPS", 3000)
+        monkeypatch.setattr(surrogate, "SEARCH_TOL", 0.0)
+        for case, res in zip(frozen_cases, found):
+            long = self.search(case, x0)
+            assert long.n_evals == 3001
+            assert abs(res.fun - long.fun) <= 1e-9 * long.fun
+
+    def test_result_is_certified_and_scored_by_loss_l2(self, frozen_cases):
+        for case in frozen_cases:
+            w, priors, state, meas = case
+            res = self.search(case, np.full(state.server_powers.size, 0.2))
+            assert res.fun == loss_l2(w, priors, state.to_input(res.x), meas, self.params)
+            assert res.residual <= SEARCH_TOL
+            assert len(res.losses) == len(res.grad_norms) == res.n_evals
+            assert res.losses[-1] == pytest.approx(res.fun, rel=1e-6)
+
+    def test_result_inside_the_box_at_a_u_bound(self, frozen_cases):
+        # the whole box lies below the penalty band, so the search ends on its
+        # upper bound, and 1 / (1 / 0.029) rounds past 0.029
+        bounds = Bounds(0.01, 0.029)
+        assert 1.0 / (1.0 / bounds.upper) > bounds.upper
+        res = self.search(frozen_cases[0], np.full(frozen_cases[0][2].server_powers.size, 0.02),
+                          bounds)
+        assert bounds.contains(res.x)
+        assert np.any(res.x == bounds.upper)
+
+    def test_without_hot_sensors_only_the_hinge_moves_the_flow_rate(self):
+        # A is zero: the search ends at the band edge nearest its start
+        priors = single_sensor_priors(hot=False)
+        res = convex_search(init_weights(1), priors, make_input(20.0, 0.8, 100.0, 2.0),
+                            np.array([21.0]), self.params, SEARCH_BOUNDS)
+        assert res.x[0] == pytest.approx(KAPPA_CFM_PER_W / self.params.dt_low, rel=1e-12)
+        assert res.residual == 0.0
+
+    def test_prox_matches_the_five_piece_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k_lo = rng.uniform(0.5, 5.0)
+            k_hi = k_lo + rng.uniform(0.1, 5.0)
+            s = rng.uniform(0.0, 3.0, 64)
+            v = rng.uniform(-5.0, 15.0, 64)
+            v[:4] = [k_lo - s[0], k_lo, k_hi, k_hi + s[3]]  # the breakpoints themselves
+            u_lo = rng.uniform(0.0, 2.0)
+            u_hi = u_lo + rng.uniform(0.5, 10.0)
+            np.testing.assert_allclose(hinge_box_prox(v, k_lo, k_hi, s, u_lo, u_hi),
+                                       five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi),
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_nan_measurement_or_power_raises(self, frozen_cases):
+        w, priors, state, meas = frozen_cases[0]
+        alpha = np.full(state.server_powers.size, 0.2)
+        bad = meas.copy()
+        bad[3] = np.nan
+        with pytest.raises(ObjectiveNonFiniteError):
+            self.search((w, priors, state, bad), alpha)
+        powers = state.server_powers.copy()
+        powers[7] = np.nan
+        x = SystemInput(state.crac_setpoints, state.crac_fan_speeds, powers, alpha)
+        with pytest.raises(ObjectiveNonFiniteError):
+            convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
+
+    def test_input_checks(self, frozen_cases):
+        w, priors, state, meas = frozen_cases[0]
+        alpha = np.full(state.server_powers.size, 0.2)
+        with pytest.raises(DimensionMismatchError):
+            self.search((w, priors, state, meas[:-1]), alpha)
+        alpha[5] = 0.0
+        with pytest.raises(NonPositiveFlowRateError):
+            self.search(frozen_cases[0], alpha)
 
 
 class TestStructuralProperties:
