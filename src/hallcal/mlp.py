@@ -11,6 +11,7 @@ differentiate the net with respect to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,16 +47,25 @@ class MlpWeights:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
+    @property
+    def out_dim(self) -> int:
+        return self.biases[-1].size
+
     def pack(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weights + self.biases])
 
-    def unpack(self, flat: np.ndarray) -> "MlpWeights":
+    def view(self, flat: np.ndarray) -> "MlpWeights":
+        """Layers shaped like this net's as views into a contiguous flat
+        vector laid out as pack() lays it out; writes to flat show through."""
         arrays, pos = [], 0
         for a in self.weights + self.biases:
-            arrays.append(flat[pos:pos + a.size].reshape(a.shape).copy())
+            arrays.append(flat[pos:pos + a.size].reshape(a.shape))
             pos += a.size
         k = len(self.weights)
         return MlpWeights(tuple(arrays[:k]), tuple(arrays[k:]), self.input_mean, self.input_std)
+
+    def unpack(self, flat: np.ndarray) -> "MlpWeights":
+        return self.view(np.array(flat, dtype=float))
 
 
 def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
@@ -70,81 +80,100 @@ def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
     return MlpWeights(tuple(ws), tuple(bs), np.zeros(in_dim), np.ones(in_dim))
 
 
-def _stack_batch(batch: list[TrainingSample]):
-    """Feature rows (B, D) and targets (B, n) of a sample batch."""
+def _stack_batch(w: MlpWeights, batch: list[TrainingSample]):
+    """Feature rows (B, D) and targets (B, n) of a sample batch, each sample
+    checked against w's input and output widths."""
     if not batch:
         raise EmptyBatchError("batch is empty")
-    return (np.stack([flatten_input(s.input) for s in batch]),
-            np.stack([s.target for s in batch]))
+    feats = [flatten_input(s.input) for s in batch]
+    for f, s in zip(feats, batch):
+        if f.size != w.in_dim:
+            raise DimensionMismatchError(f"expected input dim {w.in_dim}, got {f.size}")
+        if s.target.shape != (w.out_dim,):
+            raise DimensionMismatchError(
+                f"expected {w.out_dim} targets, got shape {s.target.shape}")
+    return np.stack(feats), np.stack([s.target for s in batch])
 
 
 def fit_standardizer(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
     """Replace the standardization statistics with the batch's per-feature
     mean and (floored) standard deviation."""
-    feats, _ = _stack_batch(batch)
+    feats, _ = _stack_batch(w, batch)
     return MlpWeights(w.weights, w.biases, feats.mean(axis=0),
                       np.maximum(feats.std(axis=0), STD_FLOOR))
 
 
-def _forward_cached(w: MlpWeights, feats: np.ndarray):
-    """Forward pass keeping pre-activations for backprop; feats is (B, D)."""
-    h = (feats - w.input_mean) / w.input_std
+def _standardize(w: MlpWeights, feats: np.ndarray) -> np.ndarray:
+    return (feats - w.input_mean) / w.input_std
+
+
+def _forward_cached(w: MlpWeights, h: np.ndarray) -> list[np.ndarray]:
+    """Forward pass from standardized features h (B, D); returns each
+    layer's input, the output last. A hidden activation is positive exactly
+    where its pre-activation is, so backprop reads the ReLU masks off them."""
     activations = [h]
-    pres = []
     last = len(w.weights) - 1
     for i, (wi, bi) in enumerate(zip(w.weights, w.biases)):
-        pre = h @ wi + bi
-        pres.append(pre)
-        h = pre if i == last else np.maximum(pre, 0.0)
+        h = h @ wi
+        h += bi
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         activations.append(h)
-    return activations, pres
+    return activations
 
 
-def _forward_one(w: MlpWeights, x: SystemInput):
+def _forward_one(w: MlpWeights, x: SystemInput) -> list[np.ndarray]:
     feats = flatten_input(x)
     if feats.size != w.in_dim:
         raise DimensionMismatchError(f"expected input dim {w.in_dim}, got {feats.size}")
-    return _forward_cached(w, feats[None, :])
+    return _forward_cached(w, _standardize(w, feats[None, :]))
 
 
 def mlp_forward(w: MlpWeights, x: SystemInput) -> np.ndarray:
-    activations, _ = _forward_one(w, x)
-    return activations[-1][0]
+    return _forward_one(w, x)[-1][0]
 
 
 def mlp_loss_l1(w: MlpWeights, batch: list[TrainingSample]) -> float:
-    feats, targets = _stack_batch(batch)
-    activations, _ = _forward_cached(w, feats)
-    return float(np.mean((activations[-1] - targets) ** 2))
+    feats, targets = _stack_batch(w, batch)
+    out = _forward_cached(w, _standardize(w, feats))[-1]
+    return float(np.mean((out - targets) ** 2))
 
 
-def _backprop(w: MlpWeights, activations, pres, delta_out: np.ndarray):
-    """Propagate an output-space delta; returns weight grads and input delta."""
-    grads_w = [None] * len(w.weights)
-    grads_b = [None] * len(w.biases)
-    delta = delta_out
+def _backprop(w: MlpWeights, activations: list[np.ndarray], delta: np.ndarray,
+              grad: Optional[MlpWeights] = None) -> Optional[np.ndarray]:
+    """Propagate an output-space delta back through the layers.
+
+    With `grad`, write each layer's weight and bias gradient into grad's
+    arrays and stop at the first layer, returning None. Without it, form no
+    weight gradient and return the delta at the standardized input.
+    """
     for i in range(len(w.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        if grad is not None:
+            np.matmul(activations[i].T, delta, out=grad.weights[i])
+            np.sum(delta, axis=0, out=grad.biases[i])
+            if i == 0:
+                return None
         delta = delta @ w.weights[i].T
         if i > 0:
-            delta = delta * (pres[i - 1] > 0.0)
-    return grads_w, grads_b, delta
+            delta *= activations[i] > 0.0
+    return delta
 
 
-def _loss_and_grad(w: MlpWeights, feats: np.ndarray, targets: np.ndarray):
-    """mlp_loss_l1 and its weight gradient from one forward pass."""
-    activations, pres = _forward_cached(w, feats)
+def _loss_into(w: MlpWeights, h: np.ndarray, targets: np.ndarray, grad: MlpWeights) -> float:
+    """mlp_loss_l1 at standardized features h; its weight gradient is
+    written into grad's arrays from the same forward pass."""
+    activations = _forward_cached(w, h)
     residual = activations[-1] - targets
-    delta_out = 2.0 / residual.size * residual
-    grads_w, grads_b, _ = _backprop(w, activations, pres, delta_out)
-    grad = MlpWeights(tuple(grads_w), tuple(grads_b), w.input_mean, w.input_std)
-    return float(np.mean(residual ** 2)), grad
+    _backprop(w, activations, 2.0 / residual.size * residual, grad)
+    return float(np.mean(residual ** 2))
 
 
 def mlp_grad_weights(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
     """Analytic gradient of mlp_loss_l1 with respect to all layers."""
-    return _loss_and_grad(w, *_stack_batch(batch))[1]
+    feats, targets = _stack_batch(w, batch)
+    grad = w.view(np.empty(w.n_trainable))
+    _loss_into(w, _standardize(w, feats), targets, grad)
+    return grad
 
 
 def mlp_loss_l2(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
@@ -156,11 +185,11 @@ def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
                    params: PenaltyParams) -> np.ndarray:
     """Gradient of mlp_loss_l2 with respect to the flow rates, backpropagated
     to the raw flow-rate features."""
-    activations, pres = _forward_one(w, x)
+    activations = _forward_one(w, x)
     m = x.flow_rates.size
 
     def mse_grad(residual: np.ndarray) -> np.ndarray:
-        delta_in = _backprop(w, activations, pres, (2.0 / residual.size * residual)[None, :])[2]
+        delta_in = _backprop(w, activations, (2.0 / residual.size * residual)[None, :])
         return (delta_in[0] / w.input_std)[-m:]
 
     return search_grad(activations[-1][0], x, t_meas, params, mse_grad)
@@ -168,13 +197,20 @@ def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
 
 def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig) -> MlpWeights:
     """Full-batch Adam on the squared-error loss with hyper's staged decay;
-    returns the weights with the lowest observed loss."""
+    returns the weights with the lowest observed loss.
+
+    The features are standardized once. Each epoch reads the layers as
+    views into Adam's parameter vector and writes the gradient into one
+    flat buffer, so no epoch copies, packs or unpacks a parameter.
+    """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
-    feats, targets = _stack_batch(dataset)
+    feats, targets = _stack_batch(w0, dataset)
+    h = _standardize(w0, feats)
+    grad_flat = np.empty(w0.n_trainable)
+    grad = w0.view(grad_flat)
 
     def loss_and_grad(params: np.ndarray):
-        loss, grad = _loss_and_grad(w0.unpack(params), feats, targets)
-        return loss, grad.pack()
+        return _loss_into(w0.view(params), h, targets, grad), grad_flat
 
-    return w0.unpack(adam_fit(w0.pack(), loss_and_grad, hyper))
+    return w0.view(adam_fit(w0.pack(), loss_and_grad, hyper))

@@ -117,16 +117,38 @@ class AdamState:
         return cls(m=np.zeros(size), v=np.zeros(size), step=0, learning_rate=learning_rate)
 
 
+def _adam_update(m: np.ndarray, v: np.ndarray, params: np.ndarray, grad: np.ndarray,
+                 step: int, learning_rate: float, scratch: np.ndarray, step_buf: np.ndarray) -> None:
+    """Adam update number `step` (1-based), in place on m, v and params.
+
+    The operation order is fixed, so every caller gets the same bits;
+    scratch and step_buf are work vectors of params' shape.
+    """
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+    m += scratch
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grad
+    v += scratch
+    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=step_buf)
+    step_buf *= learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2 ** step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step_buf /= scratch
+    params -= step_buf
+
+
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update; returns new state and parameters."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise DimensionMismatchError("params, grad and moments must share a shape")
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = np.array(state.m, dtype=float), np.array(state.v, dtype=float)
+    new_params = np.array(params, dtype=float)
+    _adam_update(m, v, new_params, grad, t, state.learning_rate,
+                 np.empty_like(new_params), np.empty_like(new_params))
     return AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate), new_params
 
 
@@ -134,20 +156,24 @@ def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[flo
              hyper: TrainConfig) -> np.ndarray:
     """Full-batch Adam with hyper's staged learning-rate decay.
 
-    loss_and_grad(p) returns the loss at p and its gradient there. Returns
-    the parameters with the lowest observed loss, which is `params` itself
-    when no epoch improves on it.
+    loss_and_grad(p) returns the loss at p and its gradient there. It is
+    always passed the same work vector, updated in place between calls, and
+    may return the same gradient buffer every time: each gradient is used
+    up before the next call. Returns a new array holding the parameters
+    with the lowest observed loss, equal to `params` when no epoch improves
+    on it; `params` itself is left unchanged.
     """
+    params = np.array(params, dtype=float)
     best_params = params.copy()
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    scratch, step_buf = np.empty_like(params), np.empty_like(params)
     best_loss, grad = loss_and_grad(params)
-    state = AdamState.init(params.size, hyper.learning_rate)
     for epoch in range(hyper.epochs):
-        state.learning_rate = hyper.lr_at(epoch)
-        state, params = adam_step(state, params, grad)
+        _adam_update(m, v, params, grad, epoch + 1, hyper.lr_at(epoch), scratch, step_buf)
         loss, grad = loss_and_grad(params)
         if loss < best_loss:
             best_loss = loss
-            best_params = params.copy()
+            np.copyto(best_params, params)
     return best_params
 
 

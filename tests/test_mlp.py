@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hallcal import mlp
 from hallcal.errors import DimensionMismatchError, EmptyDatasetError
 from hallcal.hall import SystemInput
 from hallcal.mlp import (
@@ -146,3 +147,86 @@ def test_train_equals_plain_adam_loop():
         if loss < best_loss:
             best_loss, best_params = loss, params.copy()
     assert np.array_equal(mlp_train(w0, batch, hyper).pack(), best_params)
+
+
+def _arrays(w: MlpWeights):
+    return w.weights + w.biases
+
+
+def test_train_leaves_w0_unchanged_and_results_independent():
+    rng = np.random.default_rng(9)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(4)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=9), batch)
+    before = w0.pack()
+    hyper = TrainConfig(epochs=6, learning_rate=0.01)
+    first, second = mlp_train(w0, batch, hyper), mlp_train(w0, batch, hyper)
+    assert np.array_equal(w0.pack(), before)
+    assert np.array_equal(first.pack(), second.pack())
+    for a in _arrays(first):
+        for b in _arrays(second) + _arrays(w0):
+            assert not np.shares_memory(a, b)
+
+
+def test_grad_weights_equals_training_gradient(monkeypatch):
+    """The gradient mlp_train feeds Adam, read at two points through the
+    closure's reused buffer, is mlp_grad_weights bit for bit."""
+    rng = np.random.default_rng(10)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(5)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=10), batch)
+    captured = []
+
+    def capture(params, loss_and_grad, _hyper):
+        p = params.copy()
+        for shift in (0.0, 1e-3):
+            p += shift
+            loss, grad = loss_and_grad(p)
+            captured.append((p.copy(), loss, grad.copy()))
+        return params
+
+    monkeypatch.setattr(mlp, "adam_fit", capture)
+    mlp_train(w0, batch, TrainConfig())
+    assert len(captured) == 2 and not np.array_equal(captured[0][2], captured[1][2])
+    for p, loss, grad in captured:
+        w = w0.unpack(p)
+        assert np.array_equal(grad, mlp_grad_weights(w, batch).pack())
+        assert loss == mlp_loss_l1(w, batch)
+
+
+def test_grad_weights_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(4)]
+    w = fit_standardizer(init_mlp(IN_DIM, N, seed=12), batch)
+    w = w.unpack(w.pack() + rng.normal(0, 0.01, w.n_trainable))  # nonzero biases
+    flat, g = w.pack(), mlp_grad_weights(w, batch).pack()
+    # a few coordinates of every layer's weights and biases
+    sizes = [a.size for a in _arrays(w)]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    coords = np.concatenate([s + rng.choice(k, min(k, 4), replace=False)
+                             for s, k in zip(starts, sizes)])
+    for i in coords:
+        h = 1e-6 * max(abs(flat[i]), 1.0)
+        fp, fm = flat.copy(), flat.copy()
+        fp[i] += h
+        fm[i] -= h
+        fd = (mlp_loss_l1(w.unpack(fp), batch) - mlp_loss_l1(w.unpack(fm), batch)) / (2 * h)
+        assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def test_batch_width_checked_against_net():
+    rng = np.random.default_rng(11)
+    w = init_mlp(IN_DIM + 2, N, seed=11)  # samples are two features short
+    narrow = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+              for _ in range(3)]
+    for call in (lambda b: mlp_train(w, b, TrainConfig(epochs=2)),
+                 lambda b: fit_standardizer(w, b), lambda b: mlp_loss_l1(w, b),
+                 lambda b: mlp_grad_weights(w, b)):
+        with pytest.raises(DimensionMismatchError, match="input dim"):
+            call(narrow)
+    w = init_mlp(IN_DIM, N, seed=11)
+    short = narrow[:2] + [TrainingSample(input=make_input(rng), target=np.ones(N - 1))]
+    for call in (lambda b: mlp_train(w, b, TrainConfig(epochs=2)), lambda b: mlp_loss_l1(w, b)):
+        with pytest.raises(DimensionMismatchError, match="targets"):
+            call(short)

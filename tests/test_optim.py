@@ -7,6 +7,8 @@ from hallcal.optim import (
     AdamState,
     Bounds,
     DeConfig,
+    TrainConfig,
+    adam_fit,
     adam_search,
     adam_step,
     cmaes_1p1,
@@ -69,6 +71,89 @@ class TestAdamStep:
         state = AdamState.init(2, learning_rate=0.01)
         with pytest.raises(DimensionMismatchError):
             adam_step(state, np.zeros(3), np.zeros(3))
+
+
+def reference_adam_trajectory(params, grads, lrs):
+    """Parameters after each update of the out-of-place Adam expression,
+    written out here so the in-place kernel is pinned to it bit for bit."""
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    out = []
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        out.append(params)
+    return out
+
+
+def random_gradients(rng, count, size):
+    """Gradients spanning several magnitudes, some coordinates exactly zero."""
+    grads = rng.standard_normal((count, size)) * 10.0 ** rng.uniform(-6, 3, (count, size))
+    grads[rng.random((count, size)) < 0.2] = 0.0
+    grads[:, :3] = 0.0  # coordinates whose gradient never moves
+    return grads
+
+
+class TestAdamKernel:
+    HYPER = TrainConfig(epochs=13, learning_rate=0.05, decay=0.5, decay_every=5)  # 3 stages
+
+    def test_adam_step_matches_out_of_place_expression(self):
+        rng = np.random.default_rng(0)
+        params0 = rng.standard_normal(257)
+        grads = random_gradients(rng, self.HYPER.epochs, params0.size)
+        lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
+        state, params = AdamState.init(params0.size, lrs[0]), params0.copy()
+        for g, lr, expected in zip(grads, lrs, reference_adam_trajectory(params0, grads, lrs)):
+            state.learning_rate = lr
+            m_before, params_before = state.m.copy(), params.copy()
+            new_state, new_params = adam_step(state, params, g)
+            assert np.array_equal(new_params, expected)
+            # the step reads its inputs and leaves them as they were
+            assert np.array_equal(state.m, m_before) and np.array_equal(params, params_before)
+            state, params = new_state, new_params
+        assert np.array_equal(params[:3], params0[:3])
+
+    def test_adam_fit_matches_out_of_place_expression(self):
+        rng = np.random.default_rng(1)
+        params0 = rng.standard_normal(257)
+        grads = random_gradients(rng, self.HYPER.epochs + 1, params0.size)
+        losses = rng.random(self.HYPER.epochs + 1)
+        grad_buf = np.empty(params0.size)
+        seen = []
+
+        def loss_and_grad(p):
+            # one gradient buffer rewritten every call, as mlp_train does
+            np.copyto(grad_buf, grads[len(seen)])
+            seen.append(p.copy())
+            return losses[len(seen) - 1], grad_buf
+
+        caller_params = params0.copy()
+        best = adam_fit(caller_params, loss_and_grad, self.HYPER)
+        lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
+        expected = [params0] + reference_adam_trajectory(params0, grads[:-1], lrs)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(best, expected[int(np.argmin(losses))])
+        assert np.array_equal(caller_params, params0)
+
+    def test_adam_fit_returns_input_values_when_no_epoch_improves(self):
+        rng = np.random.default_rng(2)
+        params0 = rng.standard_normal(33)
+        calls = []
+
+        def worsening(p):
+            calls.append(None)
+            return float(len(calls)), np.ones_like(p)
+
+        caller_params = params0.copy()
+        best = adam_fit(caller_params, worsening, self.HYPER)
+        assert np.array_equal(best, params0)
+        assert not np.shares_memory(best, caller_params)
+        assert np.array_equal(caller_params, params0)
+        assert len(calls) == self.HYPER.epochs + 1
 
 
 class TestDeSearch:

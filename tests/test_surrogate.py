@@ -608,6 +608,23 @@ class TestTrainableAdjacency:
                 best_loss, best_params = loss, params.copy()
         assert np.array_equal(train_trainable(tw0, hot, batch, hyper).pack(), best_params)
 
+    def test_train_leaves_w0_unchanged_and_results_independent(self):
+        tw0, hot, batch = self.small_setup()
+        before = tw0.pack()
+        hyper = TrainConfig(epochs=8)
+        first = train_trainable(tw0, hot, batch, hyper)
+        second = train_trainable(tw0, hot, batch, hyper)
+        assert np.array_equal(tw0.pack(), before)
+        assert np.array_equal(first.pack(), second.pack())
+
+        def arrays(tw):
+            lin = tw.linear
+            return [lin.a, lin.b, lin.c, lin.d, tw.w_cs, tw.w_ss]
+
+        for a in arrays(first):
+            for b in arrays(second) + arrays(tw0):
+                assert not np.shares_memory(a, b)
+
     def test_parameter_count(self):
         tw, _, _ = self.small_setup()
         assert tw.n_trainable == 4 * 4 + 2 * 4 + 3 * 4
