@@ -160,7 +160,7 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     """Run one calibration by the selected method and write its report."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
-    state = fileio.load_state(state_file)
+    state = fileio.load_state(state_file, layout)
     measurements = fileio.load_measurements(measurements_file, [s.id for s in layout.sensors])
     settings = load_settings(config_file, iters=iters, seed=seed)
     solver = _make_solver(solver_kind, layout, scenario, external_command, workdir)
@@ -218,7 +218,7 @@ def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None)
     """One-shot zonal solve, at alpha_true unless an alpha file is given."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
-    state = fileio.load_state(state_file)
+    state = fileio.load_state(state_file, layout)
     if alpha_file:
         alpha = fileio.load_alpha(alpha_file, [s.id for s in layout.servers])
     else:
@@ -235,7 +235,7 @@ def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
     """Data-volume study over the three surrogate designs."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
-    state = fileio.load_state(state_file)
+    state = fileio.load_state(state_file, layout)
     cells = run_datavolume_study(scenario, state, list(fractions), pool_size, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -46,7 +46,6 @@ from .surrogate import (
     SurrogateWeights,
     TrainingSample,
     convex_search,
-    cooling_feature,
     fit_weights,
     forward,
     grad_alpha,
@@ -133,23 +132,12 @@ def mae(pred: np.ndarray, meas: np.ndarray) -> float:
 
 
 class KnowledgeSurrogateModel:
-    """Stateful wrapper pairing the knowledge surrogate with its priors.
-
-    A search varies only the flow rates, and X_cold, the cooling block's
-    output, depends only on the setpoints, the fan speeds and the fixed
-    priors. l2, l2_grad_alpha and search therefore keep the last X_cold,
-    keyed on the shape and bytes of the setpoints and fan speeds, and reuse
-    it while those bytes repeat. Equal bytes give an equal X_cold, so the reuse is
-    exact; the key holds values, not the arrays, so an in-place edit of a
-    state misses the memo. Every call still runs all input checks.
-    """
+    """Stateful wrapper pairing the knowledge surrogate with its priors."""
 
     def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams):
         self.priors = priors
         self.penalty = penalty
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
-        self._cooling_key: Optional[tuple] = None
-        self._cooling: Optional[np.ndarray] = None
 
     def fit(self, dataset: list[TrainingSample]) -> None:
         self.weights = fit_weights(self.priors, dataset, self.penalty.kappa)
@@ -157,25 +145,15 @@ class KnowledgeSurrogateModel:
     def predict(self, x: SystemInput) -> np.ndarray:
         return forward(self.weights, self.priors, x)
 
-    def _cooling_of(self, x: SystemInput) -> np.ndarray:
-        key = (x.crac_setpoints.shape, x.crac_setpoints.tobytes(), x.crac_fan_speeds.tobytes())
-        if key != self._cooling_key:
-            self._cooling = cooling_feature(self.priors, x)
-            self._cooling_key = key
-        return self._cooling
-
     def l2(self, x: SystemInput, t_meas: np.ndarray) -> float:
-        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty,
-                       x_cold=self._cooling_of(x))
+        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty)
 
     def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
-        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty,
-                          x_cold=self._cooling_of(x))
+        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty)
 
     def search(self, x: SystemInput, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
         """The exact minimum of l2 over the box, starting at x.flow_rates."""
-        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds,
-                             x_cold=self._cooling_of(x))
+        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds)
 
 
 class VanillaSurrogateModel:

@@ -176,8 +176,14 @@ def save_state(state: OperatingState, path: Path) -> None:
     _dump_json(to_json(state), Path(path))
 
 
-def load_state(path: Path) -> OperatingState:
-    return from_json(OperatingState, _load_json(path), path)
+def load_state(path: Path, layout: HallLayout) -> OperatingState:
+    """The state in `path`, checked against `layout` by OperatingState.check."""
+    state = from_json(OperatingState, _load_json(path), path)
+    try:
+        state.check(layout)
+    except InvalidInputError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return state
 
 
 # -- csv tables ---------------------------------------------------------------

@@ -54,6 +54,26 @@ class OperatingState:
         return SystemInput(self.crac_setpoints, self.crac_fan_speeds,
                            self.server_powers, np.asarray(alpha, dtype=float))
 
+    def check(self, layout: HallLayout) -> None:
+        """Raise InvalidInputError, naming the field, unless the CRAC and
+        server counts match `layout`, every fan speed is in [0, 1] with at
+        least one above 0, and every power is >= 0."""
+        fans, powers = self.crac_fan_speeds, self.server_powers
+        for name, count in (("crac_setpoints", layout.n_cracs),
+                            ("crac_fan_speeds", layout.n_cracs),
+                            ("server_powers", layout.n_servers)):
+            if getattr(self, name).shape != (count,):
+                raise InvalidInputError(f"{name}: expected {count} entries, "
+                                        f"got {getattr(self, name).size}")
+        for name, bad, rule in (("crac_fan_speeds", (fans < 0) | (fans > 1), "in [0, 1]"),
+                                ("server_powers", powers < 0, ">= 0")):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise InvalidInputError(f"{name}.{i}: {float(getattr(self, name)[i])!r} "
+                                        f"is not {rule}")
+        if not np.any(fans > 0):
+            raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -165,12 +185,7 @@ class ZonalSolver(ThermalSolver):
             raise InvalidInputError("non-finite entries in solver input")
         if np.any(x.flow_rates <= 0):
             raise InvalidInputError("flow rates must be positive")
-        if np.any(x.server_powers < 0):
-            raise InvalidInputError("server powers must be >= 0")
-        if np.any(x.crac_fan_speeds < 0) or np.any(x.crac_fan_speeds > 1):
-            raise InvalidInputError("fan speeds must lie in [0, 1]")
-        if np.all(x.crac_fan_speeds == 0):
-            raise InvalidInputError("at least one CRAC fan must be running")
+        OperatingState(x.crac_setpoints, x.crac_fan_speeds, x.server_powers).check(self.layout)
 
     def _solve(self, x: SystemInput) -> np.ndarray:
         self._validate(x)

@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SEARCH_BOUNDS, mae
+from .engine import SEARCH_BOUNDS, KnowledgeSurrogateModel, VanillaSurrogateModel, mae
 from .errors import PoolTooSmallError
 from .hall import HallLayout, build_adjacency
-from .mlp import MLP_TRAIN, fit_standardizer, init_mlp, mlp_forward, mlp_train
+from .mlp import MLP_TRAIN
 from .optim import TrainConfig
 from .solver import OperatingState, Scenario, ZonalSolver
 from .surrogate import (
+    PenaltyParams,
     TrainableAdjacencyWeights,
     TrainingSample,
-    fit_weights,
-    forward,
     forward_trainable,
     init_weights,
     train_trainable,
@@ -89,9 +88,9 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
                 f"fraction {fraction} of {len(train_pool)} training samples is empty")
         subset = train_pool[:k]
 
-        w = fit_weights(priors, subset)
-        cells.append(StudyCell(fraction, KNOWLEDGE_FIXED,
-                               test_mae(lambda x: forward(w, priors, x)), k))
+        knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())
+        knowledge.fit(subset)
+        cells.append(StudyCell(fraction, KNOWLEDGE_FIXED, test_mae(knowledge.predict), k))
 
         tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
                                         w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
@@ -99,9 +98,7 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
         cells.append(StudyCell(fraction, KNOWLEDGE_TRAINABLE,
                                test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x)), k))
 
-        mw = init_mlp(2 * layout.n_cracs + 2 * layout.n_servers, n, seed=seed)
-        mw = fit_standardizer(mw, subset)
-        mw = mlp_train(mw, subset, MLP_TRAIN)
-        cells.append(StudyCell(fraction, VANILLA,
-                               test_mae(lambda x: mlp_forward(mw, x)), k))
+        vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed)
+        vanilla.fit(subset)
+        cells.append(StudyCell(fraction, VANILLA, test_mae(vanilla.predict), k))
     return cells

@@ -121,88 +121,80 @@ def _check_alpha(alpha: np.ndarray) -> None:
         raise NonPositiveFlowRateError("all flow rates must be > 0")
 
 
-def _cooling_coefficients(w_cs: np.ndarray, fan_speeds: np.ndarray) -> np.ndarray:
-    """Softmax cooling coefficients, restricted to nonzero-adjacency CRACs.
+def _cooling_coefficients(w_cs: np.ndarray, fan_speeds: np.ndarray,
+                          dense: bool = False) -> np.ndarray:
+    """Softmax cooling coefficients, restricted to nonzero-adjacency CRACs
+    unless dense, which takes the softmax over all CRACs.
 
     fan_speeds may be (l,) or batched (B, l); the result matches with a
     trailing (l, n) or (B, l, n) shape.
     """
-    support = w_cs > 0.0
     z = fan_speeds[..., :, None] * w_cs
-    z_masked = np.where(support, z, -np.inf)
-    z_max = np.max(z_masked, axis=-2, keepdims=True)
-    ez = np.where(support, np.exp(z - z_max), 0.0)
+    if not dense:
+        z = np.where(w_cs > 0.0, z, -np.inf)  # exp(-inf) = 0 off the support
+    ez = np.exp(z - np.max(z, axis=-2, keepdims=True))
     return ez / ez.sum(axis=-2, keepdims=True)
 
 
-def _mix_setpoints(priors: AdjacencyPriors, setpoints: np.ndarray, fans: np.ndarray) -> np.ndarray:
-    """X_cold of one input (l,) or a batch (B, l): the softmax mix of the CRAC
-    setpoints onto each sensor. No flow rate enters it."""
-    coeff = _cooling_coefficients(priors.w_cs, fans)
-    return (setpoints[..., :, None] * coeff).sum(axis=-2)
+def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
+              targets: Optional[np.ndarray] = None, dense: bool = False):
+    """Softmax coefficients, X_cold and X_hot under the adjacency w_cs (l, n)
+    and w_ss (m, n), of one input, its arrays (l,) and (m,), or of a batch
+    stacked to (B, l) and (B, m).
 
-
-def _heating_sum(priors: AdjacencyPriors, powers: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """X_hot of one input (m,) or a batch (B, m)."""
-    return ((powers / alphas)[..., :, None] * priors.w_ss).sum(axis=-2)
+    The fixed priors mask the softmax to their support; trainable adjacency
+    has no fixed zero pattern, so it is dense. The two variants sum X_hot
+    over the servers in different orders, and each order is part of its
+    variant's reproducible output. Raises DimensionMismatchError when the
+    CRAC, server or (given) target width does not match the adjacency.
+    """
+    if x.crac_setpoints.shape[-1:] != w_cs.shape[:1]:
+        raise DimensionMismatchError("CRAC count does not match the adjacency")
+    if x.server_powers.shape[-1:] != w_ss.shape[:1]:
+        raise DimensionMismatchError("server count does not match the adjacency")
+    if targets is not None and targets.shape[-1:] != w_cs.shape[1:]:
+        raise DimensionMismatchError("target width does not match the sensor count")
+    _check_alpha(x.flow_rates)
+    coeff = _cooling_coefficients(w_cs, x.crac_fan_speeds, dense)
+    pw = x.server_powers / x.flow_rates
+    x_hot = pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
+    return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2), x_hot
 
 
 def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
-             x_hot: np.ndarray) -> np.ndarray:
-    return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
-
-
-def _check_crac_count(priors: AdjacencyPriors, x: SystemInput) -> None:
-    if x.crac_setpoints.size != priors.w_cs.shape[0]:
-        raise DimensionMismatchError("CRAC count does not match the priors")
-
-
-def cooling_feature(priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
-    """X_cold of one input. It depends on the setpoints and fan speeds only,
-    so a caller that varies just the flow rates may compute it once."""
-    _check_crac_count(priors, x)
-    return _mix_setpoints(priors, x.crac_setpoints, x.crac_fan_speeds)
-
-
-def _blocks(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            x_cold: Optional[np.ndarray] = None):
-    """Both blocks' hidden variables (X_cold, X_hot) for one input; a given
-    x_cold is taken as cooling_feature(priors, x)."""
-    _check_crac_count(priors, x)
-    if x.server_powers.size != priors.w_ss.shape[0]:
-        raise DimensionMismatchError("server count does not match the priors")
-    if w.n_sensors != priors.n_sensors:
+             x_hot) -> np.ndarray:
+    if w.n_sensors != hot_mask.size:
         raise DimensionMismatchError("weight count does not match the sensor count")
-    _check_alpha(x.flow_rates)
-    if x_cold is None:
-        x_cold = _mix_setpoints(priors, x.crac_setpoints, x.crac_fan_speeds)
-    return x_cold, _heating_sum(priors, x.server_powers, x.flow_rates)
+    return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
 
 
 def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
     """Predicted temperatures at all sensor locations, degC."""
-    return _predict(w, priors.hot_mask, *_blocks(w, priors, x))
+    _, x_cold, x_hot = _features(priors.w_cs, priors.w_ss, x)
+    return _predict(w, priors.hot_mask, x_cold, x_hot)
 
 
 def _stack_batch(batch: list[TrainingSample]):
-    """A batch's setpoints, fan speeds, powers, flow rates and targets, one
-    row per sample."""
+    """A batch as one SystemInput of stacked rows, (B, l) and (B, m), and
+    its targets (B, n)."""
     if not batch:
         raise EmptyBatchError("batch is empty")
-    setpoints = np.stack([s.input.crac_setpoints for s in batch])
-    fans = np.stack([s.input.crac_fan_speeds for s in batch])
-    powers = np.stack([s.input.server_powers for s in batch])
-    alphas = np.stack([s.input.flow_rates for s in batch])
-    targets = np.stack([s.target for s in batch])
-    _check_alpha(alphas)
-    return setpoints, fans, powers, alphas, targets
+    inputs = [s.input for s in batch]
+    try:
+        x = SystemInput(np.stack([i.crac_setpoints for i in inputs]),
+                        np.stack([i.crac_fan_speeds for i in inputs]),
+                        np.stack([i.server_powers for i in inputs]),
+                        np.stack([i.flow_rates for i in inputs]))
+        return x, np.stack([s.target for s in batch])
+    except ValueError as exc:  # np.stack of rows of unequal length
+        raise DimensionMismatchError("batch samples differ in width") from exc
 
 
 def _batch_features(priors: AdjacencyPriors, batch: list[TrainingSample]):
     """Input-only features of a sample batch: X_cold (B, n), X_hot (B, n) and
     the targets (B, n). No weight enters them, so a fit computes them once."""
-    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
-    return _mix_setpoints(priors, setpoints, fans), _heating_sum(priors, powers, alphas), targets
+    x, targets = _stack_batch(batch)
+    return (*_features(priors.w_cs, priors.w_ss, x, targets)[1:], targets)
 
 
 def _batch_residual(w: SurrogateWeights, hot_mask: np.ndarray, features) -> np.ndarray:
@@ -289,26 +281,19 @@ def search_grad(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray, params: Pe
 
 
 def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            t_meas: np.ndarray, params: PenaltyParams,
-            x_cold: Optional[np.ndarray] = None) -> float:
-    """search_loss of the knowledge surrogate.
-
-    x_cold, when given, must be cooling_feature(priors, x); a search that
-    varies only the flow rates passes it to skip the cooling block.
-    """
-    pred = _predict(w, priors.hot_mask, *_blocks(w, priors, x, x_cold))
-    return search_loss(pred, x, t_meas, params)
+            t_meas: np.ndarray, params: PenaltyParams) -> float:
+    """search_loss of the knowledge surrogate."""
+    return search_loss(forward(w, priors, x), x, t_meas, params)
 
 
 def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-               t_meas: np.ndarray, params: PenaltyParams,
-               x_cold: Optional[np.ndarray] = None) -> np.ndarray:
+               t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
     """Analytic gradient of loss_l2 with respect to the flow rates.
 
     Flow rates reach the loss through X_hot (chain -P_j/alpha_j^2 into the
-    hot-aisle sensors) and through the hinge penalty. x_cold is as in loss_l2.
+    hot-aisle sensors) and through the hinge penalty.
     """
-    pred = _predict(w, priors.hot_mask, *_blocks(w, priors, x, x_cold))
+    pred = forward(w, priors, x)
     dxhot_scale = -x.server_powers / x.flow_rates ** 2  # (m,)
 
     def mse_grad(residual: np.ndarray) -> np.ndarray:
@@ -355,8 +340,7 @@ def hinge_box_prox(v: np.ndarray, k_lo: float, k_hi: float, s: np.ndarray,
 
 
 def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-                  t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds,
-                  x_cold: Optional[np.ndarray] = None) -> SearchResult:
+                  t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds) -> SearchResult:
     """The minimum of loss_l2 over the flow-rate box, by FISTA in u = 1/alpha.
 
     With the weights frozen the residual pred - t_meas is affine in u,
@@ -376,11 +360,11 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     SEARCH_MAX_STEPS steps. T is nonexpansive, so the residual at the
     returned iterate, reported as `residual`, is no larger. `losses` and
     `grad_norms` hold loss_l2 and the mean |d loss_l2 / d alpha| at every
-    iterate, the start included. x_cold is as in loss_l2.
+    iterate, the start included.
     """
-    x_cold, _ = _blocks(w, priors, x, x_cold)
+    _, x_cold, _ = _features(priors.w_cs, priors.w_ss, x)
     n = priors.n_sensors
-    r0 = _search_residual(w.a * x_cold + w.b + priors.hot_mask * w.d, t_meas)
+    r0 = _search_residual(_predict(w, priors.hot_mask, x_cold, 0.0), t_meas)  # u = 0
     powers = x.server_powers
     A = (powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T  # (n, m)
     if not np.all(np.isfinite(A)):  # the SVD below would fail on it
@@ -423,7 +407,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     grads = (-2.0 / n * us ** 2 * (residuals @ A)
              + params.lam / n * _penalty_grad(alphas, powers, params))
     alpha = bounds.clip(1.0 / u)
-    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params, x_cold=x_cold)
+    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params)
     if not (np.isfinite(fun) and np.all(np.isfinite(losses))):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=len(iterates), losses=losses.tolist(),
@@ -459,70 +443,49 @@ class TrainableAdjacencyWeights:
         return cls(linear=linear, w_cs=w_cs, w_ss=w_ss)
 
 
-def _full_softmax(w_cs: np.ndarray, fans: np.ndarray) -> np.ndarray:
-    z = fans[..., :, None] * w_cs
-    z = z - z.max(axis=-2, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-2, keepdims=True)
-
-
-def _trainable_blocks(tw: TrainableAdjacencyWeights, setpoints: np.ndarray, fans: np.ndarray,
-                      pw: np.ndarray):
-    """Softmax coefficients, X_cold and X_hot of the trainable variant for
-    one input (l,) or a batch (B, l); pw is P / alpha."""
-    coeff = _full_softmax(tw.w_cs, fans)
-    return coeff, (setpoints[..., :, None] * coeff).sum(axis=-2), pw @ tw.w_ss
-
-
 def forward_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                       x: SystemInput) -> np.ndarray:
-    _check_alpha(x.flow_rates)
-    _, x_cold, x_hot = _trainable_blocks(tw, x.crac_setpoints, x.crac_fan_speeds,
-                                         x.server_powers / x.flow_rates)
+    _, x_cold, x_hot = _features(tw.w_cs, tw.w_ss, x, dense=True)
     return _predict(tw.linear, hot_mask, x_cold, x_hot)
-
-
-def _trainable_data(batch: list[TrainingSample]):
-    """A batch's setpoints, fan speeds, P / alpha and targets; no weight
-    enters them, so a trainer stacks them once."""
-    setpoints, fans, powers, alphas, targets = _stack_batch(batch)
-    return setpoints, fans, powers / alphas, targets
 
 
 def _trainable_residual(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray, data):
     """Softmax coefficients (B, l, n), features and batch residual (B, n) of
-    the trainable variant; the loss and the gradient both start from them."""
-    setpoints, fans, pw, targets = data
-    coeff, x_cold, x_hot = _trainable_blocks(tw, setpoints, fans, pw)
+    the trainable variant, from a _stack_batch result; the loss and the
+    gradient both start from them."""
+    x, targets = data
+    coeff, x_cold, x_hot = _features(tw.w_cs, tw.w_ss, x, targets, dense=True)
     features = (x_cold, x_hot, targets)
     return coeff, features, _batch_residual(tw.linear, hot_mask, features)
 
 
 def _trainable_grad(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray, data,
                     coeff: np.ndarray, features, residual: np.ndarray) -> TrainableAdjacencyWeights:
-    setpoints, fans, pw, _ = data
+    x, _ = data
     w = tw.linear
     scale = 2.0 / residual.size
 
     # softmax jacobian: dX_cold/dz_ik = c_ik (T_ci - X_cold_k); dz/dw_cs = V_i
     upstream = scale * residual * w.a  # (B, n)
-    dz = coeff * (setpoints[:, :, None] - features[0][:, None, :])  # (B, l, n)
-    g_wcs = (upstream[:, None, :] * dz * fans[:, :, None]).sum(axis=0)
-    g_wss = np.einsum("bm,bn->mn", pw, scale * residual * hot_mask * w.c)
+    dz = coeff * (x.crac_setpoints[:, :, None] - features[0][:, None, :])  # (B, l, n)
+    g_wcs = (upstream[:, None, :] * dz * x.crac_fan_speeds[:, :, None]).sum(axis=0)
+    # dX_hot/dw_ss = P / alpha
+    g_wss = np.einsum("bm,bn->mn", x.server_powers / x.flow_rates,
+                      scale * residual * hot_mask * w.c)
     return TrainableAdjacencyWeights(linear=_weight_grad(hot_mask, features, residual),
                                      w_cs=g_wcs, w_ss=g_wss)
 
 
 def loss_l1_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                       batch: list[TrainingSample]) -> float:
-    residual = _trainable_residual(tw, hot_mask, _trainable_data(batch))[2]
+    residual = _trainable_residual(tw, hot_mask, _stack_batch(batch))[2]
     return float(np.mean(residual ** 2))
 
 
 def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                    batch: list[TrainingSample]) -> TrainableAdjacencyWeights:
     """Analytic gradient of the trainable-adjacency variant's L1."""
-    data = _trainable_data(batch)
+    data = _stack_batch(batch)
     return _trainable_grad(tw, hot_mask, data, *_trainable_residual(tw, hot_mask, data))
 
 
@@ -535,7 +498,7 @@ def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
         raise EmptyDatasetError("training dataset is empty")
     n = tw0.linear.n_sensors
     l, m = tw0.w_cs.shape[0], tw0.w_ss.shape[0]
-    data = _trainable_data(dataset)
+    data = _stack_batch(dataset)
 
     def loss_and_grad(params: np.ndarray):
         tw = TrainableAdjacencyWeights.unpack(params, n, l, m)

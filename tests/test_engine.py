@@ -175,7 +175,7 @@ class TestKnowledgeModelObjective:
         scenario, state, _ = small_case
         meas = synthesize_measurements(scenario, state)
         alpha = np.full(scenario.layout.n_servers, 0.2)
-        model.l2(state.to_input(alpha), meas)  # fills the memo for this state
+        model.l2(state.to_input(alpha), meas)  # a valid call first, with this state
         alpha[3] = 0.0
         for method in (model.l2, model.l2_grad_alpha):
             with pytest.raises(NonPositiveFlowRateError):

@@ -47,7 +47,7 @@ class TestRoundTrips:
         out, paths = generated
         layout = fileio.load_layout(paths["layout"])
         scenario = fileio.load_scenario(paths["scenario"], layout)
-        state = fileio.load_state(paths["state"])
+        state = fileio.load_state(paths["state"], layout)
         meas = fileio.load_measurements(paths["measurements"], [s.id for s in layout.sensors])
 
         # write everything again and compare bytes
@@ -269,6 +269,15 @@ BAD_INPUTS = {
     "state_unknown_key": ("state", lambda d: d.update(ambient_c=22.0), "ambient_c"),
     "setpoint_nan": ("state", lambda d: d["crac_setpoints"].__setitem__(1, float("nan")),
                      "crac_setpoints.1"),
+    "state_one_crac": ("state", lambda d: d.update(crac_setpoints=d["crac_setpoints"][:1],
+                                                   crac_fan_speeds=d["crac_fan_speeds"][:1]),
+                       "crac_setpoints: expected 4 entries, got 1"),
+    "state_server_short": ("state", lambda d: d["server_powers"].pop(), "server_powers"),
+    "fan_speed_above_one": ("state", lambda d: d["crac_fan_speeds"].__setitem__(2, 1.5),
+                            "crac_fan_speeds.2: 1.5 is not in [0, 1]"),
+    "fans_all_off": ("state", lambda d: d.update(crac_fan_speeds=[0.0] * 4), "crac_fan_speeds"),
+    "power_negative": ("state", lambda d: d["server_powers"].__setitem__(5, -5.0),
+                       "server_powers.5: -5.0 is not >= 0"),
 }
 
 
@@ -285,7 +294,7 @@ class TestInputSchema:
         with pytest.raises(ParseError, match=message):
             layout = fileio.load_layout(files["layout"])
             fileio.load_scenario(files["scenario"], layout)
-            fileio.load_state(files["state"])
+            fileio.load_state(files["state"], layout)
         code = main(["solve", "--layout", str(files["layout"]),
                      "--scenario", str(files["scenario"]), "--state", str(files["state"])])
         assert code == 2
@@ -460,6 +469,34 @@ class TestCalibrateCommand:
                                workdir=str(tmp_path / "ext_work"))
         assert report["inputs"]["solver"] == "external"
         assert report["result"]["n_solver_calls"] == 4
+
+
+BAD_STATES = {k: BAD_INPUTS[k] for k in ("state_one_crac", "fan_speed_above_one", "power_negative")}
+
+
+@pytest.mark.parametrize("case", BAD_STATES)
+def test_bad_state_exits_2_before_any_external_solve(generated, tmp_path, capsys, case):
+    out, paths = generated
+    _, edit, field = BAD_STATES[case]
+    doc = json.loads(Path(paths["state"]).read_text())
+    edit(doc)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    # the command counts its calls and reads 25 degC at every sensor
+    calls = tmp_path / "calls.txt"
+    rows = "".join(f"{s.id}, 25.0\n" for s in fileio.load_layout(paths["layout"]).sensors)
+    script = tmp_path / "counting_solver.py"
+    script.write_text("import sys\nfrom pathlib import Path\n"
+                      f"with open({str(calls)!r}, 'a') as f:\n    f.write('call\\n')\n"
+                      f"(Path(sys.argv[1]) / 'sensor_output.txt').write_text({rows!r})\n")
+    code = main(["calibrate", "--layout", str(paths["layout"]),
+                 "--scenario", str(paths["scenario"]), "--state", str(state),
+                 "--measurements", str(paths["measurements"]), "--iters", "2",
+                 "--solver", "external", "--external-command", f"{sys.executable} {script}",
+                 "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    assert re.search("^error: .*" + re.escape("state.json: " + field), capsys.readouterr().err)
+    assert not calls.exists()
 
 
 def test_external_command_is_split_like_a_shell(tmp_path):

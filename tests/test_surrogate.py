@@ -500,6 +500,73 @@ class TestConvexSearch:
             self.search(frozen_cases[0], alpha)
 
 
+def reference_trainable(priors):
+    return TrainableAdjacencyWeights(linear=init_weights(priors.n_sensors),
+                                     w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
+
+
+def narrowed_input(x, kind):
+    """x with one CRAC ("one_crac") or one server ("one_server") left."""
+    if kind == "one_crac":
+        return SystemInput(x.crac_setpoints[:1], x.crac_fan_speeds[:1], x.server_powers, x.flow_rates)
+    return SystemInput(x.crac_setpoints, x.crac_fan_speeds, x.server_powers[:1], x.flow_rates[:1])
+
+
+BATCH_FUNCTIONS = {
+    "fit_weights": lambda priors, batch: fit_weights(priors, batch),
+    "loss_l1": lambda priors, batch: loss_l1(init_weights(priors.n_sensors), priors, batch),
+    "grad_weights": lambda priors, batch: grad_weights(init_weights(priors.n_sensors), priors, batch),
+    "loss_l1_trainable": lambda priors, batch: loss_l1_trainable(reference_trainable(priors),
+                                                                 priors.hot_mask, batch),
+}
+
+
+class TestWidthChecks:
+    """Inputs and targets whose widths do not match the adjacency are
+    rejected, not broadcast."""
+
+    @pytest.fixture
+    def good(self, reference, reference_priors):
+        scenario, state = reference
+        x = state.to_input(np.full(scenario.layout.n_servers, 0.2))
+        return TrainingSample(input=x, target=forward(init_weights(reference_priors.n_sensors),
+                                                      reference_priors, x))
+
+    @pytest.mark.parametrize("fn", BATCH_FUNCTIONS)
+    @pytest.mark.parametrize("case", ["one_crac", "one_server", "targets_1_wide"])
+    def test_bad_batch_raises(self, reference_priors, good, fn, case):
+        if case == "targets_1_wide":
+            bad = TrainingSample(input=good.input, target=good.target[:1])
+        else:
+            bad = TrainingSample(input=narrowed_input(good.input, case), target=good.target)
+        BATCH_FUNCTIONS[fn](reference_priors, [good] * 3)  # the well-formed batch passes
+        with pytest.raises(DimensionMismatchError):
+            BATCH_FUNCTIONS[fn](reference_priors, [bad] * 3)
+
+    @pytest.mark.parametrize("fn", BATCH_FUNCTIONS)
+    def test_batch_of_mixed_widths_raises(self, reference_priors, good, fn):
+        bad = TrainingSample(input=narrowed_input(good.input, "one_crac"), target=good.target)
+        with pytest.raises(DimensionMismatchError):
+            BATCH_FUNCTIONS[fn](reference_priors, [good, bad])
+
+    def test_weights_of_another_sensor_count_raise(self, reference_priors, good):
+        w = init_weights(1)
+        for call in (lambda: loss_l1(w, reference_priors, [good]),
+                     lambda: grad_weights(w, reference_priors, [good]),
+                     lambda: forward(w, reference_priors, good.input),
+                     lambda: convex_search(w, reference_priors, good.input, good.target,
+                                           PenaltyParams(), SEARCH_BOUNDS)):
+            with pytest.raises(DimensionMismatchError):
+                call()
+
+    @pytest.mark.parametrize("case", ["one_crac", "one_server"])
+    def test_forward_trainable_bad_input_raises(self, reference_priors, good, case):
+        tw = reference_trainable(reference_priors)
+        forward_trainable(tw, reference_priors.hot_mask, good.input)
+        with pytest.raises(DimensionMismatchError):
+            forward_trainable(tw, reference_priors.hot_mask, narrowed_input(good.input, case))
+
+
 class TestStructuralProperties:
     def test_softmax_columns_sum_to_one(self, reference, reference_priors):
         from hallcal.surrogate import _cooling_coefficients
