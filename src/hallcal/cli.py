@@ -32,7 +32,6 @@ from .errors import (
     CommandFailedError,
     HallcalError,
     InvalidInputError,
-    NoConvergenceError,
     ParseError,
     SolverTimeoutError,
     UnknownMethodError,
@@ -47,8 +46,8 @@ METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
 METHOD_HEURISTIC = "heuristic"
 
-SOLVER_EXIT_ERRORS = (NoConvergenceError, CommandFailedError, SolverTimeoutError,
-                      CalibrationAbortedError, InvalidInputError)
+SOLVER_EXIT_ERRORS = (CommandFailedError, SolverTimeoutError, CalibrationAbortedError,
+                      InvalidInputError)
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ class InvalidInputError(HallcalError):
     """A solver input fails validation."""
 
 
-class NoConvergenceError(HallcalError):
-    """Fixed-point residual stayed above tolerance at the sweep limit."""
-
-
 class CommandFailedError(HallcalError):
     """External solver command exited with a nonzero status."""
 

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateIdError,
     DuplicatePositionError,
     EmptyFacilityClassError,
+    InvalidInputError,
     MissingAisleCoverageError,
     NonFinitePositionError,
     ZeroDistanceError,
@@ -43,6 +44,10 @@ class Server:
     position: tuple[float, float, float]
     type_tag: str
     rated_power: float  # W
+
+    def __post_init__(self):
+        if self.rated_power < 0:
+            raise InvalidInputError("rated_power must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,15 @@ def hot_aisle_mask(layout: HallLayout) -> np.ndarray:
     return np.array([1.0 if s.aisle == HOT else 0.0 for s in layout.sensors])
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between two position sets, (len a, len b)."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between two position sets, (len a, len b)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    return np.sqrt(squared_distances(a, b))
 
 
 def _reciprocal_distance_columns(

@@ -1,10 +1,13 @@
 """The expensive-model stand-in and the bridge to real external solvers.
 
-The zonal simulator resolves a damped fixed point over per-aisle air
+The zonal simulator balances air flow and energy over per-aisle air
 zones: CRAC supply is split across cold zones by fan-law flow and inverse
 square distance, servers heat their draw by the first-principle per-watt
 rise, hot zones mix server exhaust with bypass air scaled by CRAC flow,
 and sensors read their own zone blended with nearby same-aisle zones.
+The balance is affine in the zone temperatures, so each solve is exact:
+hot zones are an affine map of the cold ones, and cold zones are explicit
+under containment and one small linear system without it.
 Its functional form is deliberately richer than the surrogate's (fan-law
 flows, inverse-square mixing, bypass dilution, envelope leakage) so the
 surrogate can approximate but never equal it.
@@ -29,12 +32,11 @@ import numpy as np
 from .errors import (
     CommandFailedError,
     InvalidInputError,
-    NoConvergenceError,
     ParseError,
     SolverTimeoutError,
     ZeroDistanceError,
 )
-from .hall import COLD, HOT, HallLayout, SystemInput, validate_layout
+from .hall import COLD, HOT, HallLayout, SystemInput, squared_distances, validate_layout
 from .surrogate import KAPPA_CFM_PER_W
 
 
@@ -91,9 +93,6 @@ class Scenario:
     server_nominal_cfm_per_w: float = 0.3
     ambient_leakage: float = 0.02
     sensor_mixing: float = 0.2
-    tolerance_c: float = 1e-6
-    max_sweeps: int = 500
-    damping: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_true", np.asarray(self.alpha_true, dtype=float))
@@ -103,10 +102,15 @@ class Scenario:
             raise InvalidInputError("alpha_true must be positive")
         if not 0.0 <= self.recirculation_fraction < 1.0:
             raise InvalidInputError("recirculation_fraction must be in [0, 1)")
-        if self.fan_law_exponent <= 0:
-            raise InvalidInputError("fan_law_exponent must be > 0")
         if self.sensor_noise_sd < 0:
             raise InvalidInputError("sensor_noise_sd must be >= 0")
+        # ZonalSolver's exact solve needs positive air flows and convex blends
+        for name in ("fan_law_exponent", "crac_nominal_cfm", "server_nominal_cfm_per_w"):
+            if getattr(self, name) <= 0:
+                raise InvalidInputError(f"{name} must be > 0")
+        for name in ("ambient_leakage", "sensor_mixing"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidInputError(f"{name} must be in [0, 1]")
 
 
 class ThermalSolver:
@@ -126,8 +130,7 @@ class ThermalSolver:
 def _inverse_square_weights(src: np.ndarray, dst: np.ndarray, normalize_axis: int,
                             what: str) -> np.ndarray:
     """1/d^2 weights between position sets, normalized along the given axis."""
-    diff = src[:, None, :] - dst[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
+    d2 = squared_distances(src, dst)
     if np.any(d2 == 0.0):
         raise ZeroDistanceError(f"coincident positions in {what}")
     w = 1.0 / d2
@@ -140,8 +143,7 @@ def _aisle_mixing(positions: np.ndarray, mixing: float) -> np.ndarray:
     g = len(positions)
     if g == 1 or mixing == 0.0:
         return np.eye(g)
-    diff = positions[:, None, :] - positions[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
+    d2 = squared_distances(positions, positions)
     off = np.zeros((g, g))
     idx = ~np.eye(g, dtype=bool)
     off[idx] = 1.0 / d2[idx]
@@ -176,7 +178,11 @@ class ZonalSolver(ThermalSolver):
         self.mix_hot = _aisle_mixing(hot_pos, scenario.sensor_mixing)
 
         self.rated = layout.rated_powers()
-        self.server_flow = scenario.server_nominal_cfm_per_w * self.rated  # cfm
+        # server exhaust air into each hot zone, and the cold air it drew
+        server_flow = scenario.server_nominal_cfm_per_w * self.rated  # cfm
+        self.exhaust = server_flow[:, None] * self.server_exhaust  # (m, n_hot)
+        self.exhaust_flow = self.exhaust.sum(axis=0)  # (n_hot,)
+        self.exhaust_inlet = self.exhaust.T @ self.server_inlet  # (n_hot, n_cold)
 
     def _validate(self, x: SystemInput) -> None:
         x.check_layout(self.layout)
@@ -190,7 +196,7 @@ class ZonalSolver(ThermalSolver):
     def _solve(self, x: SystemInput) -> np.ndarray:
         self._validate(x)
         sc = self.scenario
-        r = sc.recirculation_fraction
+        r, leak = sc.recirculation_fraction, sc.ambient_leakage
 
         phi = sc.crac_nominal_cfm * x.crac_fan_speeds ** sc.fan_law_exponent  # (l,)
         cold_supply = (phi * x.crac_setpoints) @ self.crac_to_cold  # heat flux term
@@ -199,44 +205,33 @@ class ZonalSolver(ThermalSolver):
 
         utilization = np.where(self.rated > 0, x.server_powers / self.rated, 0.0)
         rise = KAPPA_CFM_PER_W * utilization / x.flow_rates  # (m,)
-        exhaust = self.server_flow[:, None] * self.server_exhaust  # (m, n_hot)
-        exhaust_flow = exhaust.sum(axis=0)  # (n_hot,)
 
-        backflow = 0.0 if sc.layout.containment else r * exhaust_flow  # (n_hot,)
+        # t_hot = H t_cold + h0: each hot zone mixes server exhaust (inlet air
+        # plus rise) with bypass air of its nearby cold zones, by flow; a hot
+        # zone with no inflow reads those cold zones.
+        hot_total = self.exhaust_flow + bypass_flow
+        mixed = hot_total > 1e-12
+        hot_total = np.maximum(hot_total, 1e-12)
+        H = np.where(mixed[:, None],
+                     (self.exhaust_inlet + bypass_flow[:, None] * self.hot_to_cold)
+                     / hot_total[:, None],
+                     self.hot_to_cold)  # (n_hot, n_cold)
+        h0 = np.where(mixed, (self.exhaust.T @ rise) / hot_total, 0.0)
 
-        n_cold, n_hot = self.cold_idx.size, self.hot_idx.size
-        t_cold = np.full(n_cold, sc.ambient_c)
-        t_hot = np.full(n_hot, sc.ambient_c)
-
-        converged = False
-        for _ in range(sc.max_sweeps):
-            inlet = self.server_inlet @ t_cold  # (m,)
-            outlet = inlet + rise
-            cold_near = self.hot_to_cold @ t_cold  # (n_hot,)
-            hot_in = exhaust.T @ outlet + bypass_flow * cold_near
-            hot_total = exhaust_flow + bypass_flow
-            t_hot_new = np.where(hot_total > 1e-12, hot_in / np.maximum(hot_total, 1e-12), cold_near)
-
-            cold_in = cold_supply.copy()
-            cold_total = cold_flow.copy()
-            if not sc.layout.containment:
-                cold_in = cold_in + (backflow * t_hot) @ self.hot_to_cold
-                cold_total = cold_total + backflow @ self.hot_to_cold
-            t_cold_mixed = cold_in / cold_total
-            t_cold_new = (1.0 - sc.ambient_leakage) * t_cold_mixed + sc.ambient_leakage * sc.ambient_c
-
-            residual = max(np.max(np.abs(t_cold_new - t_cold)), np.max(np.abs(t_hot_new - t_hot)))
-            if residual < sc.tolerance_c:
-                t_cold, t_hot = t_cold_new, t_hot_new
-                converged = True
-                break
-            t_cold = t_cold + sc.damping * (t_cold_new - t_cold)
-            t_hot = t_hot + sc.damping * (t_hot_new - t_hot)
-
-        if not converged:
-            raise NoConvergenceError(
-                f"zonal solve residual above {sc.tolerance_c} after {sc.max_sweeps} sweeps"
-            )
+        # t_cold = c0 + B t_hot: CRAC supply, plus the hot air that flows back
+        # over uncontained aisles, blended with ambient by envelope leakage.
+        backflow = (0.0 if sc.layout.containment else r) * self.exhaust_flow  # (n_hot,)
+        cold_total = cold_flow + backflow @ self.hot_to_cold
+        c0 = (1.0 - leak) * (cold_supply / cold_total) + leak * sc.ambient_c
+        t_cold = c0
+        if not sc.layout.containment:
+            # H and B are non-negative (flows and weights are, by the Scenario
+            # and OperatingState checks), each row of H sums to 1, and each row
+            # of B sums to (1 - leak) * (backflow share of cold_total) < 1, as
+            # cold_flow > 0. So |B H|_inf < 1 and I - B H is nonsingular.
+            B = ((1.0 - leak) / cold_total)[:, None] * (self.hot_to_cold.T * backflow)
+            t_cold = np.linalg.solve(np.eye(c0.size) - B @ H, c0 + B @ h0)
+        t_hot = H @ t_cold + h0
 
         readings = np.empty(self.layout.n_sensors)
         readings[self.cold_idx] = self.mix_cold @ t_cold

@@ -371,15 +371,13 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
     L = 2.0 / n * np.linalg.norm(A, 2) ** 2
     t = 1.0 / L if L > 0.0 else 1.0  # with A = 0 only the hinge moves u, at any step
-    # the forward step y - t grad(y) as one affine map M y + c
-    M = np.eye(powers.size) - (2.0 * t / n) * (A.T @ A)
-    c = -(2.0 * t / n) * (A.T @ r0)
+    g = 2.0 * t / n  # the forward step y - t grad(y) is y - g (A y + r0) A
     k_lo, k_hi = params.dt_low / params.kappa, params.dt_high / params.kappa
     s = t * params.lam / n * params.kappa * powers
     u_lo, u_hi = 1.0 / bounds.upper, 1.0 / bounds.lower
 
     def step(y: np.ndarray) -> np.ndarray:
-        return hinge_box_prox(M @ y + c, k_lo, k_hi, s, u_lo, u_hi)
+        return hinge_box_prox(y - g * ((A @ y + r0) @ A), k_lo, k_hi, s, u_lo, u_hi)
 
     stop = (SEARCH_TOL * t) ** 2  # |y - T(y)|^2 at the stationarity tolerance
     u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)

@@ -258,9 +258,21 @@ BAD_INPUTS = {
     "position_of_two": ("layout", lambda d: d["cracs"][1].update(position=[2.5, 0.5]),
                         "cracs.1.position"),
     "scenario_unknown_key": ("scenario", lambda d: d.update(recirculation=0.4), "recirculation"),
-    "max_sweeps_string": ("scenario", lambda d: d.update(max_sweeps="500"), "max_sweeps"),
-    "max_sweeps_fraction": ("scenario", lambda d: d.update(max_sweeps=2.5), "max_sweeps"),
-    "damping_string": ("scenario", lambda d: d.update(damping="0.5"), "damping"),
+    "rated_power_negative": ("layout", lambda d: d["servers"][3].update(rated_power=-400.0),
+                             "servers.3: rated_power must be >= 0"),
+    "seed_string": ("scenario", lambda d: d.update(seed="500"), "seed"),
+    "seed_fraction": ("scenario", lambda d: d.update(seed=2.5), "seed"),
+    "sensor_mixing_string": ("scenario", lambda d: d.update(sensor_mixing="0.5"), "sensor_mixing"),
+    "crac_cfm_zero": ("scenario", lambda d: d.update(crac_nominal_cfm=0),
+                      "crac_nominal_cfm must be > 0"),
+    "crac_cfm_negative": ("scenario", lambda d: d.update(crac_nominal_cfm=-1200),
+                          "crac_nominal_cfm must be > 0"),
+    "server_cfm_zero": ("scenario", lambda d: d.update(server_nominal_cfm_per_w=0),
+                        "server_nominal_cfm_per_w must be > 0"),
+    "leakage_above_one": ("scenario", lambda d: d.update(ambient_leakage=1.5),
+                          "ambient_leakage must be in [0, 1]"),
+    "sensor_mixing_above_one": ("scenario", lambda d: d.update(sensor_mixing=2),
+                                "sensor_mixing must be in [0, 1]"),
     "ambient_nan": ("scenario", lambda d: d.update(ambient_c=float("nan")), "ambient_c"),
     "recirculation_out_of_range": ("scenario", lambda d: d.update(recirculation_fraction=2),
                                    "recirculation_fraction"),
@@ -580,20 +592,17 @@ class TestMainExitCodes:
                      "--out-dir", str(tmp_path / "r")])
         assert code == 2
 
-    def test_solver_failure_is_3(self, generated, tmp_path):
+    def test_solver_failure_is_3(self, generated, tmp_path, capsys):
         out, paths = generated
-        # sabotage the scenario so the fixed point cannot converge
-        doc = json.loads(Path(paths["scenario"]).read_text())
-        doc["max_sweeps"] = 1
-        doc["ambient_c"] = 45.0
-        bad = tmp_path / "scenario.json"
-        bad.write_text(json.dumps(doc))
+        failing = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(4)'"
         code = main(["calibrate", "--layout", str(paths["layout"]),
-                     "--scenario", str(bad),
+                     "--scenario", str(paths["scenario"]),
                      "--state", str(paths["state"]),
                      "--measurements", str(paths["measurements"]),
-                     "--out-dir", str(tmp_path / "r")])
+                     "--solver", "external", "--external-command", failing,
+                     "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
         assert code == 3
+        assert "external solver exited 4" in capsys.readouterr().err
 
     def test_generate_and_solve_succeed(self, tmp_path):
         assert main(["generate", "--out-dir", str(tmp_path / "g"), "--seed", "1",

@@ -8,7 +8,6 @@ import pytest
 from hallcal.errors import (
     CommandFailedError,
     InvalidInputError,
-    NoConvergenceError,
     ParseError,
     SolverTimeoutError,
 )
@@ -52,6 +51,37 @@ def one_server_state(power=200.0):
     return OperatingState(crac_setpoints=np.array([20.0]),
                           crac_fan_speeds=np.array([0.8]),
                           server_powers=np.array([power]))
+
+
+def sweep_solve(solver, x):
+    """The zonal energy balance by plain fixed-point sweeps, run until no
+    cold-zone temperature moves by 1e-12."""
+    sc = solver.scenario
+    r, leak = sc.recirculation_fraction, sc.ambient_leakage
+    phi = sc.crac_nominal_cfm * x.crac_fan_speeds ** sc.fan_law_exponent
+    cold_supply = (phi * x.crac_setpoints) @ solver.crac_to_cold
+    cold_flow = phi @ solver.crac_to_cold
+    bypass_flow = r * (phi @ solver.crac_to_hot)
+    rise = KAPPA_CFM_PER_W * x.server_powers / solver.rated / x.flow_rates
+    exhaust = (sc.server_nominal_cfm_per_w * solver.rated)[:, None] * solver.server_exhaust
+    backflow = (0.0 if sc.layout.containment else r) * exhaust.sum(axis=0)
+    t_cold = np.full(solver.cold_idx.size, sc.ambient_c)
+    for _ in range(10_000):
+        cold_near = solver.hot_to_cold @ t_cold
+        t_hot = ((exhaust.T @ (solver.server_inlet @ t_cold + rise) + bypass_flow * cold_near)
+                 / (exhaust.sum(axis=0) + bypass_flow))
+        cold_in = cold_supply + (backflow * t_hot) @ solver.hot_to_cold
+        cold_total = cold_flow + backflow @ solver.hot_to_cold
+        t_next = (1.0 - leak) * cold_in / cold_total + leak * sc.ambient_c
+        if np.max(np.abs(t_next - t_cold)) < 1e-12:
+            break
+        t_cold = t_next
+    else:
+        raise AssertionError("sweeps did not settle")
+    readings = np.empty(solver.layout.n_sensors)
+    readings[solver.cold_idx] = solver.mix_cold @ t_cold
+    readings[solver.hot_idx] = solver.mix_hot @ t_hot
+    return readings
 
 
 class TestZonalSolve:
@@ -104,11 +134,6 @@ class TestZonalSolve:
         t2 = ZonalSolver(scenario).solve(x)
         assert np.array_equal(t1, t2)
 
-    def test_no_convergence(self):
-        scenario = one_server_scenario(max_sweeps=1, ambient_c=35.0)
-        with pytest.raises(NoConvergenceError):
-            zonal_solve(scenario, one_server_state().to_input(np.array([0.2])))
-
     def test_invalid_inputs(self):
         scenario = one_server_scenario()
         state = one_server_state()
@@ -137,7 +162,19 @@ class TestZonalSolve:
     @pytest.mark.parametrize("maker", [make_reference_scenario, make_identifiable_scenario])
     def test_shipped_scenarios_converge(self, maker):
         scenario, state = maker(seed=0)
-        zonal_solve(scenario, state.to_input(scenario.alpha_true))  # raises if not
+        zonal_solve(scenario, state.to_input(scenario.alpha_true))  # raises if invalid
+
+    @pytest.mark.parametrize("containment", [True, False])
+    def test_exact_solve_is_the_sweep_fixed_point(self, reference, containment):
+        scenario, state = reference
+        if not containment:
+            layout = replace(scenario.layout, containment=False)
+            scenario = replace(scenario, layout=layout, recirculation_fraction=0.3)
+        solver = ZonalSolver(scenario)
+        rng = np.random.default_rng(15)
+        for alpha in (scenario.alpha_true, rng.uniform(0.05, 2.0, scenario.layout.n_servers)):
+            x = state.to_input(alpha)
+            assert np.max(np.abs(solver.solve(x) - sweep_solve(solver, x))) < 1e-9
 
     def test_uncontained_variant_converges(self, reference):
         scenario, state = reference
