@@ -2,8 +2,9 @@
 
 Three seed solves, at the bound extremes and the midpoint, start the
 training dataset. Each iteration then fits the surrogate to everything
-accumulated so far (the knowledge surrogate in closed form, the MLP by
-Adam from its last weights), searches the flow rates against the
+accumulated so far (the knowledge surrogate in closed form, from running
+sums of its normal equations into which each new solve is folded once;
+the MLP by Adam from its last weights), searches the flow rates against the
 measurements through the frozen surrogate (the knowledge surrogate
 exactly, by its convex search; the MLP by DE+Adam), solves at the search
 result, validates that solve against the measurements and appends it to
@@ -13,6 +14,7 @@ performs 3 + k solver calls.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,11 +48,12 @@ from .surrogate import (
     SurrogateWeights,
     TrainingSample,
     convex_search,
-    fit_weights,
+    fit_terms,
     forward,
     grad_alpha,
     init_weights,
     loss_l2,
+    solve_fit,
 )
 
 SEARCH_BOUNDS = Bounds(0.01, 3.0)  # cfm/W, the default flow-rate search box
@@ -138,9 +141,23 @@ class KnowledgeSurrogateModel:
         self.priors = priors
         self.penalty = penalty
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
+        self._summed: list[TrainingSample] = []  # the samples _terms sums, in order
+        self._terms = None  # their fit_terms, summed
 
     def fit(self, dataset: list[TrainingSample]) -> None:
-        self.weights = fit_weights(self.priors, dataset, self.penalty.kappa)
+        """fit_weights on the dataset, from running sums of fit_terms: only
+        the samples past the prefix already summed (the same objects, in
+        order) add terms. They are added one at a time, the order in which
+        fit_weights sums, so the weights match it bit for bit. A dataset
+        that does not extend that prefix starts the sums over."""
+        k, terms = len(self._summed), self._terms
+        if not (0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
+            k, terms = len(dataset), fit_terms(self.priors, dataset)
+        for sample in dataset[k:]:
+            gram, rhs = fit_terms(self.priors, [sample])
+            terms = (terms[0] + gram, terms[1] + rhs)
+        self._summed, self._terms = list(dataset), terms
+        self.weights = solve_fit(*terms, len(dataset), self.penalty.kappa)
 
     def predict(self, x: SystemInput) -> np.ndarray:
         return forward(self.weights, self.priors, x)
@@ -274,7 +291,6 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
-        model.fit(dataset)
 
         def objective(a: np.ndarray) -> float:
             return model.l2(state.to_input(a), measurements)
@@ -284,13 +300,18 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
         de_seed = int(seeds[it - 1].generate_state(1)[0])
         exact = getattr(model, "search", None) if cfg.use_de is None else None
-        if exact is not None:
-            res = exact(state.to_input(alpha), measurements, cfg.bounds)
-        elif cfg.use_de is False:
-            res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
-        else:
-            res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
-                                de_seed, init_bounds=_penalty_feasible_band(cfg))
+        try:
+            model.fit(dataset)
+            if exact is not None:
+                res = exact(state.to_input(alpha), measurements, cfg.bounds)
+            elif cfg.use_de is False:
+                res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
+            else:
+                res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
+                                    de_seed, init_bounds=_penalty_feasible_band(cfg))
+        except HallcalError as exc:
+            raise CalibrationAbortedError(f"surrogate failed at iteration {it}: {exc}",
+                                          result=partial_result()) from exc
         alpha = res.x
 
         x = state.to_input(alpha)

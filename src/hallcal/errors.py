@@ -80,7 +80,8 @@ class ParseError(HallcalError):
 # -- engine / studies -------------------------------------------------------
 
 class CalibrationAbortedError(HallcalError):
-    """Solver failure aborted a calibration run; carries the partial result."""
+    """A solver, fit or search failure aborted a calibration run; carries
+    the partial result."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

@@ -196,14 +196,14 @@ def save_measurements(sensor_ids: Sequence[str], values: np.ndarray, path: Path)
 
 
 def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
-                       header: Optional[str] = None) -> np.ndarray:
+                       header: Optional[str] = None, positive: bool = False) -> np.ndarray:
     """Values of "id,value" records, one per line, ordered like `ids` (in
     file order when `ids` is None).
 
     A given header must be the first line; blank lines are skipped. A line
-    without exactly two fields, a value that is not a finite number, and a
-    repeated id each raise ParseError naming the file and the line, as does
-    an id of `ids` with no record.
+    without exactly two fields, a value that is not a finite number (or,
+    with `positive`, not above 0), and a repeated id each raise ParseError
+    naming the file and the line, as does an id of `ids` with no record.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -228,6 +228,8 @@ def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
             raise ParseError(f"{path} line {lineno}: bad number {text!r}") from exc
         if not math.isfinite(value):
             raise ParseError(f"{path} line {lineno}: non-finite value {text!r}")
+        if positive and not value > 0.0:
+            raise ParseError(f"{path} line {lineno}: non-positive value {text!r}")
         if key in values:
             raise ParseError(f"{path} line {lineno}: duplicate id {key!r}")
         values[key] = value
@@ -251,8 +253,9 @@ def save_alpha(server_ids: Sequence[str], alpha: np.ndarray, path: Path) -> None
 
 
 def load_alpha(path: Path, server_ids: Sequence[str]) -> np.ndarray:
-    """Flow-rate vector ordered like `server_ids`."""
-    return read_keyed_records(path, server_ids, header="server_id,alpha_cfm_per_w")
+    """Flow-rate vector ordered like `server_ids`; every rate must be > 0."""
+    return read_keyed_records(path, server_ids, header="server_id,alpha_cfm_per_w",
+                              positive=True)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

@@ -303,6 +303,28 @@ def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     return search_grad(pred, x, t_meas, params, mse_grad)
 
 
+def fit_terms(priors: AdjacencyPriors,
+              batch: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's share of fit_weights' normal equations: per sensor the
+    3x3 Gram matrix X^T X (n, 3, 3) and the right-hand side X^T t (n, 3)
+    over the columns X_cold, 1 and hot_mask * X_hot. Both are sums over
+    the samples, so the terms of a dataset are those of its parts added."""
+    if not batch:
+        raise EmptyDatasetError("training dataset is empty")
+    x_cold, x_hot, targets = _batch_features(priors, batch)
+    cols = np.stack([x_cold, np.ones_like(x_cold), priors.hot_mask * x_hot], axis=-1)  # (B, n, 3)
+    return np.einsum("bkq,bkr->kqr", cols, cols), np.einsum("bkq,bk->kq", cols, targets)
+
+
+def solve_fit(gram: np.ndarray, rhs: np.ndarray, count: int,
+              kappa: float = KAPPA_CFM_PER_W) -> SurrogateWeights:
+    """fit_weights from the fit_terms summed over `count` samples."""
+    lam = FIT_RIDGE * count
+    prior = np.array([1.0, 0.0, kappa])
+    a, b, c = np.linalg.solve(gram + lam * np.eye(3), (rhs + lam * prior)[..., None])[..., 0].T
+    return SurrogateWeights(a=a, b=b, c=c, d=np.zeros_like(a))
+
+
 def fit_weights(priors: AdjacencyPriors, dataset: list[TrainingSample],
                 kappa: float = KAPPA_CFM_PER_W) -> SurrogateWeights:
     """Closed-form fit of (a, b, c) for every sensor: ridge least squares on
@@ -316,27 +338,28 @@ def fit_weights(priors: AdjacencyPriors, dataset: list[TrainingSample],
     lam = FIT_RIDGE * batch size keeps the solve regular when every sample
     shares one state, where a and b are collinear too.
     """
-    if not dataset:
-        raise EmptyDatasetError("training dataset is empty")
-    x_cold, x_hot, targets = _batch_features(priors, dataset)
-    cols = np.stack([x_cold, np.ones_like(x_cold), priors.hot_mask * x_hot], axis=-1)  # (B, n, 3)
-    lam = FIT_RIDGE * len(dataset)
-    prior = np.array([1.0, 0.0, kappa])
-    gram = np.einsum("bkq,bkr->kqr", cols, cols) + lam * np.eye(3)
-    rhs = np.einsum("bkq,bk->kq", cols, targets) + lam * prior
-    a, b, c = np.linalg.solve(gram, rhs[..., None])[..., 0].T
-    return SurrogateWeights(a=a, b=b, c=c, d=np.zeros_like(a))
+    return solve_fit(*fit_terms(priors, dataset), len(dataset), kappa)
 
 
 def hinge_box_prox(v: np.ndarray, k_lo: float, k_hi: float, s: np.ndarray,
-                   u_lo: float, u_hi: float) -> np.ndarray:
+                   u_lo: float, u_hi: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-coordinate prox, in u = 1/alpha, of s_j * dist(u_j, [k_lo, k_hi])
     plus the box [u_lo, u_hi]: the hinge's five-piece shift (v + s below
     k_lo - s, then k_lo up to k_lo, v inside the band, k_hi from k_hi up
-    to k_hi + s, v - s above), then a clip into the box."""
-    band = np.minimum(np.maximum(v, k_lo), k_hi)
-    shifted = band + np.minimum(0.0, v + s - k_lo) + np.maximum(0.0, v - s - k_hi)
-    return np.minimum(np.maximum(shifted, u_lo), u_hi)
+    to k_hi + s, v - s above), then a clip into the box.
+
+    The shift is taken in its min/max form min(max(v, min(v + s, k_lo)),
+    max(v - s, k_hi)), so each piece is exactly v + s, k_lo, v, k_hi or
+    v - s. The result goes to `out` when given, which may be v itself.
+    """
+    lo = v + s
+    np.minimum(lo, k_lo, out=lo)
+    np.maximum(v, lo, out=lo)
+    out = np.subtract(v, s, out=out)
+    np.maximum(out, k_hi, out=out)
+    np.minimum(lo, out, out=out)
+    np.maximum(out, u_lo, out=out)
+    return np.minimum(out, u_hi, out=out)
 
 
 def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
@@ -350,9 +373,9 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     therefore a convex quadratic plus a separable convex term over the box
     [1/upper, 1/lower], which FISTA (Beck & Teboulle 2009: proximal
     gradient steps t = 1/L, L = (2/n) |A|_2^2, with Nesterov momentum)
-    solves exactly. The momentum restarts whenever it points uphill
-    (O'Donoghue & Candes 2015), which more than halves the steps on the
-    reference hall.
+    solves exactly. |A|_2^2 is the largest eigenvalue of the n x n matrix
+    A A^T. The momentum restarts whenever it points uphill (O'Donoghue &
+    Candes 2015), which more than halves the steps on the reference hall.
 
     The run starts at x.flow_rates. It stops once the stationarity residual
     |y - T(y)| / t of the extrapolated point y falls below SEARCH_TOL, where
@@ -367,33 +390,38 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     r0 = _search_residual(_predict(w, priors.hot_mask, x_cold, 0.0), t_meas)  # u = 0
     powers = x.server_powers
     A = (powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T  # (n, m)
-    if not np.all(np.isfinite(A)):  # the SVD below would fail on it
+    if not np.all(np.isfinite(A)):  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
-    L = 2.0 / n * np.linalg.norm(A, 2) ** 2
+    L = 2.0 / n * np.linalg.eigvalsh(A.dot(A.T))[-1]
     t = 1.0 / L if L > 0.0 else 1.0  # with A = 0 only the hinge moves u, at any step
-    g = 2.0 * t / n  # the forward step y - t grad(y) is y - g (A y + r0) A
+    gA = 2.0 * t / n * A  # the forward step y - t grad(y) is y - (A y) gA - r0 gA
+    c = r0.dot(gA)
     k_lo, k_hi = params.dt_low / params.kappa, params.dt_high / params.kappa
     s = t * params.lam / n * params.kappa * powers
     u_lo, u_hi = 1.0 / bounds.upper, 1.0 / bounds.lower
 
     def step(y: np.ndarray) -> np.ndarray:
-        return hinge_box_prox(y - g * ((A @ y + r0) @ A), k_lo, k_hi, s, u_lo, u_hi)
+        v = y - A.dot(y).dot(gA)
+        v -= c
+        return hinge_box_prox(v, k_lo, k_hi, s, u_lo, u_hi, out=v)
 
     stop = (SEARCH_TOL * t) ** 2  # |y - T(y)|^2 at the stationarity tolerance
     u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
     iterates = [u]
-    y, theta = u, 1.0
+    y, theta = u.copy(), 1.0
+    gap, move = np.empty_like(u), np.empty_like(u)
     for _ in range(SEARCH_MAX_STEPS):
         u_next = step(y)
         iterates.append(u_next)
-        gap = y - u_next
-        if not gap @ gap >= stop:  # NaN stops too
+        np.subtract(y, u_next, out=gap)
+        if not gap.dot(gap) >= stop:  # NaN stops too
             break
-        move = u_next - u
-        if gap @ move > 0.0:  # momentum points uphill: restart it
+        np.subtract(u_next, u, out=move)
+        if gap.dot(move) > 0.0:  # momentum points uphill: restart it
             theta = 1.0
         theta_next = 0.5 * (1.0 + (1.0 + 4.0 * theta * theta) ** 0.5)
-        y = u_next + (theta - 1.0) / theta_next * move
+        np.multiply(move, (theta - 1.0) / theta_next, out=y)
+        y += u_next
         u, theta = u_next, theta_next
     u = iterates[-1]
 

@@ -14,21 +14,25 @@ from hallcal.engine import (
     init_samples,
     mae,
 )
+from hallcal import engine
 from hallcal.errors import (
     CalibrationAbortedError,
     DimensionMismatchError,
+    EmptyDatasetError,
     InvalidInputError,
     NonPositiveFlowRateError,
+    ObjectiveNonFiniteError,
 )
 from hallcal.hall import SystemInput, build_adjacency
 from hallcal.optim import Bounds, DeConfig, TrainConfig
-from hallcal.scenarios import make_identifiable_scenario
+from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import OperatingState, ThermalSolver, ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
     SEARCH_TOL,
     PenaltyParams,
     SurrogateWeights,
     TrainingSample,
+    fit_weights,
     grad_alpha,
     init_weights,
     loss_l2,
@@ -185,6 +189,76 @@ class TestKnowledgeModelObjective:
                                    state.server_powers, np.full(alpha.size, 0.2)), meas)
 
 
+def assert_same_weights(got: SurrogateWeights, want: SurrogateWeights):
+    for name in "abcd":
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.fixture(scope="module")
+def reference_fits():
+    """Per reference seed 0-4: the priors, the model after a 15-iteration
+    run, and every fit of that run as (dataset at fit time, weights)."""
+    runs = {}
+    for seed in range(5):
+        scenario, state = make_reference_scenario(seed=seed)
+        priors = build_adjacency(scenario.layout)
+        cfg = CalibConfig(seed=seed, max_iterations=15)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
+        fits, fit = [], model.fit
+
+        def recorded_fit(dataset, model=model, fits=fits, fit=fit):
+            fit(dataset)
+            fits.append((list(dataset), model.weights))
+
+        model.fit = recorded_fit
+        calibrate(ZonalSolver(scenario), model, synthesize_measurements(scenario, state),
+                  state, scenario.layout, cfg)
+        model.fit = fit
+        runs[seed] = (priors, model, fits)
+    return runs
+
+
+class TestKnowledgeModelFit:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_running_sums_equal_the_full_fit(self, reference_fits, seed):
+        priors, model, fits = reference_fits[seed]
+        assert [len(dataset) for dataset, _ in fits] == list(range(3, 18))
+        for dataset, weights in fits:
+            assert_same_weights(weights, fit_weights(priors, dataset, model.penalty.kappa))
+
+    def test_each_fit_sums_only_the_new_samples(self, small_case, monkeypatch):
+        scenario, state, priors = small_case
+        batch_sizes, fit_terms = [], engine.fit_terms
+
+        def counted(priors, batch):
+            batch_sizes.append(len(batch))
+            return fit_terms(priors, batch)
+
+        monkeypatch.setattr(engine, "fit_terms", counted)
+        cfg = small_config(max_iterations=5)
+        calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
+                  synthesize_measurements(scenario, state), state, scenario.layout, cfg)
+        assert batch_sizes == [3, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("kind", ["reordered", "shorter"])
+    def test_a_list_that_does_not_extend_the_prefix_starts_over(self, reference_fits, kind):
+        priors, model, fits = reference_fits[0]
+        full = fits[-1][0]
+        model.fit(full)  # the sums hold exactly `full` now
+        other = full[::-1] if kind == "reordered" else full[:9]
+        model.fit(other)
+        assert_same_weights(model.weights, fit_weights(priors, other, model.penalty.kappa))
+        model.fit(full)
+        assert_same_weights(model.weights, fit_weights(priors, full, model.penalty.kappa))
+
+    def test_empty_dataset(self, reference_fits):
+        priors, model, fits = reference_fits[0]
+        with pytest.raises(EmptyDatasetError):
+            model.fit([])
+        with pytest.raises(EmptyDatasetError):
+            KnowledgeSurrogateModel(priors, model.penalty).fit([])
+
+
 class FailingSolver(ThermalSolver):
     """Delegates to a zonal solver, then starts failing after a set number
     of successful calls."""
@@ -275,6 +349,31 @@ class TestCalibrate:
         partial = exc_info.value.result
         assert partial is not None
         assert len(partial.traces) == 2
+        assert partial.best_mae == pytest.approx(min(t.validation_mae for t in partial.traces))
+
+    @pytest.mark.parametrize("method, error", [("fit", EmptyDatasetError),
+                                               ("search", ObjectiveNonFiniteError)])
+    def test_fit_or_search_failure_attaches_partial_result(self, small_case, monkeypatch,
+                                                           method, error):
+        scenario, state, priors = small_case
+        original, calls = getattr(KnowledgeSurrogateModel, method), []
+
+        def failing(self, *args):
+            calls.append(args)
+            if len(calls) == 3:  # iteration 3
+                raise error("synthetic surrogate failure")
+            return original(self, *args)
+
+        monkeypatch.setattr(KnowledgeSurrogateModel, method, failing)
+        cfg = small_config(max_iterations=8)
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
+        with pytest.raises(CalibrationAbortedError, match="iteration 3") as exc_info:
+            calibrate(ZonalSolver(scenario), model, synthesize_measurements(scenario, state),
+                      state, scenario.layout, cfg)
+        assert isinstance(exc_info.value.__cause__, error)
+        partial = exc_info.value.result
+        assert len(partial.traces) == 2
+        assert partial.n_solver_calls == 5
         assert partial.best_mae == pytest.approx(min(t.validation_mae for t in partial.traces))
 
     @pytest.mark.parametrize("use_de, stage", [(None, "convex"), (True, "de"), (False, "adam")])

@@ -24,8 +24,14 @@ from hallcal.cli import (
     run_calibration,
     settings_echo,
 )
-from hallcal.engine import CalibConfig, mae
-from hallcal.errors import EmptyFacilityClassError, ParseError, PoolTooSmallError, UnknownMethodError
+from hallcal.engine import CalibConfig, KnowledgeSurrogateModel, mae
+from hallcal.errors import (
+    EmptyFacilityClassError,
+    ObjectiveNonFiniteError,
+    ParseError,
+    PoolTooSmallError,
+    UnknownMethodError,
+)
 from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
@@ -123,6 +129,13 @@ class TestParseErrors:
         path = tmp_path / "alpha.csv"
         path.write_text("server_id,alpha_cfm_per_w\n" + body)
         with pytest.raises(ParseError, match=f"alpha.csv line {line}"):
+            fileio.load_alpha(path, ["s1", "s2"])
+
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_alpha_rejects_non_positive(self, tmp_path, rate):
+        path = tmp_path / "alpha.csv"
+        path.write_text(f"server_id,alpha_cfm_per_w\ns1,0.1\ns2,{rate}\n")
+        with pytest.raises(ParseError, match=f"alpha.csv line 3: non-positive value '{rate}'"):
             fileio.load_alpha(path, ["s1", "s2"])
 
     def test_invalid_json(self, tmp_path):
@@ -603,6 +616,37 @@ class TestMainExitCodes:
                      "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
         assert code == 3
         assert "external solver exited 4" in capsys.readouterr().err
+
+    def test_non_positive_flow_rate_file_is_2(self, generated, tmp_path, capsys):
+        out, paths = generated
+        layout = fileio.load_layout(paths["layout"])
+        alpha = np.full(layout.n_servers, 0.2)
+        alpha[0] = 0.0
+        fileio.save_alpha([s.id for s in layout.servers], alpha, tmp_path / "flows.csv")
+        code = main(["solve", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--alpha", str(tmp_path / "flows.csv")])
+        assert code == 2
+        assert "flows.csv line 2: non-positive value '0.0'" in capsys.readouterr().err
+
+    def test_search_failure_is_3(self, generated, tmp_path, capsys, monkeypatch):
+        out, paths = generated
+        search, calls = KnowledgeSurrogateModel.search, []
+
+        def failing_search(self, *args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ObjectiveNonFiniteError("search objective is not finite")
+            return search(self, *args)
+
+        monkeypatch.setattr(KnowledgeSurrogateModel, "search", failing_search)
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]),
+                     "--iters", "5", "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert "surrogate failed at iteration 3" in capsys.readouterr().err
 
     def test_generate_and_solve_succeed(self, tmp_path):
         assert main(["generate", "--out-dir", str(tmp_path / "g"), "--seed", "1",

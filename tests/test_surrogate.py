@@ -473,9 +473,21 @@ class TestConvexSearch:
             v[:4] = [k_lo - s[0], k_lo, k_hi, k_hi + s[3]]  # the breakpoints themselves
             u_lo = rng.uniform(0.0, 2.0)
             u_hi = u_lo + rng.uniform(0.5, 10.0)
-            np.testing.assert_allclose(hinge_box_prox(v, k_lo, k_hi, s, u_lo, u_hi),
-                                       five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi),
-                                       rtol=1e-14, atol=1e-14)
+            got = hinge_box_prox(v, k_lo, k_hi, s, u_lo, u_hi)
+            want = five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi)
+            # each piece is exact; only the computed breakpoints round
+            np.testing.assert_array_equal(got[4:], want[4:])
+            np.testing.assert_allclose(got[:4], want[:4], rtol=1e-14, atol=1e-14)
+
+    def test_prox_writes_into_out(self):
+        v = np.array([0.0, 1.0, 2.5, 4.0, 9.0])
+        s = np.full(5, 0.5)
+        want = hinge_box_prox(v, 1.2, 3.0, s, 0.1, 5.0)
+        assert np.array_equal(v, [0.0, 1.0, 2.5, 4.0, 9.0])  # without out, v is untouched
+        got = hinge_box_prox(v, 1.2, 3.0, s, 0.1, 5.0, out=v)
+        assert got is v
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(want, [0.5, 1.2, 2.5, 3.5, 5.0])
 
     def test_nan_measurement_or_power_raises(self, frozen_cases):
         w, priors, state, meas = frozen_cases[0]
