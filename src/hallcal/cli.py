@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -46,8 +47,7 @@ METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
 METHOD_HEURISTIC = "heuristic"
 
-SOLVER_EXIT_ERRORS = (CommandFailedError, SolverTimeoutError, CalibrationAbortedError,
-                      InvalidInputError)
+SOLVER_EXIT_ERRORS = (CommandFailedError, SolverTimeoutError, InvalidInputError)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,11 @@ def _make_solver(kind, layout, scenario, external_command=None, workdir=None):
 
 
 def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
-                              inputs: dict, layout, measurements, result: CalibrationResult):
+                              inputs: dict, layout, measurements, result: CalibrationResult,
+                              aborted: Optional[str] = None):
+    """The run directory's files. A run that aborted writes the iterations
+    it finished, its reason under result.aborted, and sensors.csv only if
+    some iteration validated."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_csv(out_dir / "traces.csv",
                      ["iteration", "validation_mae_c", "mean_l2", "mean_grad_mag",
@@ -132,10 +136,11 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     fileio.write_csv(out_dir / "timings.csv", ["iteration", "wall_time_s"],
                      [[t.iteration, t.wall_time_s] for t in result.traces])
     predicted = result.best_solver_temps
-    fileio.write_csv(out_dir / "sensors.csv",
-                     ["sensor_id", "aisle", "measured_c", "predicted_c"],
-                     [[s.id, s.aisle, float(m), float(p)]
-                      for s, m, p in zip(layout.sensors, measurements, predicted)])
+    if predicted is not None:
+        fileio.write_csv(out_dir / "sensors.csv",
+                         ["sensor_id", "aisle", "measured_c", "predicted_c"],
+                         [[s.id, s.aisle, float(m), float(p)]
+                          for s, m, p in zip(layout.sensors, measurements, predicted)])
     fileio.save_alpha([s.id for s in layout.servers], result.alpha_star,
                       out_dir / "alpha_star.csv")
     report = {
@@ -143,11 +148,13 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
         "inputs": inputs,
         "config": settings_echo(settings),
         "result": {
-            "best_mae_c": result.best_mae,
+            "best_mae_c": result.best_mae if predicted is not None else None,
             "n_solver_calls": result.n_solver_calls,
             "iterations": len(result.traces),
         },
     }
+    if aborted is not None:
+        report["result"]["aborted"] = aborted
     fileio._dump_json(report, out_dir / "report.json")
     return report
 
@@ -166,7 +173,12 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     inputs = {"layout": str(layout_file), "scenario": str(scenario_file),
               "state": str(state_file), "measurements": str(measurements_file),
               "solver": solver_kind}
-    result = run_calibration(method, solver, measurements, state, layout, settings)
+    try:
+        result = run_calibration(method, solver, measurements, state, layout, settings)
+    except CalibrationAbortedError as exc:
+        _write_calibration_report(Path(out_dir), method, settings, inputs,
+                                  layout, measurements, exc.result, aborted=str(exc))
+        raise
     return _write_calibration_report(Path(out_dir), method, settings, inputs,
                                      layout, measurements, result)
 
@@ -370,6 +382,9 @@ def main(argv=None) -> int:
     except UnknownMethodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CalibrationAbortedError as exc:  # its message names the failed solve, fit or search
+        print(f"calibration aborted: {exc}", file=sys.stderr)
+        return 3
     except SOLVER_EXIT_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

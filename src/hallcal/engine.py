@@ -176,8 +176,9 @@ class KnowledgeSurrogateModel:
 class VanillaSurrogateModel:
     """Same adapter interface over the black-box MLP baseline.
 
-    Standardization statistics are frozen after the first fit so that
-    later warm-started retraining keeps a stable input basis.
+    Standardization statistics, and with them the features the first layer
+    reads, are frozen after the first fit so that later warm-started
+    retraining keeps a stable input basis.
     """
 
     def __init__(self, layout: HallLayout, penalty: PenaltyParams,

@@ -6,6 +6,13 @@ linear. Inputs are standardized per feature with training-set statistics
 (the features mix degC, ratios, watts and cfm/W); targets stay in degC.
 The flow rates are ordinary inputs here, so the calibration step can
 differentiate the net with respect to them.
+
+A feature that takes one value in every row of the standardizer's batch
+carries nothing to learn from, so the first layer keeps weight rows only
+for the features that vary. With the operating state fixed, as in a
+calibration run and in the data-volume study, that drops the CRAC
+setpoints, fan speeds and server powers. The net then ignores a dropped
+feature, and its gradient with respect to one is zero.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .optim import TrainConfig, adam_fit
 from .surrogate import PenaltyParams, TrainingSample, search_grad, search_loss
 
 HIDDEN_SIZES = (518, 128, 32)
-STD_FLOOR = 1e-8  # features that never vary would otherwise blow up
+STD_FLOOR = 1e-8  # keeps the division finite should a kept feature's spread round to 0
 MLP_TRAIN = TrainConfig(learning_rate=0.01)  # TrainConfig's 0.1 is too hot for a deep net
 
 
@@ -32,10 +39,12 @@ def flatten_input(x: SystemInput) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpWeights:
-    """Dense layers plus the input standardization statistics."""
+    """Dense layers plus the input standardization statistics. The first
+    layer has one row per kept feature; the statistics span every feature."""
 
     weights: tuple[np.ndarray, ...]  # per layer, (fan_in, fan_out)
     biases: tuple[np.ndarray, ...]
+    kept: np.ndarray  # indices of the features the first layer reads, ascending
     input_mean: np.ndarray
     input_std: np.ndarray
 
@@ -45,7 +54,7 @@ class MlpWeights:
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.input_mean.size
 
     @property
     def out_dim(self) -> int:
@@ -62,14 +71,16 @@ class MlpWeights:
             arrays.append(flat[pos:pos + a.size].reshape(a.shape))
             pos += a.size
         k = len(self.weights)
-        return MlpWeights(tuple(arrays[:k]), tuple(arrays[k:]), self.input_mean, self.input_std)
+        return MlpWeights(tuple(arrays[:k]), tuple(arrays[k:]), self.kept,
+                          self.input_mean, self.input_std)
 
     def unpack(self, flat: np.ndarray) -> "MlpWeights":
         return self.view(np.array(flat, dtype=float))
 
 
 def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
-    """Fan-in-scaled uniform initialization; identity standardization until fit."""
+    """Fan-in-scaled uniform initialization; every feature kept and identity
+    standardization until fit."""
     rng = np.random.default_rng(seed)
     sizes = (in_dim,) + HIDDEN_SIZES + (n_sensors,)
     ws, bs = [], []
@@ -77,7 +88,7 @@ def init_mlp(in_dim: int, n_sensors: int, seed: int = 0) -> MlpWeights:
         bound = 1.0 / np.sqrt(fan_in)
         ws.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         bs.append(np.zeros(fan_out))
-    return MlpWeights(tuple(ws), tuple(bs), np.zeros(in_dim), np.ones(in_dim))
+    return MlpWeights(tuple(ws), tuple(bs), np.arange(in_dim), np.zeros(in_dim), np.ones(in_dim))
 
 
 def _stack_batch(w: MlpWeights, batch: list[TrainingSample]):
@@ -97,14 +108,18 @@ def _stack_batch(w: MlpWeights, batch: list[TrainingSample]):
 
 def fit_standardizer(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
     """Replace the standardization statistics with the batch's per-feature
-    mean and (floored) standard deviation."""
+    mean and (floored) standard deviation, and drop from the first layer
+    every kept feature that takes one value in all of the batch's rows. The
+    remaining rows keep their values; a dropped feature is not restored."""
     feats, _ = _stack_batch(w, batch)
-    return MlpWeights(w.weights, w.biases, feats.mean(axis=0),
-                      np.maximum(feats.std(axis=0), STD_FLOOR))
+    varies = feats.max(axis=0)[w.kept] != feats.min(axis=0)[w.kept]
+    return MlpWeights((w.weights[0][varies],) + w.weights[1:], w.biases, w.kept[varies],
+                      feats.mean(axis=0), np.maximum(feats.std(axis=0), STD_FLOOR))
 
 
 def _standardize(w: MlpWeights, feats: np.ndarray) -> np.ndarray:
-    return (feats - w.input_mean) / w.input_std
+    """The kept columns of feature rows (B, D), standardized."""
+    return (feats[:, w.kept] - w.input_mean[w.kept]) / w.input_std[w.kept]
 
 
 def _forward_cached(w: MlpWeights, h: np.ndarray) -> list[np.ndarray]:
@@ -184,13 +199,16 @@ def mlp_loss_l2(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
 def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
                    params: PenaltyParams) -> np.ndarray:
     """Gradient of mlp_loss_l2 with respect to the flow rates, backpropagated
-    to the raw flow-rate features."""
+    to the raw flow-rate features. The net's share of it is 0 for a flow
+    rate the net dropped; the hinge penalty's is not."""
     activations = _forward_one(w, x)
     m = x.flow_rates.size
 
     def mse_grad(residual: np.ndarray) -> np.ndarray:
         delta_in = _backprop(w, activations, (2.0 / residual.size * residual)[None, :])
-        return (delta_in[0] / w.input_std)[-m:]
+        full = np.zeros(w.in_dim)
+        full[w.kept] = delta_in[0] / w.input_std[w.kept]
+        return full[-m:]
 
     return search_grad(activations[-1][0], x, t_meas, params, mse_grad)
 

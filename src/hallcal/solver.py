@@ -22,6 +22,8 @@ power) would violate.
 
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,13 +292,20 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
     fileio.save_state(OperatingState(x.crac_setpoints, x.crac_fan_speeds, x.server_powers),
                       workdir / "state.json")
 
-    try:
-        proc = subprocess.run([*spec.command, str(workdir)], capture_output=True,
-                              text=True, timeout=spec.timeout_s)
-    except subprocess.TimeoutExpired as exc:
-        raise SolverTimeoutError(f"external solver exceeded {spec.timeout_s} s") from exc
+    # The child leads its own process group, so a timeout or an interrupt
+    # also kills what it started (an mpirun or a shell wrapper's solver).
+    with subprocess.Popen([*spec.command, str(workdir)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=spec.timeout_s)
+        except BaseException as exc:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise SolverTimeoutError(f"external solver exceeded {spec.timeout_s} s") from exc
+            raise
     if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else ""
+        tail = stderr.strip().splitlines()[-1] if stderr.strip() else ""
         raise CommandFailedError(f"external solver exited {proc.returncode}: {tail}")
 
     if not output_path.exists():

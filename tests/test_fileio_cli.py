@@ -616,6 +616,13 @@ class TestMainExitCodes:
                      "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
         assert code == 3
         assert "external solver exited 4" in capsys.readouterr().err
+        # it failed while seeding: a report with no iteration and no sensor table
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["result"]["iterations"] == 0 and report["result"]["best_mae_c"] is None
+        assert report["result"]["aborted"].startswith("solver failed during seeding")
+        assert (tmp_path / "r" / "traces.csv").read_text().count("\n") == 1
+        assert (tmp_path / "r" / "alpha_star.csv").exists()
+        assert not (tmp_path / "r" / "sensors.csv").exists()
 
     def test_non_positive_flow_rate_file_is_2(self, generated, tmp_path, capsys):
         out, paths = generated
@@ -646,7 +653,19 @@ class TestMainExitCodes:
                      "--measurements", str(paths["measurements"]),
                      "--iters", "5", "--out-dir", str(tmp_path / "r")])
         assert code == 3
-        assert "surrogate failed at iteration 3" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "calibration aborted: surrogate failed at iteration 3")
+        run = tmp_path / "r"
+        report = json.loads((run / "report.json").read_text())
+        assert report["result"]["iterations"] == 2 and report["result"]["n_solver_calls"] == 5
+        assert report["result"]["aborted"] == ("surrogate failed at iteration 3: "
+                                               "search objective is not finite")
+        with open(run / "traces.csv") as f:
+            traces = list(csv.DictReader(f))
+        assert [int(t["iteration"]) for t in traces] == [1, 2]
+        assert report["result"]["best_mae_c"] == min(float(t["validation_mae_c"]) for t in traces)
+        for name in ("timings.csv", "sensors.csv", "alpha_star.csv"):
+            assert (run / name).exists()
 
     def test_generate_and_solve_succeed(self, tmp_path):
         assert main(["generate", "--out-dir", str(tmp_path / "g"), "--seed", "1",

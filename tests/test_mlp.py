@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,8 @@ def make_input(rng):
 def test_zero_weights_output_equals_bias():
     w0 = init_mlp(IN_DIM, N, seed=0)
     bias = np.array([1.0, -2.0, 3.0, 0.5])
-    zeroed = MlpWeights(tuple(np.zeros_like(wi) for wi in w0.weights),
-                        tuple(np.zeros_like(b) for b in w0.biases[:-1]) + (bias,),
-                        w0.input_mean, w0.input_std)
+    zeroed = replace(w0, weights=tuple(np.zeros_like(wi) for wi in w0.weights),
+                     biases=tuple(np.zeros_like(b) for b in w0.biases[:-1]) + (bias,))
     out = mlp_forward(zeroed, make_input(np.random.default_rng(0)))
     np.testing.assert_array_equal(out, bias)
 
@@ -230,3 +231,91 @@ def test_batch_width_checked_against_net():
     for call in (lambda b: mlp_train(w, b, TrainConfig(epochs=2)), lambda b: mlp_loss_l1(w, b)):
         with pytest.raises(DimensionMismatchError, match="targets"):
             call(short)
+
+
+def fixed_state_batch(rng, size, constant_rates=()):
+    """Samples sharing one operating state, with the flow rates at the
+    indices in constant_rates also shared."""
+    x = make_input(rng)
+    batch = []
+    for _ in range(size):
+        alpha = rng.uniform(0.1, 1.0, M)
+        alpha[list(constant_rates)] = x.flow_rates[list(constant_rates)]
+        batch.append(TrainingSample(input=x.with_flow_rates(alpha), target=rng.uniform(18, 30, N)))
+    return batch
+
+
+def test_fixed_state_keeps_only_the_flow_rates(reference):
+    scenario, state = reference
+    layout = scenario.layout
+    rng = np.random.default_rng(13)
+    in_dim = 2 * layout.n_cracs + 2 * layout.n_servers
+    batch = [TrainingSample(input=state.to_input(rng.uniform(0.01, 3.0, layout.n_servers)),
+                            target=np.zeros(layout.n_sensors)) for _ in range(5)]
+    w0 = init_mlp(in_dim, layout.n_sensors, seed=0)
+    w = fit_standardizer(w0, batch)
+    np.testing.assert_array_equal(w.kept, np.arange(in_dim - layout.n_servers, in_dim))
+    assert w.in_dim == in_dim
+    assert w.n_trainable == 105022
+    assert np.array_equal(w.weights[0], w0.weights[0][w.kept])
+    assert w.weights[1:] == w0.weights[1:] and w.biases == w0.biases
+
+
+def test_dropped_feature_does_not_move_the_output():
+    rng = np.random.default_rng(14)
+    batch = fixed_state_batch(rng, 6, constant_rates=[2])
+    w = fit_standardizer(init_mlp(IN_DIM, N, seed=14), batch)
+    w = mlp_train(w, batch, TrainConfig(epochs=10, learning_rate=0.01))
+    assert w.kept.size == M - 1
+    x = make_input(rng)
+    alpha = x.flow_rates.copy()
+    alpha[2] *= 3.0
+    other = SystemInput(x.crac_setpoints + 5.0, x.crac_fan_speeds * 0.5, x.server_powers + 100.0,
+                        alpha)
+    assert np.array_equal(mlp_forward(w, x), mlp_forward(w, other))
+    bad = SystemInput(np.array([20.0]), np.array([0.5]), np.ones(M), np.full(M, 0.2))
+    with pytest.raises(DimensionMismatchError):
+        mlp_forward(w, bad)
+
+
+def test_grad_alpha_is_zero_for_a_flow_rate_constant_in_training():
+    rng = np.random.default_rng(15)
+    batch = fixed_state_batch(rng, 6, constant_rates=[1])
+    w = fit_standardizer(init_mlp(IN_DIM, N, seed=15), batch)
+    w = mlp_train(w, batch, TrainConfig(epochs=30, learning_rate=0.01))
+    params = PenaltyParams(lam=0.0)  # no hinge term, so only the net moves the loss
+    x = batch[0].input.with_flow_rates(rng.uniform(0.1, 1.0, M))
+    meas = mlp_forward(w, x) + rng.normal(0, 1, N)
+    g = mlp_grad_alpha(w, x, meas, params)
+    alpha = x.flow_rates
+    fd = np.zeros(M)
+    for j in range(M):
+        h = 1e-5 * alpha[j]
+        ap, am = alpha.copy(), alpha.copy()
+        ap[j] += h
+        am[j] -= h
+        fd[j] = (mlp_loss_l2(w, x.with_flow_rates(ap), meas, params)
+                 - mlp_loss_l2(w, x.with_flow_rates(am), meas, params)) / (2 * h)
+    np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-10)
+    assert g[1] == 0.0 and np.all(g[[0, 2, 3, 4]] != 0.0)
+
+
+def test_one_sample_batch_trains_the_biases_alone():
+    rng = np.random.default_rng(16)
+    sample = TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=16), [sample])
+    assert w0.kept.size == 0 and w0.weights[0].shape == (0, mlp.HIDDEN_SIZES[0])
+    trained = mlp_train(w0, [sample], TrainConfig(epochs=50, learning_rate=0.01))
+    assert mlp_loss_l1(trained, [sample]) < mlp_loss_l1(w0, [sample])
+    out = mlp_forward(trained, make_input(rng))
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, mlp_forward(trained, sample.input))
+
+
+def test_refit_never_restores_a_dropped_feature():
+    rng = np.random.default_rng(17)
+    first = fixed_state_batch(rng, 4, constant_rates=[0, 3])
+    w1 = fit_standardizer(init_mlp(IN_DIM, N, seed=17), first)
+    w2 = fit_standardizer(w1, fixed_state_batch(rng, 4, constant_rates=[3]) + first)
+    np.testing.assert_array_equal(w2.kept, IN_DIM - M + np.array([1, 2, 4]))
+    np.testing.assert_array_equal(w2.weights[0], w1.weights[0])

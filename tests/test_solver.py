@@ -1,4 +1,8 @@
+import os
+import signal
+import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,6 +299,40 @@ class TestExternalSolve:
                                   workdir=tmp_path, timeout_s=0.5)
         with pytest.raises(SolverTimeoutError):
             external_solve(spec, self.make_input([0.2]), ["s1"])
+
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_timeout_or_interrupt_kills_the_grandchildren(self, tmp_path, monkeypatch,
+                                                          interrupted):
+        # a shell wrapper that starts the real solver, detached from the
+        # captured pipes, and waits for it
+        wrapper = 'sleep 60 > /dev/null 2>&1 & echo $! > "$0/grandchild.pid"; wait'
+        pid_file = tmp_path / "grandchild.pid"
+        spec = ExternalSolverSpec(command=("sh", "-c", wrapper), workdir=tmp_path,
+                                  timeout_s=0.5)
+
+        def interrupt(proc, timeout=None):  # Ctrl-C once the grandchild runs
+            deadline = time.monotonic() + 5.0
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        if interrupted:
+            monkeypatch.setattr(subprocess.Popen, "communicate", interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt if interrupted else SolverTimeoutError):
+                external_solve(spec, self.make_input([0.2]), ["s1"])
+            try:
+                stat = Path(f"/proc/{int(pid_file.read_text())}/stat").read_text()
+            except FileNotFoundError:  # killed and reaped
+                stat = None
+            assert stat is None or stat.rsplit(")", 1)[1].split()[0] == "Z"
+        finally:
+            if pid_file.exists():
+                try:
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_counted_solver_orders_by_sensor_id(self, tmp_path):
         layout = one_server_layout()
