@@ -129,9 +129,11 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_csv(out_dir / "traces.csv",
                      ["iteration", "validation_mae_c", "mean_l2", "mean_grad_mag",
-                      "de_l2", "search_residual", "solver_calls", "dataset_size"],
+                      "de_l2", "search_residual", "search_evals", "final_l2", "solver_calls",
+                      "dataset_size"],
                      [[t.iteration, t.validation_mae, t.mean_l2, t.mean_grad_mag,
-                       t.de_l2, t.search_residual, t.solver_calls, t.dataset_size]
+                       t.de_l2, t.search_residual, t.search_evals, t.final_l2, t.solver_calls,
+                       t.dataset_size]
                       for t in result.traces])
     fileio.write_csv(out_dir / "timings.csv", ["iteration", "wall_time_s"],
                      [[t.iteration, t.wall_time_s] for t in result.traces])
@@ -153,6 +155,8 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
             "iterations": len(result.traces),
         },
     }
+    if result.es_adaptations is not None:
+        report["result"]["es_adaptations"] = result.es_adaptations
     if aborted is not None:
         report["result"]["aborted"] = aborted
     fileio._dump_json(report, out_dir / "report.json")
@@ -214,15 +218,17 @@ def run_calibration(method, solver, measurements, state, layout,
         return value
 
     x0 = np.full(layout.n_servers, calib.bounds.midpoint)
-    cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
+    res = cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
     alpha_star, temps, best_mae = best
     traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
                              mean_grad_mag=float("nan"), de_l2=None, search_residual=None,
+                             search_evals=None, final_l2=None,
                              solver_calls=i + 1, dataset_size=0, wall_time_s=t)
               for i, (v, t) in enumerate(zip(maes, eval_times))]
     return CalibrationResult(alpha_star=alpha_star, best_mae=best_mae,
                              best_solver_temps=temps, traces=traces,
-                             n_solver_calls=solver.n_calls)
+                             n_solver_calls=solver.n_calls,
+                             es_adaptations=len(res.adaptations))
 
 
 def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None) -> np.ndarray:

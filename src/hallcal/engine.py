@@ -244,6 +244,8 @@ class IterationTrace:
     mean_grad_mag: float
     de_l2: Optional[float]
     search_residual: Optional[float]
+    search_evals: Optional[int]  # the search's n_evals
+    final_l2: Optional[float]  # the loss where the search ended
     solver_calls: int
     dataset_size: int
     wall_time_s: float
@@ -256,6 +258,7 @@ class CalibrationResult:
     best_solver_temps: Optional[np.ndarray]
     traces: list[IterationTrace]
     n_solver_calls: int
+    es_adaptations: Optional[int] = None  # the heuristic's step-size adaptations
 
     @property
     def dataset_sizes(self) -> list[int]:
@@ -336,6 +339,8 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             mean_grad_mag=float(np.mean(res.grad_norms)),
             de_l2=res.de_fun,
             search_residual=res.residual,
+            search_evals=res.n_evals,
+            final_l2=res.fun,
             solver_calls=solver.n_calls,
             dataset_size=len(dataset),
             wall_time_s=time.perf_counter() - t0,

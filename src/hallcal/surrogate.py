@@ -12,9 +12,10 @@ Cold-aisle sensors see only the cooling block; hot-aisle sensors see both.
 The trainable weights are the 4n per-sensor linear coefficients; the
 adjacency matrices stay fixed, so the model is linear in its weights and
 fit_weights fits them in closed form, and with the weights frozen it is
-affine in 1/alpha, so convex_search finds the best flow rates exactly (a
-variant that trains the adjacency too, by Adam, lives at the bottom, used
-by the data-volume study).
+affine in 1/alpha, so convex_search finds the best flow rates exactly, by
+FISTA finished with a least-squares projection (a variant that trains the
+adjacency too, by Adam, lives at the bottom, used by the data-volume
+study).
 
 The heating block's physical anchor is the per-watt air stream: a server
 moving alpha cfm/W heats its air by kappa / alpha degC, with kappa set by
@@ -364,7 +365,8 @@ def hinge_box_prox(v: np.ndarray, k_lo: float, k_hi: float, s: np.ndarray,
 
 def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
                   t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds) -> SearchResult:
-    """The minimum of loss_l2 over the flow-rate box, by FISTA in u = 1/alpha.
+    """The minimum of loss_l2 over the flow-rate box, by FISTA in u = 1/alpha,
+    finished by one exact least-squares projection.
 
     With the weights frozen the residual pred - t_meas is affine in u,
     A u + r0 with A[k, j] = hot_k c_k P_j w_ss[j, k] and
@@ -384,6 +386,16 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     returned iterate, reported as `residual`, is no larger. `losses` and
     `grad_norms` hold loss_l2 and the mean |d loss_l2 / d alpha| at every
     iterate, the start included.
+
+    Strictly inside the hinge band and the box only the quadratic is
+    active, and from there every FISTA update lies in range(A^T), so the
+    path converges to the projection of u onto the least-squares
+    minimisers, q = u - A^T (A A^T)^+ (A u + r0). The search tries q, from
+    the eigendecomposition of A A^T that gives L, before its first step
+    and after every step that ends strictly inside band and box. It
+    accepts q, as its last iterate, only when q passes the stop test
+    |q - T(q)| < SEARCH_TOL t; otherwise it keeps stepping. On the
+    reference hall most warm-started searches end at q with no step.
     """
     _, x_cold, _ = _features(priors.w_cs, priors.w_ss, x)
     n = priors.n_sensors
@@ -392,13 +404,18 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     A = (powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T  # (n, m)
     if not np.all(np.isfinite(A)):  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
-    L = 2.0 / n * np.linalg.eigvalsh(A.dot(A.T))[-1]
+    eig, vec = np.linalg.eigh(A.dot(A.T))
+    L = 2.0 / n * eig[-1]
     t = 1.0 / L if L > 0.0 else 1.0  # with A = 0 only the hinge moves u, at any step
     gA = 2.0 * t / n * A  # the forward step y - t grad(y) is y - (A y) gA - r0 gA
     c = r0.dot(gA)
     k_lo, k_hi = params.dt_low / params.kappa, params.dt_high / params.kappa
     s = t * params.lam / n * params.kappa * powers
     u_lo, u_hi = 1.0 / bounds.upper, 1.0 / bounds.lower
+    inner_lo, inner_hi = max(k_lo, u_lo), min(k_hi, u_hi)  # band and box
+    # the pseudo-inverse's range: cold sensors give A zero rows, so A A^T is singular
+    rank = eig > n * np.finfo(float).eps * eig[-1]
+    eig, vec = eig[rank], vec[:, rank]
 
     def step(y: np.ndarray) -> np.ndarray:
         v = y - A.dot(y).dot(gA)
@@ -406,16 +423,29 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         return hinge_box_prox(v, k_lo, k_hi, s, u_lo, u_hi, out=v)
 
     stop = (SEARCH_TOL * t) ** 2  # |y - T(y)|^2 at the stationarity tolerance
+
+    def projection(u: np.ndarray) -> Optional[np.ndarray]:
+        """u's projection onto the least-squares minimisers, if it passes
+        the stop test; strict, so NaN and SEARCH_TOL = 0 never pass."""
+        q = u - (vec.dot((A.dot(u) + r0).dot(vec) / eig)).dot(A)
+        gap = q - step(q)
+        return q if gap.dot(gap) < stop else None
+
     u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
     iterates = [u]
+    q = projection(u)
     y, theta = u.copy(), 1.0
     gap, move = np.empty_like(u), np.empty_like(u)
-    for _ in range(SEARCH_MAX_STEPS):
+    for _ in range(0 if q is not None else SEARCH_MAX_STEPS):
         u_next = step(y)
         iterates.append(u_next)
         np.subtract(y, u_next, out=gap)
         if not gap.dot(gap) >= stop:  # NaN stops too
             break
+        if inner_lo < u_next.min() and u_next.max() < inner_hi:
+            q = projection(u_next)
+            if q is not None:
+                break
         np.subtract(u_next, u, out=move)
         if gap.dot(move) > 0.0:  # momentum points uphill: restart it
             theta = 1.0
@@ -423,6 +453,8 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         np.multiply(move, (theta - 1.0) / theta_next, out=y)
         y += u_next
         u, theta = u_next, theta_next
+    if q is not None:
+        iterates.append(q)
     u = iterates[-1]
 
     # loss_l2 and its flow-rate gradient at every iterate, in one batch

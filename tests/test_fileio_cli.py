@@ -395,6 +395,35 @@ class TestCalibrateCommand:
         rows = list(csv.DictReader((tmp_path / "default" / "traces.csv").read_text().splitlines()))
         assert all(r["de_l2"] and not r["search_residual"] for r in rows)
 
+    def test_traces_record_where_each_search_ended(self, tmp_path, monkeypatch):
+        # mean_l2 averages every point a search visited, the warm start too;
+        # search_evals and final_l2 are the search's own count and end loss
+        paths = cmd_generate(tmp_path / "case", seed=7)
+        found = []
+        search = KnowledgeSurrogateModel.search
+        monkeypatch.setattr(KnowledgeSurrogateModel, "search",
+                            lambda self, *args: found.append(search(self, *args)) or found[-1])
+        cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                      paths["measurements"], tmp_path / "run", iters=15, seed=7)
+        rows = list(csv.DictReader((tmp_path / "run" / "traces.csv").read_text().splitlines()))
+        assert len(rows) == len(found) == 15
+        for row, res in zip(rows, found):
+            assert int(row["search_evals"]) == res.n_evals
+            assert float(row["final_l2"]) == res.fun
+        assert float(rows[0]["final_l2"]) < float(rows[0]["mean_l2"])
+
+    @pytest.mark.parametrize("iters, adaptations", [(15, 0), (97, 4)])
+    def test_heuristic_reports_its_step_adaptations(self, generated, tmp_path, iters, adaptations):
+        # the 1/5 rule adapts every ES_ADAPT_EVERY = 20 mutations; a budget
+        # of 3 + iters solves makes 2 + iters of them
+        out, paths = generated
+        report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                               paths["measurements"], tmp_path / "run", iters=iters, seed=1,
+                               method="heuristic")
+        assert report["result"]["es_adaptations"] == adaptations
+        rows = list(csv.DictReader((tmp_path / "run" / "traces.csv").read_text().splitlines()))
+        assert all(r["search_evals"] == r["final_l2"] == "" for r in rows)
+
     def test_heuristic_traces_each_solves_own_mae(self, tmp_path, monkeypatch):
         # on reference seed 0: validation_mae_c is each solve's MAE, not the running best
         paths = cmd_generate(tmp_path / "case", seed=0)

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallcal import surrogate
-from hallcal.engine import SEARCH_BOUNDS, CalibConfig, _penalty_feasible_band, init_samples
+from hallcal.engine import (
+    SEARCH_BOUNDS,
+    CalibConfig,
+    KnowledgeSurrogateModel,
+    _penalty_feasible_band,
+    calibrate,
+    init_samples,
+)
 from hallcal.errors import (
     DimensionMismatchError,
     EmptyBatchError,
@@ -435,6 +442,62 @@ class TestConvexSearch:
             long = self.search(case, x0)
             assert long.n_evals == 3001
             assert abs(res.fun - long.fun) <= 1e-9 * long.fun
+
+    def projection(self, case, alpha):
+        """1/alpha projected onto the least-squares minimisers, u - A^+ (A u + r0),
+        with A u + r0 the surrogate's residual at alpha."""
+        w, priors, state, meas = case
+        A = (state.server_powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T
+        residual = forward(w, priors, state.to_input(alpha)) - meas
+        return 1.0 / alpha - np.linalg.lstsq(A, residual, rcond=None)[0]
+
+    def in_band_and_box(self, alpha, bounds=SEARCH_BOUNDS):
+        rise = self.params.kappa / alpha
+        return bounds.contains(alpha) and np.all((self.params.dt_low <= rise)
+                                                 & (rise <= self.params.dt_high))
+
+    def test_most_warm_started_searches_end_at_the_projection(self):
+        # FISTA alone takes about 50 steps per search here; an accepted projection
+        # at the start makes the search two points, the start and the projection
+        evals = []
+        for seed in range(5):
+            scenario, state = make_reference_scenario(seed=seed)
+            cfg = CalibConfig(seed=seed, max_iterations=15)
+            model = KnowledgeSurrogateModel(build_adjacency(scenario.layout), cfg.penalty)
+            result = calibrate(ZonalSolver(scenario), model,
+                               synthesize_measurements(scenario, state), state,
+                               scenario.layout, cfg)
+            evals += [t.search_evals for t in result.traces[1:]]
+        assert len(evals) == 70
+        assert 2 * evals.count(2) >= len(evals)
+
+    def test_accepted_projection_is_the_fista_optimum(self, frozen_cases, monkeypatch):
+        # started at an optimum, the search accepts the projection of its start
+        found = []
+        for case in frozen_cases:
+            start = self.search(case, np.full(case[2].server_powers.size, 0.2)).x
+            res = self.search(case, start)
+            assert res.n_evals == 2
+            np.testing.assert_allclose(1.0 / res.x, self.projection(case, start), rtol=1e-12)
+            assert self.in_band_and_box(res.x)
+            assert res.residual <= SEARCH_TOL
+            found.append((start, res))
+        monkeypatch.setattr(surrogate, "SEARCH_MAX_STEPS", 3000)
+        monkeypatch.setattr(surrogate, "SEARCH_TOL", 0.0)  # no projection passes
+        for case, (start, res) in zip(frozen_cases, found):
+            long = self.search(case, start)
+            assert long.n_evals == 3001
+            assert abs(res.fun - long.fun) <= 1e-9 * long.fun
+
+    def test_start_projecting_outside_the_band_takes_fista_steps(self, frozen_cases):
+        start = np.full(frozen_cases[0][2].server_powers.size, SEARCH_BOUNDS.midpoint)
+        leaving = [case for case in frozen_cases
+                   if not self.in_band_and_box(1.0 / self.projection(case, start))]
+        assert leaving
+        for case in leaving:
+            res = self.search(case, start)
+            assert res.n_evals > 2
+            assert res.residual <= SEARCH_TOL
 
     def test_result_is_certified_and_scored_by_loss_l2(self, frozen_cases):
         for case in frozen_cases:
