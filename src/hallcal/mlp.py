@@ -13,6 +13,10 @@ for the features that vary. With the operating state fixed, as in a
 calibration run and in the data-volume study, that drops the CRAC
 setpoints, fan speeds and server powers. The net then ignores a dropped
 feature, and its gradient with respect to one is zero.
+
+Training runs in float32 (see mlp_train) and returns float32-exact
+weights as float64 arrays; the forward pass, the losses and both
+gradients that the search and the checks read run in float64.
 """
 
 from __future__ import annotations
@@ -217,6 +221,14 @@ def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig)
     """Full-batch Adam on the squared-error loss with hyper's staged decay;
     returns the weights with the lowest observed loss.
 
+    Training runs in single precision (Micikevicius et al. 2018): the
+    standardized features, the targets, the parameters and the gradient
+    are cast to float32 once, and the forward pass, backward pass and Adam
+    update all run at that width, which halves the data each epoch moves.
+    The returned layers are the float32 result widened to float64, which
+    is exact, so every other function here reads them in double precision,
+    and a warm-started refit casts them back down without loss.
+
     The features are standardized once. Each epoch reads the layers as
     views into Adam's parameter vector and writes the gradient into one
     flat buffer, so no epoch copies, packs or unpacks a parameter.
@@ -224,11 +236,12 @@ def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig)
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     feats, targets = _stack_batch(w0, dataset)
-    h = _standardize(w0, feats)
-    grad_flat = np.empty(w0.n_trainable)
+    h = _standardize(w0, feats).astype(np.float32)
+    targets = targets.astype(np.float32)
+    grad_flat = np.empty(w0.n_trainable, dtype=np.float32)
     grad = w0.view(grad_flat)
 
     def loss_and_grad(params: np.ndarray):
         return _loss_into(w0.view(params), h, targets, grad), grad_flat
 
-    return w0.view(adam_fit(w0.pack(), loss_and_grad, hyper))
+    return w0.view(adam_fit(w0.pack().astype(np.float32), loss_and_grad, hyper).astype(float))

@@ -161,9 +161,10 @@ def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[flo
     may return the same gradient buffer every time: each gradient is used
     up before the next call. Returns a new array holding the parameters
     with the lowest observed loss, equal to `params` when no epoch improves
-    on it; `params` itself is left unchanged.
+    on it; `params` itself is left unchanged. The work vectors, moments and
+    result keep `params`' dtype, so float32 parameters train in float32.
     """
-    params = np.array(params, dtype=float)
+    params = np.array(params)
     best_params = params.copy()
     m, v = np.zeros_like(params), np.zeros_like(params)
     scratch, step_buf = np.empty_like(params), np.empty_like(params)

@@ -5,7 +5,9 @@ A pool of solver samples at uniform-random flow rates is split 8:2 into
 train and test sets; the knowledge surrogate (adjacency fixed, fitted in
 closed form), the knowledge surrogate with trainable adjacency, and the
 vanilla MLP (both trained by Adam) are each fitted on growing fractions of
-the train set and scored by test MAE against the solver outputs.
+the train set and scored by test MAE against the solver outputs. Each fit
+starts cold. The MLP trains in float32 and the trainable-adjacency model
+in float64; all three are scored in float64.
 """
 
 from __future__ import annotations

@@ -465,7 +465,10 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     grads = (-2.0 / n * us ** 2 * (residuals @ A)
              + params.lam / n * _penalty_grad(alphas, powers, params))
     alpha = bounds.clip(1.0 / u)
-    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params)
+    _check_alpha(alpha)
+    x_hot = ((powers / alpha)[:, None] * priors.w_ss).sum(axis=0)  # _features' order, same bits
+    fun = search_loss(_predict(w, priors.hot_mask, x_cold, x_hot), x.with_flow_rates(alpha),
+                      t_meas, params)
     if not (np.isfinite(fun) and np.all(np.isfinite(losses))):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=len(iterates), losses=losses.tolist(),

@@ -259,6 +259,30 @@ class TestKnowledgeModelFit:
             KnowledgeSurrogateModel(priors, model.penalty).fit([])
 
 
+class TestVanillaModelFit:
+    def test_warm_started_refit_is_deterministic(self, small_case):
+        scenario, state, _ = small_case
+        solver = ZonalSolver(scenario)
+        rng = np.random.default_rng(0)
+        samples = []
+        for _ in range(5):
+            x = state.to_input(rng.uniform(0.01, 3.0, scenario.layout.n_servers))
+            samples.append(TrainingSample(input=x, target=solver.solve(x)))
+        train = TrainConfig(epochs=20, learning_rate=0.01)
+        fits = []
+        for _ in range(2):
+            model = VanillaSurrogateModel(scenario.layout, PenaltyParams(), train, seed=0)
+            model.fit(samples[:3])
+            first = model.weights.pack()
+            model.fit(samples)  # warm-started from the first fit's weights
+            fits.append((first, model.weights.pack()))
+        (first, refit), (first_again, refit_again) = fits
+        assert np.array_equal(first, first_again) and np.array_equal(refit, refit_again)
+        assert not np.array_equal(first, refit)
+        for flat in (first, refit):
+            assert np.array_equal(flat.astype(np.float32).astype(np.float64), flat)
+
+
 class FailingSolver(ThermalSolver):
     """Delegates to a zonal solver, then starts failing after a set number
     of successful calls."""

@@ -17,7 +17,7 @@ from hallcal.mlp import (
     mlp_loss_l2,
     mlp_train,
 )
-from hallcal.optim import AdamState, TrainConfig, adam_step
+from hallcal.optim import TrainConfig, _adam_update, adam_fit
 from hallcal.surrogate import PenaltyParams, TrainingSample
 
 L, M, N = 2, 5, 4
@@ -129,24 +129,38 @@ def test_search_objective_rejects_wrong_measurement_length():
             objective(w, x, np.array([25.0]), PenaltyParams())
 
 
+def float32_loss_and_grad(w: MlpWeights, batch):
+    """mlp_loss_l1 and the flat mlp_grad_weights of a net whose layers are
+    float32, evaluated afresh at the width mlp_train trains in: the
+    standardized features and the targets cast to float32 once."""
+    feats, targets = mlp._stack_batch(w, batch)
+    h = mlp._standardize(w, feats).astype(np.float32)
+    grad = w.view(np.empty(w.n_trainable, dtype=np.float32))
+    loss = mlp._loss_into(w, h, targets.astype(np.float32), grad)
+    return loss, grad.pack()
+
+
 def test_train_equals_plain_adam_loop():
-    """mlp_train against mlp_loss_l1 and mlp_grad_weights evaluated afresh
-    each epoch, with a decay stage inside the run."""
+    """mlp_train against a float32 loss and gradient evaluated afresh each
+    epoch and an out-of-place float32 Adam update, with a decay stage
+    inside the run."""
     rng = np.random.default_rng(8)
     batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
              for _ in range(5)]
     w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=8), batch)
     hyper = TrainConfig(epochs=12, learning_rate=0.01, decay_every=5)
-    params = w0.pack()
-    best_params, best_loss = params.copy(), mlp_loss_l1(w0, batch)
-    state = AdamState.init(params.size, hyper.learning_rate)
+    params = w0.pack().astype(np.float32)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    best_loss, g = float32_loss_and_grad(w0.view(params.copy()), batch)
+    best_params = params.copy()
     for epoch in range(hyper.epochs):
-        g = mlp_grad_weights(w0.unpack(params), batch)
-        state.learning_rate = hyper.lr_at(epoch)
-        state, params = adam_step(state, params, g.pack())
-        loss = mlp_loss_l1(w0.unpack(params), batch)
+        m, v, params = m.copy(), v.copy(), params.copy()
+        _adam_update(m, v, params, g, epoch + 1, hyper.lr_at(epoch),
+                     np.empty_like(params), np.empty_like(params))
+        loss, g = float32_loss_and_grad(w0.view(params.copy()), batch)
         if loss < best_loss:
             best_loss, best_params = loss, params.copy()
+    assert params.dtype == np.float32 and not np.array_equal(best_params, w0.pack())
     assert np.array_equal(mlp_train(w0, batch, hyper).pack(), best_params)
 
 
@@ -171,7 +185,8 @@ def test_train_leaves_w0_unchanged_and_results_independent():
 
 def test_grad_weights_equals_training_gradient(monkeypatch):
     """The gradient mlp_train feeds Adam, read at two points through the
-    closure's reused buffer, is mlp_grad_weights bit for bit."""
+    closure's reused buffer, is the float32 reference bit for bit and
+    mlp_grad_weights to single precision."""
     rng = np.random.default_rng(10)
     batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
              for _ in range(5)]
@@ -190,9 +205,13 @@ def test_grad_weights_equals_training_gradient(monkeypatch):
     mlp_train(w0, batch, TrainConfig())
     assert len(captured) == 2 and not np.array_equal(captured[0][2], captured[1][2])
     for p, loss, grad in captured:
-        w = w0.unpack(p)
-        assert np.array_equal(grad, mlp_grad_weights(w, batch).pack())
-        assert loss == mlp_loss_l1(w, batch)
+        assert p.dtype == np.float32 and grad.dtype == np.float32
+        want_loss, want_grad = float32_loss_and_grad(w0.view(p.copy()), batch)
+        assert np.array_equal(grad, want_grad)
+        assert loss == want_loss
+        g64 = mlp_grad_weights(w0.unpack(p), batch).pack()
+        assert np.linalg.norm(grad - g64) <= 1e-5 * np.linalg.norm(g64)
+        assert loss == pytest.approx(mlp_loss_l1(w0.unpack(p), batch), rel=1e-5)
 
 
 def test_grad_weights_matches_finite_differences():
@@ -319,3 +338,40 @@ def test_refit_never_restores_a_dropped_feature():
     w2 = fit_standardizer(w1, fixed_state_batch(rng, 4, constant_rates=[3]) + first)
     np.testing.assert_array_equal(w2.kept, IN_DIM - M + np.array([1, 2, 4]))
     np.testing.assert_array_equal(w2.weights[0], w1.weights[0])
+
+
+def float64_train(w0: MlpWeights, batch, hyper: TrainConfig) -> MlpWeights:
+    """mlp_train's loop at float64 throughout, as a reference."""
+    feats, targets = mlp._stack_batch(w0, batch)
+    h = mlp._standardize(w0, feats)
+    grad_flat = np.empty(w0.n_trainable)
+    grad = w0.view(grad_flat)
+
+    def loss_and_grad(params):
+        return mlp._loss_into(w0.view(params), h, targets, grad), grad_flat
+
+    return w0.view(adam_fit(w0.pack(), loss_and_grad, hyper))
+
+
+def test_float32_training_ends_near_float64_training():
+    rng = np.random.default_rng(18)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(8)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=18), batch)
+    hyper = TrainConfig(learning_rate=0.01)
+    single = mlp_loss_l1(mlp_train(w0, batch, hyper), batch)
+    double = mlp_loss_l1(float64_train(w0, batch, hyper), batch)
+    assert single < 1e-2 * mlp_loss_l1(w0, batch)
+    assert single == pytest.approx(double, rel=1e-3)
+
+
+def test_train_returns_float64_layers_exact_in_float32():
+    rng = np.random.default_rng(19)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(4)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=19), batch)
+    trained = mlp_train(w0, batch, TrainConfig(epochs=10, learning_rate=0.01))
+    for a in _arrays(trained):
+        assert a.dtype == np.float64
+        assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+    assert trained.input_mean is w0.input_mean and trained.input_std is w0.input_std

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hallcal import optim
 from hallcal.errors import DimensionMismatchError, ObjectiveNonFiniteError
 from hallcal.optim import (
     AdamConfig,
@@ -8,6 +9,7 @@ from hallcal.optim import (
     Bounds,
     DeConfig,
     TrainConfig,
+    _adam_update,
     adam_fit,
     adam_search,
     adam_step,
@@ -138,6 +140,38 @@ class TestAdamKernel:
             assert np.array_equal(got, want)
         assert np.array_equal(best, expected[int(np.argmin(losses))])
         assert np.array_equal(caller_params, params0)
+
+    def test_adam_fit_keeps_float32(self, monkeypatch):
+        """float32 parameters give float32 moments and a float32 result,
+        equal to a plain float32 _adam_update loop."""
+        rng = np.random.default_rng(3)
+        params0 = rng.standard_normal(257).astype(np.float32)
+        grads = random_gradients(rng, self.HYPER.epochs + 1, params0.size).astype(np.float32)
+        losses = rng.random(self.HYPER.epochs + 1)
+        seen, kernel_dtypes = [], set()
+
+        def loss_and_grad(p):
+            seen.append(p.copy())
+            return losses[len(seen) - 1], grads[len(seen) - 1]
+
+        def recorded_update(*arrays_and_settings):
+            kernel_dtypes.update(a.dtype for a in arrays_and_settings if isinstance(a, np.ndarray))
+            _adam_update(*arrays_and_settings)
+
+        monkeypatch.setattr(optim, "_adam_update", recorded_update)
+        best = adam_fit(params0, loss_and_grad, self.HYPER)
+        assert best.dtype == np.float32 and kernel_dtypes == {np.dtype(np.float32)}
+        params = params0.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        expected = [params0.copy()]
+        for epoch in range(self.HYPER.epochs):
+            _adam_update(m, v, params, grads[epoch], epoch + 1, self.HYPER.lr_at(epoch),
+                         np.empty_like(params), np.empty_like(params))
+            expected.append(params.copy())
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(best, expected[int(np.argmin(losses))])
 
     def test_adam_fit_returns_input_values_when_no_epoch_improves(self):
         rng = np.random.default_rng(2)
