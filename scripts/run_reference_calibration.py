@@ -20,11 +20,11 @@ def main(argv=None):
     result = run_calibration(METHOD_KALIBRE, ZonalSolver(scenario), measurements, state,
                              scenario.layout, settings)
 
-    print(f"{'iter':>4} {'val MAE':>9} {'mean L2':>12} {'mean |g|':>10} "
+    print(f"{'iter':>4} {'val MAE':>9} {'evals':>6} {'final L2':>12} {'residual':>10} "
           f"{'solver calls':>12} {'dataset':>8}")
     for t in result.traces:
-        print(f"{t.iteration:>4} {t.validation_mae:>9.4f} {t.mean_l2:>12.4f} "
-              f"{t.mean_grad_mag:>10.4f} {t.solver_calls:>12} {t.dataset_size:>8}")
+        print(f"{t.iteration:>4} {t.validation_mae:>9.4f} {t.search_evals:>6} {t.final_l2:>12.4g} "
+              f"{t.search_residual:>10.2e} {t.solver_calls:>12} {t.dataset_size:>8}")
     print(f"\nbest MAE {result.best_mae:.4f} degC "
           f"in {result.n_solver_calls} solver calls")
 

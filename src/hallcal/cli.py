@@ -12,7 +12,7 @@ import argparse
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -127,16 +127,11 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     it finished, its reason under result.aborted, and sensors.csv only if
     some iteration validated."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_csv(out_dir / "traces.csv",
-                     ["iteration", "validation_mae_c", "mean_l2", "mean_grad_mag",
-                      "de_l2", "search_residual", "search_evals", "final_l2", "solver_calls",
-                      "dataset_size"],
-                     [[t.iteration, t.validation_mae, t.mean_l2, t.mean_grad_mag,
-                       t.de_l2, t.search_residual, t.search_evals, t.final_l2, t.solver_calls,
-                       t.dataset_size]
-                      for t in result.traces])
-    fileio.write_csv(out_dir / "timings.csv", ["iteration", "wall_time_s"],
-                     [[t.iteration, t.wall_time_s] for t in result.traces])
+    traced = [f.name for f in fields(IterationTrace) if f.name != "wall_time_s"]
+    for name, columns in (("traces.csv", traced), ("timings.csv", ["iteration", "wall_time_s"])):
+        fileio.write_csv(out_dir / name,
+                         [{"validation_mae": "validation_mae_c"}.get(c, c) for c in columns],
+                         [[getattr(t, c) for c in columns] for t in result.traces])
     predicted = result.best_solver_temps
     if predicted is not None:
         fileio.write_csv(out_dir / "sensors.csv",
@@ -220,8 +215,8 @@ def run_calibration(method, solver, measurements, state, layout,
     x0 = np.full(layout.n_servers, calib.bounds.midpoint)
     res = cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
     alpha_star, temps, best_mae = best
-    traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=float("nan"),
-                             mean_grad_mag=float("nan"), de_l2=None, search_residual=None,
+    traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=None,
+                             mean_grad_mag=None, de_l2=None, search_residual=None,
                              search_evals=None, final_l2=None,
                              solver_calls=i + 1, dataset_size=0, wall_time_s=t)
               for i, (v, t) in enumerate(zip(maes, eval_times))]

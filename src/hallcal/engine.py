@@ -240,8 +240,8 @@ class CalibConfig:
 class IterationTrace:
     iteration: int
     validation_mae: float
-    mean_l2: float
-    mean_grad_mag: float
+    mean_l2: Optional[float]  # mean per-step loss of a gradient stage; None on other searches
+    mean_grad_mag: Optional[float]
     de_l2: Optional[float]
     search_residual: Optional[float]
     search_evals: Optional[int]  # the search's n_evals
@@ -335,8 +335,8 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
         traces.append(IterationTrace(
             iteration=it,
             validation_mae=val,
-            mean_l2=float(np.mean(res.losses)),
-            mean_grad_mag=float(np.mean(res.grad_norms)),
+            mean_l2=None if res.losses is None else float(np.mean(res.losses)),
+            mean_grad_mag=None if res.grad_norms is None else float(np.mean(res.grad_norms)),
             de_l2=res.de_fun,
             search_residual=res.residual,
             search_evals=res.n_evals,

@@ -103,20 +103,6 @@ class TrainConfig:
         return self.learning_rate * self.decay ** (epoch // self.decay_every)
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators of one Adam-driven parameter vector."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    learning_rate: float = 1e-3
-
-    @classmethod
-    def init(cls, size: int, learning_rate: float) -> "AdamState":
-        return cls(m=np.zeros(size), v=np.zeros(size), step=0, learning_rate=learning_rate)
-
-
 def _adam_update(m: np.ndarray, v: np.ndarray, params: np.ndarray, grad: np.ndarray,
                  step: int, learning_rate: float, scratch: np.ndarray, step_buf: np.ndarray) -> None:
     """Adam update number `step` (1-based), in place on m, v and params.
@@ -138,18 +124,6 @@ def _adam_update(m: np.ndarray, v: np.ndarray, params: np.ndarray, grad: np.ndar
     scratch += ADAM_EPS
     step_buf /= scratch
     params -= step_buf
-
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns new state and parameters."""
-    if params.shape != grad.shape or params.shape != state.m.shape:
-        raise DimensionMismatchError("params, grad and moments must share a shape")
-    t = state.step + 1
-    m, v = np.array(state.m, dtype=float), np.array(state.v, dtype=float)
-    new_params = np.array(params, dtype=float)
-    _adam_update(m, v, new_params, grad, t, state.learning_rate,
-                 np.empty_like(new_params), np.empty_like(new_params))
-    return AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate), new_params
 
 
 def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -266,19 +240,24 @@ def adam_search(objective: Callable[[np.ndarray], float],
     """Projected Adam descent: clip back into the box after every step.
 
     Returns the best evaluated point; records per-step loss and mean
-    absolute gradient for the convergence traces.
+    absolute gradient for the convergence traces. The steps run
+    _adam_update in place on one work vector, so the objective and the
+    gradient must not keep the array they are passed.
     """
     obj = _Counted(objective)
     params = bounds.clip(np.asarray(x0, dtype=float))
-    state = AdamState.init(params.size, cfg.learning_rate)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    scratch, step_buf = np.empty_like(params), np.empty_like(params)
     losses: list[float] = []
     grad_norms: list[float] = []
-    for _ in range(cfg.steps):
+    for step in range(1, cfg.steps + 1):
         losses.append(obj(params))
         g = gradient(params)
+        if g.shape != params.shape:
+            raise DimensionMismatchError(f"gradient shape {g.shape} is not x0's {params.shape}")
         grad_norms.append(float(np.mean(np.abs(g))))
-        state, params = adam_step(state, params, g)
-        params = bounds.clip(params)
+        _adam_update(m, v, params, g, step, cfg.learning_rate, scratch, step_buf)
+        np.clip(params, bounds.lower, bounds.upper, out=params)
     losses.append(obj(params))
     return SearchResult(x=obj.best_x, fun=obj.best_f, n_evals=obj.n_evals,
                         best_trace=obj.best_trace, losses=losses, grad_norms=grad_norms)

@@ -383,9 +383,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     |y - T(y)| / t of the extrapolated point y falls below SEARCH_TOL, where
     T(y) = prox(y - t grad(y)) is the next iterate, or after
     SEARCH_MAX_STEPS steps. T is nonexpansive, so the residual at the
-    returned iterate, reported as `residual`, is no larger. `losses` and
-    `grad_norms` hold loss_l2 and the mean |d loss_l2 / d alpha| at every
-    iterate, the start included.
+    returned iterate, reported as `residual`, is no larger.
 
     Strictly inside the hinge band and the box only the quadratic is
     active, and from there every FISTA update lies in range(A^T), so the
@@ -432,47 +430,39 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         return q if gap.dot(gap) < stop else None
 
     u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
-    iterates = [u]
+    n_evals = 1  # the points visited: start, FISTA iterates, accepted projection
     q = projection(u)
     y, theta = u.copy(), 1.0
     gap, move = np.empty_like(u), np.empty_like(u)
     for _ in range(0 if q is not None else SEARCH_MAX_STEPS):
         u_next = step(y)
-        iterates.append(u_next)
+        n_evals += 1
         np.subtract(y, u_next, out=gap)
+        np.subtract(u_next, u, out=move)
+        u = u_next
         if not gap.dot(gap) >= stop:  # NaN stops too
             break
-        if inner_lo < u_next.min() and u_next.max() < inner_hi:
-            q = projection(u_next)
+        if inner_lo < u.min() and u.max() < inner_hi:
+            q = projection(u)
             if q is not None:
                 break
-        np.subtract(u_next, u, out=move)
         if gap.dot(move) > 0.0:  # momentum points uphill: restart it
             theta = 1.0
         theta_next = 0.5 * (1.0 + (1.0 + 4.0 * theta * theta) ** 0.5)
         np.multiply(move, (theta - 1.0) / theta_next, out=y)
-        y += u_next
-        u, theta = u_next, theta_next
+        y += u
+        theta = theta_next
     if q is not None:
-        iterates.append(q)
-    u = iterates[-1]
+        u, n_evals = q, n_evals + 1
 
-    # loss_l2 and its flow-rate gradient at every iterate, in one batch
-    us = np.stack(iterates)  # (K, m)
-    alphas = 1.0 / us
-    residuals = us @ A.T + r0  # (K, n)
-    losses = np.mean(residuals ** 2, axis=1) + params.lam / n * _hinge(alphas, powers, params)
-    grads = (-2.0 / n * us ** 2 * (residuals @ A)
-             + params.lam / n * _penalty_grad(alphas, powers, params))
     alpha = bounds.clip(1.0 / u)
     _check_alpha(alpha)
     x_hot = ((powers / alpha)[:, None] * priors.w_ss).sum(axis=0)  # _features' order, same bits
     fun = search_loss(_predict(w, priors.hot_mask, x_cold, x_hot), x.with_flow_rates(alpha),
                       t_meas, params)
-    if not (np.isfinite(fun) and np.all(np.isfinite(losses))):
+    if not np.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
-    return SearchResult(x=alpha, fun=fun, n_evals=len(iterates), losses=losses.tolist(),
-                        grad_norms=np.mean(np.abs(grads), axis=1).tolist(),
+    return SearchResult(x=alpha, fun=fun, n_evals=n_evals,
                         residual=float(np.linalg.norm(u - step(u)) / t))
 
 

@@ -54,3 +54,28 @@ def random_layout(seed: int, n_cracs: int, n_servers: int, n_cold: int, n_hot: i
             + [Sensor(id=f"nh{i}", position=pos(), aisle=HOT) for i in range(n_hot)]
         ),
     )
+
+
+def reference_adam_trajectory(params, grad, lrs, project=lambda p: p):
+    """Parameters after each update of the out-of-place Adam expression, with
+    grad(p) the gradient at the current parameters p and each update passed
+    through `project`; written out here so the in-place kernel is pinned to
+    it bit for bit."""
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    out = []
+    for t, lr in enumerate(lrs, start=1):
+        g = grad(params)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        params = project(params - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+        out.append(params)
+    return out
+
+
+def replay(grads):
+    """A gradient function that returns the rows of `grads` in turn, whatever
+    point it is asked about."""
+    rows = iter(grads)
+    return lambda _params: next(rows)

@@ -5,18 +5,17 @@ from hallcal import optim
 from hallcal.errors import DimensionMismatchError, ObjectiveNonFiniteError
 from hallcal.optim import (
     AdamConfig,
-    AdamState,
     Bounds,
     DeConfig,
     TrainConfig,
     _adam_update,
     adam_fit,
     adam_search,
-    adam_step,
     cmaes_1p1,
     de_search,
     hybrid_search,
 )
+from conftest import reference_adam_trajectory, replay
 
 BOX = Bounds(0.1, 10.0)
 CENTER = np.linspace(1.0, 2.0, 8)
@@ -42,60 +41,29 @@ class Recorder:
         return self.fn(x)
 
 
-class TestAdamStep:
-    def test_zero_gradient_leaves_params(self):
-        state = AdamState.init(3, learning_rate=0.1)
-        params = np.array([1.0, 2.0, 3.0])
-        new_state, new_params = adam_step(state, params, np.zeros(3))
-        assert np.array_equal(new_params, params)
-        assert new_state.step == 1
-
-    def test_first_step_is_signed_learning_rate(self):
-        # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
-        lr = 0.05
-        state = AdamState.init(3, learning_rate=lr)
-        params = np.zeros(3)
-        grad = np.array([2.0, -0.5, 1e3])
-        _, new_params = adam_step(state, params, grad)
-        np.testing.assert_allclose(new_params, -lr * np.sign(grad), rtol=1e-6)
-
-    def test_deterministic(self):
-        state = AdamState.init(2, learning_rate=0.01)
-        params = np.array([0.5, -0.5])
-        grad = np.array([0.3, 0.7])
-        out1 = adam_step(state, params, grad)
-        state2 = AdamState.init(2, learning_rate=0.01)
-        out2 = adam_step(state2, params, grad)
-        assert np.array_equal(out1[1], out2[1])
-        assert np.array_equal(out1[0].m, out2[0].m)
-
-    def test_dimension_mismatch(self):
-        state = AdamState.init(2, learning_rate=0.01)
-        with pytest.raises(DimensionMismatchError):
-            adam_step(state, np.zeros(3), np.zeros(3))
-
-
-def reference_adam_trajectory(params, grads, lrs):
-    """Parameters after each update of the out-of-place Adam expression,
-    written out here so the in-place kernel is pinned to it bit for bit."""
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    out = []
-    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
-        m = 0.9 * m + (1.0 - 0.9) * g
-        v = 0.999 * v + (1.0 - 0.999) * g * g
-        m_hat = m / (1.0 - 0.9 ** t)
-        v_hat = v / (1.0 - 0.999 ** t)
-        params = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        out.append(params)
-    return out
-
-
 def random_gradients(rng, count, size):
     """Gradients spanning several magnitudes, some coordinates exactly zero."""
     grads = rng.standard_normal((count, size)) * 10.0 ** rng.uniform(-6, 3, (count, size))
     grads[rng.random((count, size)) < 0.2] = 0.0
     grads[:, :3] = 0.0  # coordinates whose gradient never moves
     return grads
+
+
+class TestAdamStep:
+    """One call of _adam_update, the Adam step shared by adam_fit and adam_search."""
+
+    def test_deterministic(self):
+        # the work vectors' old contents never reach the result
+        m0, v0 = np.array([0.2, -0.1]), np.array([0.04, 0.01])
+        params0, grad = np.array([0.5, -0.5]), np.array([0.3, 0.7])
+        outs = []
+        for fill in (0.0, np.nan):
+            m, v, params = m0.copy(), v0.copy(), params0.copy()
+            _adam_update(m, v, params, grad, 4, 0.01, np.full(2, fill), np.full(2, fill))
+            outs.append((m, v, params))
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(outs[0][2], params0)
 
 
 class TestAdamKernel:
@@ -106,15 +74,15 @@ class TestAdamKernel:
         params0 = rng.standard_normal(257)
         grads = random_gradients(rng, self.HYPER.epochs, params0.size)
         lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
-        state, params = AdamState.init(params0.size, lrs[0]), params0.copy()
-        for g, lr, expected in zip(grads, lrs, reference_adam_trajectory(params0, grads, lrs)):
-            state.learning_rate = lr
-            m_before, params_before = state.m.copy(), params.copy()
-            new_state, new_params = adam_step(state, params, g)
-            assert np.array_equal(new_params, expected)
-            # the step reads its inputs and leaves them as they were
-            assert np.array_equal(state.m, m_before) and np.array_equal(params, params_before)
-            state, params = new_state, new_params
+        m, v, params = np.zeros_like(params0), np.zeros_like(params0), params0.copy()
+        scratch, step_buf = np.empty_like(params0), np.empty_like(params0)
+        expected = reference_adam_trajectory(params0, replay(grads), lrs)
+        for step, (g, lr, want) in enumerate(zip(grads, lrs, expected), start=1):
+            g_before = g.copy()
+            _adam_update(m, v, params, g, step, lr, scratch, step_buf)
+            assert np.array_equal(params, want)
+            # the step reads its gradient and leaves it as it was
+            assert np.array_equal(g, g_before)
         assert np.array_equal(params[:3], params0[:3])
 
     def test_adam_fit_matches_out_of_place_expression(self):
@@ -134,7 +102,7 @@ class TestAdamKernel:
         caller_params = params0.copy()
         best = adam_fit(caller_params, loss_and_grad, self.HYPER)
         lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
-        expected = [params0] + reference_adam_trajectory(params0, grads[:-1], lrs)
+        expected = [params0] + reference_adam_trajectory(params0, replay(grads), lrs)
         assert len(seen) == len(expected)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)
@@ -188,6 +156,48 @@ class TestAdamKernel:
         assert not np.shares_memory(best, caller_params)
         assert np.array_equal(caller_params, params0)
         assert len(calls) == self.HYPER.epochs + 1
+
+
+class TestAdamSearch:
+    CFG = AdamConfig(learning_rate=3.0, steps=40)  # steps long enough to reach both box faces
+
+    def test_steps_match_out_of_place_expression_then_clip(self):
+        rng = np.random.default_rng(0)
+        x0 = rng.uniform(BOX.lower, BOX.upper, 257)
+        grads = random_gradients(rng, self.CFG.steps, x0.size)
+        caller_x0 = x0.copy()
+        rec = Recorder(lambda x: 1.0)
+        adam_search(rec, replay(grads), BOX, self.CFG, caller_x0)
+        expected = [x0] + reference_adam_trajectory(
+            x0, replay(grads), [self.CFG.learning_rate] * self.CFG.steps,
+            lambda p: np.clip(p, BOX.lower, BOX.upper))
+        assert len(rec.candidates) == len(expected)
+        for got, want in zip(rec.candidates, expected):
+            assert np.array_equal(got, want)
+        assert np.any(expected[-1] == BOX.lower) and np.any(expected[-1] == BOX.upper)
+        assert np.array_equal(expected[-1][:3], x0[:3])
+        assert np.array_equal(caller_x0, x0)
+
+    def test_first_step_is_signed_learning_rate(self):
+        # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
+        rec = Recorder(quadratic)
+        grad = np.array([2.0, -0.5, 1e3, 1.0, -1.0, 1e-3, -7.0, 0.25])
+        adam_search(rec, lambda x: grad, BOX, AdamConfig(learning_rate=0.05, steps=1),
+                    np.full(8, 5.0))
+        np.testing.assert_allclose(rec.candidates[1], 5.0 - 0.05 * np.sign(grad), rtol=1e-6)
+
+    def test_zero_gradient_leaves_x0(self):
+        x0 = np.linspace(1.0, 3.0, CENTER.size)
+        rec = Recorder(quadratic)
+        res = adam_search(rec, np.zeros_like, BOX, self.CFG, x0)
+        assert all(np.array_equal(c, x0) for c in rec.candidates)
+        assert np.array_equal(res.x, x0)
+
+    @pytest.mark.parametrize("size", [1, 9])
+    def test_gradient_of_another_shape_raises(self, size):
+        # a length-1 gradient would broadcast silently in the update
+        with pytest.raises(DimensionMismatchError):
+            adam_search(quadratic, lambda x: np.ones(size), BOX, self.CFG, np.full(8, 5.0))
 
 
 class TestDeSearch:

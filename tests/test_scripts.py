@@ -31,6 +31,17 @@ def test_compare_methods_matches_calibrate(tmp_path, capsys):
         assert calls == 5
 
 
+def test_reference_calibration_prints_each_iteration(capsys):
+    # one row per iteration, then the best-MAE line, on the exact search's columns
+    load_script("run_reference_calibration").main(["--iters", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["iter", "val", "MAE", "evals"]
+    assert [row.split()[0] for row in lines[1:3]] == ["1", "2"]
+    assert lines[3] == ""
+    assert lines[4].startswith("best MAE ") and lines[4].endswith(" in 5 solver calls")
+    assert len(lines) == 5
+
+
 BAD_NUMBERS = [
     ("run_reference_calibration", ["--iters", "0"]),
     ("run_reference_calibration", ["--seed", "-1"]),

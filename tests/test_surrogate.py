@@ -20,7 +20,7 @@ from hallcal.errors import (
     ObjectiveNonFiniteError,
 )
 from hallcal.hall import AdjacencyPriors, SystemInput, build_adjacency
-from hallcal.optim import AdamState, Bounds, TrainConfig, adam_step, hybrid_search
+from hallcal.optim import Bounds, TrainConfig, hybrid_search
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
@@ -50,6 +50,7 @@ from hallcal.surrogate import (
     penalty_h,
     train_trainable,
 )
+from conftest import reference_adam_trajectory
 
 
 def single_sensor_priors(w_ss_weight=1.0, hot=True):
@@ -505,8 +506,6 @@ class TestConvexSearch:
             res = self.search(case, np.full(state.server_powers.size, 0.2))
             assert res.fun == loss_l2(w, priors, state.to_input(res.x), meas, self.params)
             assert res.residual <= SEARCH_TOL
-            assert len(res.losses) == len(res.grad_norms) == res.n_evals
-            assert res.losses[-1] == pytest.approx(res.fun, rel=1e-6)
 
     def test_result_inside_the_box_at_a_u_bound(self, frozen_cases):
         # the whole box lies below the penalty band, so the search ends on its
@@ -738,16 +737,15 @@ class TestTrainableAdjacency:
         tw0, hot, batch = self.small_setup()
         n, l, m = 4, 2, 3
         hyper = TrainConfig(epochs=60, decay_every=20)
-        params = tw0.pack()
-        best_params, best_loss = params.copy(), loss_l1_trainable(tw0, hot, batch)
-        state = AdamState.init(params.size, hyper.learning_rate)
-        for epoch in range(hyper.epochs):
-            g = grad_trainable(TrainableAdjacencyWeights.unpack(params, n, l, m), hot, batch)
-            state.learning_rate = hyper.lr_at(epoch)
-            state, params = adam_step(state, params, g.pack())
-            loss = loss_l1_trainable(TrainableAdjacencyWeights.unpack(params, n, l, m), hot, batch)
-            if loss < best_loss:
-                best_loss, best_params = loss, params.copy()
+
+        def unpack(params):
+            return TrainableAdjacencyWeights.unpack(params, n, l, m)
+
+        path = [tw0.pack()] + reference_adam_trajectory(
+            tw0.pack(), lambda p: grad_trainable(unpack(p), hot, batch).pack(),
+            [hyper.lr_at(epoch) for epoch in range(hyper.epochs)])
+        losses = [loss_l1_trainable(unpack(p), hot, batch) for p in path]
+        best_params = path[int(np.argmin(losses))]  # the first of equal lowest losses
         assert np.array_equal(train_trainable(tw0, hot, batch, hyper).pack(), best_params)
 
     def test_train_leaves_w0_unchanged_and_results_independent(self):
