@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -25,29 +24,26 @@ from .engine import (
     IterationTrace,
     KnowledgeSurrogateModel,
     VanillaSurrogateModel,
+    _RunRecord,
     calibrate,
-    mae,
 )
 from .errors import (
     CalibrationAbortedError,
-    CommandFailedError,
     HallcalError,
     InvalidInputError,
     ParseError,
-    SolverTimeoutError,
+    OutputDirectoryError,
     UnknownMethodError,
 )
 from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
 from .optim import cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
-from .study import MIN_POOL_SIZE, run_datavolume_study
+from .study import MIN_POOL_SIZE, check_shape, run_datavolume_study
 
 METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
 METHOD_HEURISTIC = "heuristic"
-
-SOLVER_EXIT_ERRORS = (CommandFailedError, SolverTimeoutError, InvalidInputError)
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,17 @@ settings_echo = fileio.to_json  # the config-file form of settings; load_setting
 # -- commands -----------------------------------------------------------------
 
 
+def _make_out_dir(out_dir) -> Path:
+    """Create a command's output directory; a path that cannot hold one fails
+    before any solve."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirectoryError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return out
+
+
 def cmd_generate(out_dir, seed=0, n_cracs=4, n_servers=64, n_cold=16, n_hot=8,
                  noise_sd=0.1, recirculation=0.05, containment=True) -> dict:
     """Write layout, scenario, state, and synthesized measurement files."""
@@ -90,10 +97,8 @@ def cmd_generate(out_dir, seed=0, n_cracs=4, n_servers=64, n_cold=16, n_hot=8,
         seed=seed, n_cracs=n_cracs, n_servers=n_servers, n_cold=n_cold, n_hot=n_hot,
         noise_sd=noise_sd, recirculation=recirculation, containment=containment)
     layout = scenario.layout
+    out = _make_out_dir(out_dir)
     measurements = synthesize_measurements(scenario, state)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "layout": out / "layout.json",
         "scenario": out / "scenario.json",
@@ -126,7 +131,6 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     """The run directory's files. A run that aborted writes the iterations
     it finished, its reason under result.aborted, and sensors.csv only if
     some iteration validated."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     traced = [f.name for f in fields(IterationTrace) if f.name != "wall_time_s"]
     for name, columns in (("traces.csv", traced), ("timings.csv", ["iteration", "wall_time_s"])):
         fileio.write_csv(out_dir / name,
@@ -169,24 +173,25 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     measurements = fileio.load_measurements(measurements_file, [s.id for s in layout.sensors])
     settings = load_settings(config_file, iters=iters, seed=seed)
     solver = _make_solver(solver_kind, layout, scenario, external_command, workdir)
+    out = _make_out_dir(out_dir)
     inputs = {"layout": str(layout_file), "scenario": str(scenario_file),
               "state": str(state_file), "measurements": str(measurements_file),
               "solver": solver_kind}
     try:
         result = run_calibration(method, solver, measurements, state, layout, settings)
     except CalibrationAbortedError as exc:
-        _write_calibration_report(Path(out_dir), method, settings, inputs,
+        _write_calibration_report(out, method, settings, inputs,
                                   layout, measurements, exc.result, aborted=str(exc))
         raise
-    return _write_calibration_report(Path(out_dir), method, settings, inputs,
+    return _write_calibration_report(out, method, settings, inputs,
                                      layout, measurements, result)
 
 
 def run_calibration(method, solver, measurements, state, layout,
                     settings: RunSettings) -> CalibrationResult:
     """Calibrate by one method. The surrogate methods run the engine's loop;
-    the heuristic runs the (1+1)-ES directly on solver MAE, one solver call
-    per candidate, for the 3 + max_iterations calls a surrogate run makes."""
+    the heuristic runs the (1+1)-ES on the loop's run record (solver MAE), one
+    solver call per candidate, for the 3 + max_iterations calls a surrogate run makes."""
     calib = settings.calib
     if method == METHOD_KALIBRE:
         priors = build_adjacency(layout, settings.cut_threshold)
@@ -198,32 +203,9 @@ def run_calibration(method, solver, measurements, state, layout,
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
 
-    best = (None, None, np.inf)  # (alpha, temps, value) of the earliest best call
-    maes, eval_times = [], []  # each solve's own MAE and time
-
-    def objective(alpha):
-        nonlocal best
-        t0 = time.perf_counter()
-        temps = solver.solve(state.to_input(alpha))
-        value = mae(temps, measurements)
-        maes.append(value)
-        eval_times.append(time.perf_counter() - t0)
-        if value < best[2]:
-            best = (alpha.copy(), temps, value)
-        return value
-
-    x0 = np.full(layout.n_servers, calib.bounds.midpoint)
-    res = cmaes_1p1(objective, calib.bounds, 3 + calib.max_iterations, x0, calib.seed)
-    alpha_star, temps, best_mae = best
-    traces = [IterationTrace(iteration=i + 1, validation_mae=v, mean_l2=None,
-                             mean_grad_mag=None, de_l2=None, search_residual=None,
-                             search_evals=None, final_l2=None,
-                             solver_calls=i + 1, dataset_size=0, wall_time_s=t)
-              for i, (v, t) in enumerate(zip(maes, eval_times))]
-    return CalibrationResult(alpha_star=alpha_star, best_mae=best_mae,
-                             best_solver_temps=temps, traces=traces,
-                             n_solver_calls=solver.n_calls,
-                             es_adaptations=len(res.adaptations))
+    run = _RunRecord(solver, measurements, state, layout, calib.bounds)
+    res = cmaes_1p1(run.solve, calib.bounds, 3 + calib.max_iterations, run.alpha_star, calib.seed)
+    return replace(run.result(), es_adaptations=len(res.adaptations))
 
 
 def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None) -> np.ndarray:
@@ -248,9 +230,9 @@ def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
     state = fileio.load_state(state_file, layout)
+    check_shape(list(fractions), pool_size)
+    out = _make_out_dir(out_dir)
     cells = run_datavolume_study(scenario, state, list(fractions), pool_size, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["fraction", "surrogate", "n_train", "test_mae_c"]
     rows = [[c.fraction, c.surrogate, c.n_train, c.test_mae] for c in cells]
     fileio.write_csv(out / "study.csv", header, rows)
@@ -386,7 +368,7 @@ def main(argv=None) -> int:
     except CalibrationAbortedError as exc:  # its message names the failed solve, fit or search
         print(f"calibration aborted: {exc}", file=sys.stderr)
         return 3
-    except SOLVER_EXIT_ERRORS as exc:
+    except InvalidInputError as exc:  # the zonal solver's input check; in a calibration it aborts
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except HallcalError as exc:

@@ -14,6 +14,7 @@ performs 3 + k solver calls.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import time
 from dataclasses import dataclass, field
@@ -236,16 +237,16 @@ class CalibConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationTrace:
     iteration: int
     validation_mae: float
-    mean_l2: Optional[float]  # mean per-step loss of a gradient stage; None on other searches
-    mean_grad_mag: Optional[float]
-    de_l2: Optional[float]
-    search_residual: Optional[float]
-    search_evals: Optional[int]  # the search's n_evals
-    final_l2: Optional[float]  # the loss where the search ended
+    mean_l2: Optional[float] = None  # mean per-step loss of a gradient stage; None on other searches
+    mean_grad_mag: Optional[float] = None
+    de_l2: Optional[float] = None
+    search_residual: Optional[float] = None
+    search_evals: Optional[int] = None  # the search's n_evals
+    final_l2: Optional[float] = None  # the loss where the search ended
     solver_calls: int
     dataset_size: int
     wall_time_s: float
@@ -260,90 +261,96 @@ class CalibrationResult:
     n_solver_calls: int
     es_adaptations: Optional[int] = None  # the heuristic's step-size adaptations
 
-    @property
-    def dataset_sizes(self) -> list[int]:
-        return [t.dataset_size for t in self.traces]
+
+class _RunRecord:
+    """What every calibration method keeps of its solves: the earliest best
+    MAE with its flow rates (the box midpoint until a solve validates) and
+    temperatures, and one trace row per solve. A toolkit error raised under
+    `aborting` ends the run as a CalibrationAbortedError with this result."""
+
+    def __init__(self, solver: ThermalSolver, measurements: np.ndarray,
+                 state: OperatingState, layout: HallLayout, bounds: Bounds):
+        self.measurements = np.asarray(measurements, dtype=float)
+        if self.measurements.size != layout.n_sensors:
+            raise DimensionMismatchError("measurement length does not match the layout")
+        self.solver = solver
+        self.state = state
+        self.alpha_star = np.full(layout.n_servers, bounds.midpoint)
+        self.best_mae = np.inf
+        self.best_temps: Optional[np.ndarray] = None
+        self.traces: list[IterationTrace] = []
+
+    def result(self) -> CalibrationResult:
+        return CalibrationResult(alpha_star=self.alpha_star, best_mae=self.best_mae,
+                                 best_solver_temps=self.best_temps, traces=self.traces,
+                                 n_solver_calls=self.solver.n_calls)
+
+    @contextlib.contextmanager
+    def aborting(self, reason: str):
+        try:
+            yield
+        except HallcalError as exc:
+            raise CalibrationAbortedError(f"{reason}: {exc}", result=self.result()) from exc
+
+    def solve(self, alpha: np.ndarray, search: Optional[SearchResult] = None,
+              dataset: Optional[list[TrainingSample]] = None,
+              t0: Optional[float] = None) -> float:
+        """Solve at alpha, keep it if it is the earliest best, append it to
+        dataset if given, trace it (search columns from search, time from t0)
+        and return its validation MAE."""
+        t0 = time.perf_counter() if t0 is None else t0
+        it = len(self.traces) + 1
+        x = self.state.to_input(alpha)
+        with self.aborting(f"solver failed at iteration {it}"):
+            temps = self.solver.solve(x)
+        val = mae(temps, self.measurements)
+        if val < self.best_mae:
+            self.best_mae, self.alpha_star, self.best_temps = val, alpha.copy(), temps
+        if dataset is not None:
+            dataset.append(TrainingSample(input=x, target=temps))
+        columns = {} if search is None else dict(
+            mean_l2=None if search.losses is None else float(np.mean(search.losses)),
+            mean_grad_mag=None if search.grad_norms is None else float(np.mean(search.grad_norms)),
+            de_l2=search.de_fun, search_residual=search.residual,
+            search_evals=search.n_evals, final_l2=search.fun)
+        self.traces.append(IterationTrace(
+            iteration=it, validation_mae=val, solver_calls=self.solver.n_calls,
+            dataset_size=0 if dataset is None else len(dataset),
+            wall_time_s=time.perf_counter() - t0, **columns))
+        return val
 
 
 def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
               state: OperatingState, layout: HallLayout, cfg: CalibConfig) -> CalibrationResult:
     """Run the four-step loop for cfg.max_iterations and return the best
     validated flow-rate vector with its traces."""
-    measurements = np.asarray(measurements, dtype=float)
-    if measurements.size != layout.n_sensors:
-        raise DimensionMismatchError("measurement length does not match the layout")
-
-    n_servers = layout.n_servers
+    run = _RunRecord(solver, measurements, state, layout, cfg.bounds)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.max_iterations)
-    alpha = np.full(n_servers, cfg.bounds.midpoint)
+    alpha = run.alpha_star
+    exact = getattr(model, "search", None) if cfg.use_de is None else None
 
-    traces: list[IterationTrace] = []
-    best_mae = np.inf
-    alpha_star = alpha.copy()
-    best_temps: Optional[np.ndarray] = None
+    def objective(a: np.ndarray) -> float:
+        return model.l2(state.to_input(a), run.measurements)
 
-    def partial_result() -> CalibrationResult:
-        return CalibrationResult(alpha_star=alpha_star, best_mae=best_mae,
-                                 best_solver_temps=best_temps, traces=traces,
-                                 n_solver_calls=solver.n_calls)
+    def gradient(a: np.ndarray) -> np.ndarray:
+        return model.l2_grad_alpha(state.to_input(a), run.measurements)
 
-    try:
-        dataset = init_samples(cfg.bounds, state, solver, n_servers)
-    except HallcalError as exc:
-        raise CalibrationAbortedError(f"solver failed during seeding: {exc}",
-                                      result=partial_result()) from exc
+    with run.aborting("solver failed during seeding"):
+        dataset = init_samples(cfg.bounds, state, solver, layout.n_servers)
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
-
-        def objective(a: np.ndarray) -> float:
-            return model.l2(state.to_input(a), measurements)
-
-        def gradient(a: np.ndarray) -> np.ndarray:
-            return model.l2_grad_alpha(state.to_input(a), measurements)
-
         de_seed = int(seeds[it - 1].generate_state(1)[0])
-        exact = getattr(model, "search", None) if cfg.use_de is None else None
-        try:
+        with run.aborting(f"surrogate failed at iteration {it}"):
             model.fit(dataset)
             if exact is not None:
-                res = exact(state.to_input(alpha), measurements, cfg.bounds)
+                res = exact(state.to_input(alpha), run.measurements, cfg.bounds)
             elif cfg.use_de is False:
                 res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
             else:
                 res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
                                     de_seed, init_bounds=_penalty_feasible_band(cfg))
-        except HallcalError as exc:
-            raise CalibrationAbortedError(f"surrogate failed at iteration {it}: {exc}",
-                                          result=partial_result()) from exc
         alpha = res.x
+        run.solve(alpha, res, dataset, t0)
 
-        x = state.to_input(alpha)
-        try:
-            temps = solver.solve(x)
-        except HallcalError as exc:
-            raise CalibrationAbortedError(f"solver failed at iteration {it}: {exc}",
-                                          result=partial_result()) from exc
-
-        val = mae(temps, measurements)
-        if val < best_mae:
-            best_mae = val
-            alpha_star = alpha.copy()
-            best_temps = temps
-        dataset.append(TrainingSample(input=x, target=temps))
-
-        traces.append(IterationTrace(
-            iteration=it,
-            validation_mae=val,
-            mean_l2=None if res.losses is None else float(np.mean(res.losses)),
-            mean_grad_mag=None if res.grad_norms is None else float(np.mean(res.grad_norms)),
-            de_l2=res.de_fun,
-            search_residual=res.residual,
-            search_evals=res.n_evals,
-            final_l2=res.fun,
-            solver_calls=solver.n_calls,
-            dataset_size=len(dataset),
-            wall_time_s=time.perf_counter() - t0,
-        ))
-
-    return partial_result()
+    return run.result()

@@ -88,6 +88,10 @@ class CalibrationAbortedError(HallcalError):
         self.result = result
 
 
+class OutputDirectoryError(HallcalError):
+    """A command's output directory cannot be created."""
+
+
 class PoolTooSmallError(HallcalError):
     """Sample pool is too small for the requested study fractions."""
 

@@ -46,11 +46,18 @@ class StudyCell:
     n_train: int
 
 
+def check_shape(fractions: list[float], pool_size: int) -> None:
+    """Reject, before any solve, a pool too small to split or a fraction outside (0, 1]."""
+    if pool_size < MIN_POOL_SIZE:
+        raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
+    bad = [f for f in fractions if not 0.0 < f <= 1.0]
+    if bad:
+        raise PoolTooSmallError(f"fractions {bad} are not in (0, 1]")
+
+
 def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
                seed: int) -> list[TrainingSample]:
     """Solver samples at flow rates drawn uniformly over the search box."""
-    if pool_size < MIN_POOL_SIZE:
-        raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
     rng = np.random.default_rng(seed)
     solver = ZonalSolver(scenario)
     pool = []
@@ -65,9 +72,7 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
                          fractions: list[float], pool_size: int, seed: int) -> list[StudyCell]:
     """Train all three surrogates at every fraction of the train set, each
     in (0, 1]; returns one cell per (fraction, surrogate) pair."""
-    bad = [f for f in fractions if not 0.0 < f <= 1.0]
-    if bad:
-        raise PoolTooSmallError(f"fractions {bad} are not in (0, 1]")
+    check_shape(fractions, pool_size)
     layout: HallLayout = scenario.layout
     pool = build_pool(scenario, state, pool_size, seed)
     rng = np.random.default_rng(seed)

@@ -333,7 +333,7 @@ class TestCalibrate:
         res = calibrate(solver, model, meas, state, scenario.layout, cfg)
         assert res.n_solver_calls == 3 + 5
         assert [t.solver_calls for t in res.traces] == [4, 5, 6, 7, 8]
-        assert res.dataset_sizes == [4, 5, 6, 7, 8]
+        assert [t.dataset_size for t in res.traces] == [4, 5, 6, 7, 8]
         assert Bounds(0.01, 3.0).contains(res.alpha_star)
 
     def test_best_mae_is_running_minimum(self, small_case):

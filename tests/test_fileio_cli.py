@@ -635,24 +635,98 @@ class TestMainExitCodes:
                      "--out-dir", str(tmp_path / "r")])
         assert code == 2
 
-    def test_solver_failure_is_3(self, generated, tmp_path, capsys):
+    @pytest.mark.parametrize("method, aborted", [
+        ("kalibre", "solver failed during seeding"),
+        ("vanilla", "solver failed during seeding"),
+        ("heuristic", "solver failed at iteration 1"),  # the ES has no seed solves
+    ], ids=["kalibre", "vanilla", "heuristic"])
+    def test_solver_failure_is_3(self, generated, tmp_path, capsys, method, aborted):
         out, paths = generated
         failing = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(4)'"
         code = main(["calibrate", "--layout", str(paths["layout"]),
                      "--scenario", str(paths["scenario"]),
                      "--state", str(paths["state"]),
-                     "--measurements", str(paths["measurements"]),
+                     "--measurements", str(paths["measurements"]), "--method", method,
                      "--solver", "external", "--external-command", failing,
                      "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
         assert code == 3
         assert "external solver exited 4" in capsys.readouterr().err
-        # it failed while seeding: a report with no iteration and no sensor table
+        # it failed at its first solve: a report with no iteration and no sensor table
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["result"]["iterations"] == 0 and report["result"]["best_mae_c"] is None
-        assert report["result"]["aborted"].startswith("solver failed during seeding")
+        assert report["result"]["aborted"].startswith(aborted)
+        assert report["result"]["n_solver_calls"] == 1
         assert (tmp_path / "r" / "traces.csv").read_text().count("\n") == 1
         assert (tmp_path / "r" / "alpha_star.csv").exists()
         assert not (tmp_path / "r" / "sensors.csv").exists()
+
+    def test_heuristic_solver_failure_partway_keeps_its_solves(self, generated, tmp_path, capsys):
+        # the command logs each call's flow rates and readings, and exits 4 on its 6th call
+        out, paths = generated
+        layout = fileio.load_layout(paths["layout"])
+        log = tmp_path / "calls.jsonl"
+        script = tmp_path / "failing_solver.py"
+        script.write_text(
+            "import json, sys\nfrom pathlib import Path\n"
+            "work = Path(sys.argv[1])\n"
+            f"log = Path({str(log)!r})\n"
+            "if log.exists() and len(log.read_text().splitlines()) == 5:\n    sys.exit(4)\n"
+            "alpha = [float(l.split(',')[1]) for l in\n"
+            "         (work / 'flow_config.txt').read_text().splitlines() if l.strip()]\n"
+            f"ids = {[s.id for s in layout.sensors]!r}\n"
+            "temps = [20.0 + (k + 1) * alpha[k] for k in range(len(ids))]\n"
+            "(work / 'sensor_output.txt').write_text(\n"
+            "    ''.join(f'{i}, {t!r}\\n' for i, t in zip(ids, temps)))\n"
+            "with open(log, 'a') as f:\n    f.write(json.dumps([alpha, temps]) + '\\n')\n")
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--method", "heuristic",
+                     "--iters", "15", "--seed", "1", "--solver", "external",
+                     "--external-command", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+                     "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("calibration aborted: solver failed at iteration 6")
+        run = tmp_path / "r"
+        result = json.loads((run / "report.json").read_text())["result"]
+        assert result["iterations"] == 5 and result["n_solver_calls"] == 6
+        assert result["aborted"].startswith("solver failed at iteration 6: external solver exited 4")
+        assert "es_adaptations" not in result
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        meas = fileio.load_measurements(paths["measurements"], [s.id for s in layout.sensors])
+        maes = [mae(np.array(temps), meas) for _, temps in calls]
+        with open(run / "traces.csv") as f:
+            traces = list(csv.DictReader(f))
+        assert [float(t["validation_mae_c"]) for t in traces] == maes
+        assert [int(t["solver_calls"]) for t in traces] == [1, 2, 3, 4, 5]
+        best = int(np.argmin(maes))  # the earliest of equal bests
+        assert result["best_mae_c"] == maes[best]
+        with open(run / "sensors.csv") as f:
+            assert [float(r["predicted_c"]) for r in csv.DictReader(f)] == calls[best][1]
+        ids = [s.id for s in layout.servers]
+        assert list(fileio.load_alpha(run / "alpha_star.csv", ids)) == calls[best][0]
+        assert len((run / "timings.csv").read_text().splitlines()) == 1 + 5
+
+    @pytest.mark.parametrize("command", ["calibrate", "study-datavolume", "generate"])
+    def test_out_dir_that_cannot_be_made_is_2_before_any_solve(self, generated, tmp_path,
+                                                              capsys, monkeypatch, command):
+        out, paths = generated
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        solves = []
+        solve = ZonalSolver._solve
+        monkeypatch.setattr(ZonalSolver, "_solve",
+                            lambda self, x: solves.append(x) or solve(self, x))
+        argv = [command, "--out-dir", str(blocker / "run")]
+        if command != "generate":
+            argv += ["--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"])]
+        if command == "calibrate":
+            argv += ["--measurements", str(paths["measurements"]), "--iters", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch("error: cannot create output directory "
+                            + re.escape(str(blocker / "run")) + ": .+\n", err)
+        assert solves == []
 
     def test_non_positive_flow_rate_file_is_2(self, generated, tmp_path, capsys):
         out, paths = generated
