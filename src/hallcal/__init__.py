@@ -2,9 +2,10 @@
 data-hall thermal models."""
 
 from .engine import CalibConfig, CalibrationResult, calibrate, mae
-from .hall import AdjacencyPriors, HallLayout, SystemInput, build_adjacency, validate_layout
+from .hall import (AdjacencyPriors, HallLayout, OperatingState, SystemInput, build_adjacency,
+                   validate_layout)
 from .optim import AdamConfig, Bounds, DeConfig, TrainConfig
-from .solver import OperatingState, Scenario, ZonalSolver, synthesize_measurements
+from .solver import Scenario, ZonalSolver, synthesize_measurements
 from .surrogate import KAPPA_CFM_PER_W, PenaltyParams, SurrogateWeights, TrainingSample
 
 __all__ = [

@@ -173,12 +173,13 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     measurements = fileio.load_measurements(measurements_file, [s.id for s in layout.sensors])
     settings = load_settings(config_file, iters=iters, seed=seed)
     solver = _make_solver(solver_kind, layout, scenario, external_command, workdir)
+    model = make_surrogate(method, layout, settings)
     out = _make_out_dir(out_dir)
     inputs = {"layout": str(layout_file), "scenario": str(scenario_file),
               "state": str(state_file), "measurements": str(measurements_file),
               "solver": solver_kind}
     try:
-        result = run_calibration(method, solver, measurements, state, layout, settings)
+        result = _run_method(model, solver, measurements, state, layout, settings)
     except CalibrationAbortedError as exc:
         _write_calibration_report(out, method, settings, inputs,
                                   layout, measurements, exc.result, aborted=str(exc))
@@ -187,22 +188,34 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
                                      layout, measurements, result)
 
 
-def run_calibration(method, solver, measurements, state, layout,
-                    settings: RunSettings) -> CalibrationResult:
-    """Calibrate by one method. The surrogate methods run the engine's loop;
-    the heuristic runs the (1+1)-ES on the loop's run record (solver MAE), one
-    solver call per candidate, for the 3 + max_iterations calls a surrogate run makes."""
+def make_surrogate(method, layout, settings: RunSettings):
+    """The method's surrogate, None for the heuristic. Kalibre's builds the
+    adjacency priors, so a threshold that cuts them all fails here."""
     calib = settings.calib
     if method == METHOD_KALIBRE:
-        priors = build_adjacency(layout, settings.cut_threshold)
-        model = KnowledgeSurrogateModel(priors, calib.penalty)
-        return calibrate(solver, model, measurements, state, layout, calib)
+        return KnowledgeSurrogateModel(build_adjacency(layout, settings.cut_threshold),
+                                       calib.penalty)
     if method == METHOD_VANILLA:
-        model = VanillaSurrogateModel(layout, calib.penalty, calib.train, seed=calib.seed)
-        return calibrate(solver, model, measurements, state, layout, calib)
+        return VanillaSurrogateModel(layout, calib.penalty, calib.train, seed=calib.seed)
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
+    return None
 
+
+def run_calibration(method, solver, measurements, state, layout,
+                    settings: RunSettings) -> CalibrationResult:
+    """Calibrate by one method."""
+    model = make_surrogate(method, layout, settings)
+    return _run_method(model, solver, measurements, state, layout, settings)
+
+
+def _run_method(model, solver, measurements, state, layout, settings) -> CalibrationResult:
+    """A surrogate runs the engine's loop; with none, the heuristic runs the
+    (1+1)-ES on the loop's run record (solver MAE), one solver call per
+    candidate, for the 3 + max_iterations calls a surrogate run makes."""
+    calib = settings.calib
+    if model is not None:
+        return calibrate(solver, model, measurements, state, layout, calib)
     run = _RunRecord(solver, measurements, state, layout, calib.bounds)
     res = cmaes_1p1(run.solve, calib.bounds, 3 + calib.max_iterations, run.alpha_star, calib.seed)
     return replace(run.result(), es_adaptations=len(res.adaptations))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationAbortedError, DimensionMismatchError, HallcalError
-from .hall import AdjacencyPriors, HallLayout, SystemInput
+from .hall import AdjacencyPriors, HallLayout, OperatingState, SystemInput
 from .mlp import (
     MLP_TRAIN,
     MlpWeights,
@@ -43,7 +43,7 @@ from .optim import (
     adam_search,
     hybrid_search,
 )
-from .solver import OperatingState, ThermalSolver
+from .solver import ThermalSolver
 from .surrogate import (
     PenaltyParams,
     SurrogateWeights,

@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
-from .hall import HallLayout, validate_layout
+from .errors import DimensionMismatchError, InvalidInputError, ParseError
+from .hall import HallLayout, OperatingState, validate_layout
 from .optim import Bounds
-from .solver import OperatingState, Scenario
+from .solver import Scenario
 
 
 def _dump_json(payload, path: Path) -> None:
@@ -173,7 +173,9 @@ def load_scenario(path: Path, layout: HallLayout) -> Scenario:
 
 
 def save_state(state: OperatingState, path: Path) -> None:
-    _dump_json(to_json(state), Path(path))
+    """The state's fields as JSON; a SystemInput's flow rates are left out."""
+    _dump_json({f.name: _echo_value(getattr(state, f.name)) for f in fields(OperatingState)},
+               Path(path))
 
 
 def load_state(path: Path, layout: HallLayout) -> OperatingState:
@@ -181,7 +183,7 @@ def load_state(path: Path, layout: HallLayout) -> OperatingState:
     state = from_json(OperatingState, _load_json(path), path)
     try:
         state.check(layout)
-    except InvalidInputError as exc:
+    except (DimensionMismatchError, InvalidInputError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return state
 

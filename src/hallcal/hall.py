@@ -9,7 +9,7 @@ influence is exactly zero, plus the one-hot hot-aisle sensor mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -92,37 +92,60 @@ class HallLayout:
 
 
 @dataclass(frozen=True)
-class SystemInput:
-    """One solver/surrogate input: CRAC setpoints and fan speeds, server
-    powers, and the per-server air flow rates being calibrated."""
+class OperatingState:
+    """Measured hall state at one instant, all but the flow rates. A field's metadata
+    names the layout count it spans and, if bounded, its rule and bad-entry test."""
 
-    crac_setpoints: np.ndarray  # (l,) degC
-    crac_fan_speeds: np.ndarray  # (l,) ratio in [0, 1]
-    server_powers: np.ndarray  # (m,) W, >= 0
-    flow_rates: np.ndarray  # (m,) cfm/W, > 0
+    crac_setpoints: np.ndarray = field(metadata={"count": "n_cracs"})  # degC
+    crac_fan_speeds: np.ndarray = field(metadata={  # ratio
+        "count": "n_cracs", "rule": ("in [0, 1]", lambda a: (a < 0) | (a > 1))})
+    server_powers: np.ndarray = field(metadata={  # W
+        "count": "n_servers", "rule": (">= 0", lambda a: a < 0)})
 
     def __post_init__(self):
-        for name in ("crac_setpoints", "crac_fan_speeds", "server_powers", "flow_rates"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    def to_input(self, alpha: np.ndarray) -> "SystemInput":
+        """This state with the flow rates alpha, as one solver input."""
+        return SystemInput(*[getattr(self, f.name) for f in fields(OperatingState)], alpha)
+
+    def check(self, layout: HallLayout) -> None:
+        """Raise DimensionMismatchError, naming the field, unless every field
+        has one entry per CRAC or server of `layout`; then InvalidInputError
+        unless every fan speed is in [0, 1] with at least one above 0 and
+        every power is >= 0."""
+        for f in fields(self):
+            values, count = getattr(self, f.name), getattr(layout, f.metadata["count"])
+            if values.shape != (count,):
+                raise DimensionMismatchError(f"{f.name}: expected {count} entries, "
+                                             f"got {values.size}")
+        for f in fields(self):
+            if "rule" in f.metadata:
+                rule, bad = f.metadata["rule"]
+                values = getattr(self, f.name)
+                if np.any(bad(values)):
+                    i = int(np.argmax(bad(values)))
+                    raise InvalidInputError(f"{f.name}.{i}: {float(values[i])!r} is not {rule}")
+        if not np.any(self.crac_fan_speeds > 0):
+            raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
+
+
+@dataclass(frozen=True)
+class SystemInput(OperatingState):
+    """One solver/surrogate input: the operating state plus the per-server
+    air flow rates being calibrated."""
+
+    flow_rates: np.ndarray = field(metadata={"count": "n_servers"})  # cfm/W, > 0
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.crac_setpoints.shape != self.crac_fan_speeds.shape:
             raise DimensionMismatchError("setpoints and fan speeds differ in length")
         if self.server_powers.shape != self.flow_rates.shape:
             raise DimensionMismatchError("powers and flow rates differ in length")
 
-    def with_flow_rates(self, alpha: np.ndarray) -> "SystemInput":
-        return SystemInput(
-            self.crac_setpoints, self.crac_fan_speeds, self.server_powers, np.asarray(alpha, dtype=float)
-        )
-
-    def check_layout(self, layout: HallLayout) -> None:
-        if self.crac_setpoints.size != layout.n_cracs:
-            raise DimensionMismatchError(
-                f"expected {layout.n_cracs} CRAC entries, got {self.crac_setpoints.size}"
-            )
-        if self.server_powers.size != layout.n_servers:
-            raise DimensionMismatchError(
-                f"expected {layout.n_servers} server entries, got {self.server_powers.size}"
-            )
+    with_flow_rates = OperatingState.to_input  # the same input with other flow rates
 
 
 @dataclass(frozen=True)

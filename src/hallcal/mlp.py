@@ -21,7 +21,7 @@ gradients that the search and the checks read run in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,8 +37,8 @@ MLP_TRAIN = TrainConfig(learning_rate=0.01)  # TrainConfig's 0.1 is too hot for 
 
 
 def flatten_input(x: SystemInput) -> np.ndarray:
-    """Feature vector [T_c, V, P, alpha] of length 2l + 2m."""
-    return np.concatenate([x.crac_setpoints, x.crac_fan_speeds, x.server_powers, x.flow_rates])
+    """Feature vector [T_c, V, P, alpha] of length 2l + 2m: the fields in order."""
+    return np.concatenate([getattr(x, f.name) for f in fields(x)])
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyFacilityClassError, MissingAisleCoverageError
-from .hall import COLD, HOT, Crac, HallLayout, Sensor, Server, validate_layout
-from .solver import OperatingState, Scenario
+from .hall import COLD, HOT, Crac, HallLayout, OperatingState, Sensor, Server, validate_layout
+from .solver import Scenario
 
 SERVERS_PER_ROW = 16
 RATED_POWER_W = 400.0

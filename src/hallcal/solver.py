@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import signal
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,45 +38,9 @@ from .errors import (
     SolverTimeoutError,
     ZeroDistanceError,
 )
-from .hall import COLD, HOT, HallLayout, SystemInput, squared_distances, validate_layout
+from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, squared_distances,
+                   validate_layout)
 from .surrogate import KAPPA_CFM_PER_W
-
-
-@dataclass(frozen=True)
-class OperatingState:
-    """Measured hall state at one time instant (everything but flow rates)."""
-
-    crac_setpoints: np.ndarray
-    crac_fan_speeds: np.ndarray
-    server_powers: np.ndarray
-
-    def __post_init__(self):
-        for name in ("crac_setpoints", "crac_fan_speeds", "server_powers"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    def to_input(self, alpha: np.ndarray) -> SystemInput:
-        return SystemInput(self.crac_setpoints, self.crac_fan_speeds,
-                           self.server_powers, np.asarray(alpha, dtype=float))
-
-    def check(self, layout: HallLayout) -> None:
-        """Raise InvalidInputError, naming the field, unless the CRAC and
-        server counts match `layout`, every fan speed is in [0, 1] with at
-        least one above 0, and every power is >= 0."""
-        fans, powers = self.crac_fan_speeds, self.server_powers
-        for name, count in (("crac_setpoints", layout.n_cracs),
-                            ("crac_fan_speeds", layout.n_cracs),
-                            ("server_powers", layout.n_servers)):
-            if getattr(self, name).shape != (count,):
-                raise InvalidInputError(f"{name}: expected {count} entries, "
-                                        f"got {getattr(self, name).size}")
-        for name, bad, rule in (("crac_fan_speeds", (fans < 0) | (fans > 1), "in [0, 1]"),
-                                ("server_powers", powers < 0, ">= 0")):
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise InvalidInputError(f"{name}.{i}: {float(getattr(self, name)[i])!r} "
-                                        f"is not {rule}")
-        if not np.any(fans > 0):
-            raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
 
 
 @dataclass(frozen=True)
@@ -187,13 +151,11 @@ class ZonalSolver(ThermalSolver):
         self.exhaust_inlet = self.exhaust.T @ self.server_inlet  # (n_hot, n_cold)
 
     def _validate(self, x: SystemInput) -> None:
-        x.check_layout(self.layout)
-        arrays = (x.crac_setpoints, x.crac_fan_speeds, x.server_powers, x.flow_rates)
-        if not all(np.all(np.isfinite(a)) for a in arrays):
+        x.check(self.layout)
+        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in fields(x)):
             raise InvalidInputError("non-finite entries in solver input")
         if np.any(x.flow_rates <= 0):
             raise InvalidInputError("flow rates must be positive")
-        OperatingState(x.crac_setpoints, x.crac_fan_speeds, x.server_powers).check(self.layout)
 
     def _solve(self, x: SystemInput) -> np.ndarray:
         self._validate(x)
@@ -289,8 +251,7 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
     lines = [f"{sid}, {float(alpha)!r}" for sid, alpha in zip(server_ids, x.flow_rates)]
     config_path.write_text("\n".join(lines) + "\n")
     from . import fileio  # fileio imports this module
-    fileio.save_state(OperatingState(x.crac_setpoints, x.crac_fan_speeds, x.server_powers),
-                      workdir / "state.json")
+    fileio.save_state(x, workdir / "state.json")
 
     # The child leads its own process group, so a timeout or an interrupt
     # also kills what it started (an mpirun or a shell wrapper's solver).
@@ -305,8 +266,8 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
                 raise SolverTimeoutError(f"external solver exceeded {spec.timeout_s} s") from exc
             raise
     if proc.returncode != 0:
-        tail = stderr.strip().splitlines()[-1] if stderr.strip() else ""
-        raise CommandFailedError(f"external solver exited {proc.returncode}: {tail}")
+        tail = stderr.strip().splitlines()[-1:]
+        raise CommandFailedError(": ".join([f"external solver exited {proc.returncode}", *tail]))
 
     if not output_path.exists():
         raise ParseError(f"external solver produced no {OUTPUT_FILENAME}")

@@ -18,10 +18,10 @@ import numpy as np
 
 from .engine import SEARCH_BOUNDS, KnowledgeSurrogateModel, VanillaSurrogateModel, mae
 from .errors import PoolTooSmallError
-from .hall import HallLayout, build_adjacency
+from .hall import HallLayout, OperatingState, build_adjacency
 from .mlp import MLP_TRAIN
 from .optim import TrainConfig
-from .solver import OperatingState, Scenario, ZonalSolver
+from .solver import Scenario, ZonalSolver
 from .surrogate import (
     PenaltyParams,
     TrainableAdjacencyWeights,
@@ -36,6 +36,7 @@ KNOWLEDGE_TRAINABLE = "knowledge-trainable"
 VANILLA = "vanilla"
 
 MIN_POOL_SIZE = 10  # the smallest pool the study splits
+TRAIN_SHARE = 0.8  # of the pool; the rest is the test set
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,16 @@ class StudyCell:
 
 
 def check_shape(fractions: list[float], pool_size: int) -> None:
-    """Reject, before any solve, a pool too small to split or a fraction outside (0, 1]."""
+    """Reject, before any solve, a pool too small to split or a fraction outside (0, 1] or empty."""
     if pool_size < MIN_POOL_SIZE:
         raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
     bad = [f for f in fractions if not 0.0 < f <= 1.0]
     if bad:
         raise PoolTooSmallError(f"fractions {bad} are not in (0, 1]")
+    n_train = round(TRAIN_SHARE * pool_size)
+    for fraction in fractions:
+        if round(fraction * n_train) < 1:
+            raise PoolTooSmallError(f"fraction {fraction} of {n_train} training samples is empty")
 
 
 def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
@@ -77,7 +82,7 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
     pool = build_pool(scenario, state, pool_size, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(pool))
-    n_train = int(round(0.8 * len(pool)))
+    n_train = round(TRAIN_SHARE * pool_size)
     train_pool = [pool[i] for i in perm[:n_train]]
     test_pool = [pool[i] for i in perm[n_train:]]
 
@@ -89,10 +94,7 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
 
     cells: list[StudyCell] = []
     for fraction in fractions:
-        k = int(round(fraction * len(train_pool)))
-        if k < 1:
-            raise PoolTooSmallError(
-                f"fraction {fraction} of {len(train_pool)} training samples is empty")
+        k = round(fraction * n_train)
         subset = train_pool[:k]
 
         knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())

@@ -24,7 +24,7 @@ air density, heat capacity, and the cfm unit conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -180,12 +180,9 @@ def _stack_batch(batch: list[TrainingSample]):
     its targets (B, n)."""
     if not batch:
         raise EmptyBatchError("batch is empty")
-    inputs = [s.input for s in batch]
     try:
-        x = SystemInput(np.stack([i.crac_setpoints for i in inputs]),
-                        np.stack([i.crac_fan_speeds for i in inputs]),
-                        np.stack([i.server_powers for i in inputs]),
-                        np.stack([i.flow_rates for i in inputs]))
+        x = SystemInput(**{f.name: np.stack([getattr(s.input, f.name) for s in batch])
+                           for f in fields(SystemInput)})
         return x, np.stack([s.target for s in batch])
     except ValueError as exc:  # np.stack of rows of unequal length
         raise DimensionMismatchError("batch samples differ in width") from exc

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallcal import fileio
+from hallcal import cli, fileio
 from hallcal.cli import (
     RunSettings,
     _make_solver,
@@ -602,6 +602,23 @@ class TestStudyCommand:
                                  tmp_path / "study", fractions=(0.5, fraction), pool_size=20)
         assert not (tmp_path / "study").exists()
 
+    def test_empty_fraction_is_2_before_any_solve(self, generated, tmp_path, capsys,
+                                                  monkeypatch):
+        out, paths = generated
+        solves = []
+        solve = ZonalSolver._solve
+        monkeypatch.setattr(ZonalSolver, "_solve",
+                            lambda self, x: solves.append(x) or solve(self, x))
+        code = main(["study-datavolume", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--pool-size", "200", "--fractions", "0.5,0.001",
+                     "--out-dir", str(tmp_path / "study")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: fraction 0.001 of 160 training samples is empty\n"
+        assert solves == []
+        assert not (tmp_path / "study").exists()
+
     def test_small_study_writes_table(self, generated, tmp_path):
         out, paths = generated
         cells = cmd_study_datavolume(paths["layout"], paths["scenario"], paths["state"],
@@ -727,6 +744,26 @@ class TestMainExitCodes:
         assert re.fullmatch("error: cannot create output directory "
                             + re.escape(str(blocker / "run")) + ": .+\n", err)
         assert solves == []
+
+    def test_threshold_that_cuts_every_weight_is_2_with_no_run_dir(self, generated, tmp_path,
+                                                                  capsys, monkeypatch):
+        out, paths = generated
+        calls = []
+        build = cli.build_adjacency
+        monkeypatch.setattr(cli, "build_adjacency",
+                            lambda *args: calls.append(args) or build(*args))
+        config = tmp_path / "cut.json"
+        argv = ["calibrate", "--layout", str(paths["layout"]),
+                "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                "--measurements", str(paths["measurements"]), "--iters", "1"]
+        config.write_text(json.dumps({"cut_threshold": 1e9}))
+        assert main(argv + ["--config", str(config), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            "error: threshold 1000000000.0 removed all CRAC weights of sensor 0\n"
+        assert not (tmp_path / "r").exists()
+        assert len(calls) == 1
+        assert main(argv + ["--out-dir", str(tmp_path / "ok")]) == 0
+        assert len(calls) == 2  # one build of the priors per run
 
     def test_non_positive_flow_rate_file_is_2(self, generated, tmp_path, capsys):
         out, paths = generated

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from hallcal.errors import (
     AllWeightsCutError,
+    DimensionMismatchError,
     DuplicateIdError,
     DuplicatePositionError,
     EmptyFacilityClassError,
@@ -17,8 +20,10 @@ from hallcal.hall import (
     HOT,
     Crac,
     HallLayout,
+    OperatingState,
     Sensor,
     Server,
+    SystemInput,
     build_adjacency,
     hot_aisle_mask,
     validate_layout,
@@ -195,3 +200,29 @@ def test_build_adjacency_deterministic(reference):
     assert np.array_equal(a.w_cs, b.w_cs)
     assert np.array_equal(a.w_ss, b.w_ss)
     assert np.array_equal(a.hot_mask, b.hot_mask)
+
+
+class TestOperatingState:
+    def test_input_is_the_state_plus_its_flow_rates(self, reference):
+        scenario, state = reference
+        alpha = np.linspace(0.1, 0.3, scenario.layout.n_servers)
+        x = state.to_input(alpha)
+        y = SystemInput(state.crac_setpoints, state.crac_fan_speeds, state.server_powers,
+                        np.zeros_like(alpha)).with_flow_rates(alpha)
+        assert isinstance(x, OperatingState) and type(y) is SystemInput
+        assert [f.name for f in fields(SystemInput)] == \
+            [f.name for f in fields(OperatingState)] + ["flow_rates"]
+        for f in fields(SystemInput):
+            assert np.array_equal(getattr(x, f.name), getattr(y, f.name))
+            assert getattr(x, f.name).dtype == float
+        x.check(scenario.layout)
+
+    @pytest.mark.parametrize("name", ["crac_setpoints", "crac_fan_speeds", "server_powers"])
+    def test_count_mismatch_names_the_field(self, reference, name):
+        scenario, state = reference
+        values = {f.name: getattr(state, f.name) for f in fields(OperatingState)}
+        expected = values[name].size
+        values[name] = values[name][:1]
+        with pytest.raises(DimensionMismatchError) as exc:
+            OperatingState(**values).check(scenario.layout)
+        assert str(exc.value) == f"{name}: expected {expected} entries, got 1"

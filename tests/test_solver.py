@@ -3,7 +3,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from hallcal.errors import (
     CommandFailedError,
+    DimensionMismatchError,
     InvalidInputError,
     ParseError,
     SolverTimeoutError,
@@ -155,6 +156,24 @@ class TestZonalSolve:
             solver.solve(SystemInput(np.array([20.0, 21.0]), np.array([0.5, 0.5]),
                                      np.array([200.0]), np.array([0.2])))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(SystemInput)])
+    def test_non_finite_input_is_invalid(self, name, value):
+        solver = ZonalSolver(one_server_scenario())
+        x = one_server_state().to_input(np.array([0.2]))
+        values = {f.name: getattr(x, f.name) for f in fields(x)}
+        values[name] = np.array([value])
+        with pytest.raises(InvalidInputError):
+            solver.solve(SystemInput(**values))
+
+    @pytest.mark.parametrize("name, x", [
+        ("crac_setpoints", SystemInput([20.0, 21.0], [0.5, 0.5], [200.0], [0.2])),
+        ("server_powers", SystemInput([20.0], [0.5], [200.0, 100.0], [0.2, 0.2])),
+    ], ids=["cracs", "servers"])
+    def test_count_mismatch_names_the_field(self, name, x):
+        with pytest.raises(DimensionMismatchError, match=f"^{name}: expected 1 entries, got 2$"):
+            ZonalSolver(one_server_scenario()).solve(x)
+
     def test_call_counter(self, reference):
         scenario, state = reference
         solver = ZonalSolver(scenario)
@@ -267,6 +286,17 @@ class TestExternalSolve:
                                   workdir=tmp_path)
         with pytest.raises(CommandFailedError):
             external_solve(spec, self.make_input([0.2]), ["s1"])
+
+    @pytest.mark.parametrize("stderr, message", [
+        ("", "external solver exited 4"),
+        ("first\nlast line\n\n", "external solver exited 4: last line"),
+    ], ids=["silent", "stderr"])
+    def test_command_failed_message(self, tmp_path, stderr, message):
+        code = f"import sys; sys.stderr.write({stderr!r}); sys.exit(4)"
+        spec = ExternalSolverSpec(command=(sys.executable, "-c", code), workdir=tmp_path)
+        with pytest.raises(CommandFailedError) as exc:
+            external_solve(spec, self.make_input([0.2]), ["s1"])
+        assert str(exc.value) == message
 
     def test_missing_output_is_parse_error(self, tmp_path):
         spec = ExternalSolverSpec(command=(sys.executable, "-c", "pass"), workdir=tmp_path)
