@@ -8,7 +8,7 @@ from hallcal.cli import (
     METHOD_HEURISTIC,
     METHOD_KALIBRE,
     METHOD_VANILLA,
-    _iterations,
+    _count,
     _Parser,
     _seed,
     load_settings,
@@ -21,7 +21,7 @@ from hallcal.solver import ZonalSolver, synthesize_measurements
 def main(argv=None):
     parser = _Parser(description=__doc__)
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--iters", type=_iterations, default=15)
+    parser.add_argument("--iters", type=_count)
     args = parser.parse_args(argv)
 
     scenario, state = make_reference_scenario(seed=args.seed)

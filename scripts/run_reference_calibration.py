@@ -3,7 +3,7 @@
 per-iteration convergence trace. The run takes `hallcal calibrate`'s own
 path with default settings."""
 
-from hallcal.cli import METHOD_KALIBRE, _iterations, _Parser, _seed, load_settings, run_calibration
+from hallcal.cli import METHOD_KALIBRE, _count, _Parser, _seed, load_settings, run_calibration
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
@@ -11,7 +11,7 @@ from hallcal.solver import ZonalSolver, synthesize_measurements
 def main(argv=None):
     parser = _Parser(description=__doc__)
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--iters", type=_iterations, default=15)
+    parser.add_argument("--iters", type=_count)
     args = parser.parse_args(argv)
 
     scenario, state = make_reference_scenario(seed=args.seed)

@@ -39,7 +39,7 @@ from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
 from .optim import cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
-from .study import MIN_POOL_SIZE, check_shape, run_datavolume_study
+from .study import FRACTIONS, MIN_POOL_SIZE, POOL_SIZE, StudyCell, check_shape, run_datavolume_study
 
 METHOD_KALIBRE = "kalibre"
 METHOD_VANILLA = "vanilla"
@@ -90,12 +90,10 @@ def _make_out_dir(out_dir) -> Path:
     return out
 
 
-def cmd_generate(out_dir, seed=0, n_cracs=4, n_servers=64, n_cold=16, n_hot=8,
-                 noise_sd=0.1, recirculation=0.05, containment=True) -> dict:
-    """Write layout, scenario, state, and synthesized measurement files."""
-    scenario, state = make_reference_scenario(
-        seed=seed, n_cracs=n_cracs, n_servers=n_servers, n_cold=n_cold, n_hot=n_hot,
-        noise_sd=noise_sd, recirculation=recirculation, containment=containment)
+def cmd_generate(out_dir, **hall) -> dict:
+    """Write layout, scenario, state, and synthesized measurement files for
+    make_reference_scenario(**hall), whose defaults give the reference hall."""
+    scenario, state = make_reference_scenario(**hall)
     layout = scenario.layout
     out = _make_out_dir(out_dir)
     measurements = synthesize_measurements(scenario, state)
@@ -125,6 +123,13 @@ def _make_solver(kind, layout, scenario, external_command=None, workdir=None):
     raise ParseError(f"unknown solver kind {kind!r}")
 
 
+def _table(columns, records):
+    """The header and rows of the records' named attributes; an MAE column's
+    name gets its unit, degC."""
+    header = [c + "_c" if c.endswith("_mae") else c for c in columns]
+    return header, [[getattr(r, c) for c in columns] for r in records]
+
+
 def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
                               inputs: dict, layout, measurements, result: CalibrationResult,
                               aborted: Optional[str] = None):
@@ -133,9 +138,7 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     some iteration validated."""
     traced = [f.name for f in fields(IterationTrace) if f.name != "wall_time_s"]
     for name, columns in (("traces.csv", traced), ("timings.csv", ["iteration", "wall_time_s"])):
-        fileio.write_csv(out_dir / name,
-                         [{"validation_mae": "validation_mae_c"}.get(c, c) for c in columns],
-                         [[getattr(t, c) for c in columns] for t in result.traces])
+        fileio.write_csv(out_dir / name, *_table(columns, result.traces))
     predicted = result.best_solver_temps
     if predicted is not None:
         fileio.write_csv(out_dir / "sensors.csv",
@@ -237,8 +240,7 @@ def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None)
 
 
 def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
-                         fractions=(0.05, 0.15, 0.30, 0.50), pool_size=200,
-                         seed=0) -> list:
+                         fractions=FRACTIONS, pool_size=POOL_SIZE, seed=0) -> list:
     """Data-volume study over the three surrogate designs."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
@@ -246,8 +248,7 @@ def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
     check_shape(list(fractions), pool_size)
     out = _make_out_dir(out_dir)
     cells = run_datavolume_study(scenario, state, list(fractions), pool_size, seed)
-    header = ["fraction", "surrogate", "n_train", "test_mae_c"]
-    rows = [[c.fraction, c.surrogate, c.n_train, c.test_mae] for c in cells]
+    header, rows = _table([f.name for f in fields(StudyCell)], cells)
     fileio.write_csv(out / "study.csv", header, rows)
     fileio._dump_json({
         "pool_size": pool_size,
@@ -280,7 +281,7 @@ def _checked(cast, ok, rule: str):
     return parse
 
 
-_iterations = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
 _pool_size = _checked(int, lambda v: v >= MIN_POOL_SIZE, f"an integer >= {MIN_POOL_SIZE}")
@@ -294,86 +295,71 @@ def _fractions(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is its command function's keyword. An option left
+    off the command line is not passed, so the function's default applies."""
     parser = _Parser(prog="hallcal",
                      description="Surrogate-assisted flow-rate calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    g = sub.add_parser("generate", help="write a synthetic hall scenario")
+    def command(name, help, *inputs):
+        """A subcommand that takes each input file as a required --<input>."""
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for kind in inputs:
+            p.add_argument(f"--{kind}", dest=f"{kind}_file", required=True)
+        return p
+
+    g = command("generate", "write a synthetic hall scenario")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--seed", type=_seed, default=0)
-    g.add_argument("--cracs", type=int, default=4)
-    g.add_argument("--servers", type=int, default=64)
-    g.add_argument("--sensors-cold", type=int, default=16)
-    g.add_argument("--sensors-hot", type=int, default=8)
-    g.add_argument("--noise-sd", type=_noise_sd, default=0.1)
-    g.add_argument("--recirculation", type=_recirculation, default=0.05)
-    g.add_argument("--no-containment", action="store_true")
+    g.add_argument("--seed", type=_seed)
+    g.add_argument("--cracs", dest="n_cracs", type=_count)
+    g.add_argument("--servers", dest="n_servers", type=_count)
+    g.add_argument("--sensors-cold", dest="n_cold", type=_count)
+    g.add_argument("--sensors-hot", dest="n_hot", type=_count)
+    g.add_argument("--noise-sd", type=_noise_sd)
+    g.add_argument("--recirculation", type=_recirculation)
+    g.add_argument("--no-containment", dest="containment", action="store_false")
 
-    s = sub.add_parser("solve", help="one-shot zonal solve")
-    s.add_argument("--layout", required=True)
-    s.add_argument("--scenario", required=True)
-    s.add_argument("--state", required=True)
-    s.add_argument("--alpha", default=None, help="flow-rate csv; defaults to the hidden truth")
-    s.add_argument("--out", default=None)
+    s = command("solve", "one-shot zonal solve", "layout", "scenario", "state")
+    s.add_argument("--alpha", dest="alpha_file",
+                   help="flow-rate csv; defaults to the hidden truth")
+    s.add_argument("--out")
 
-    c = sub.add_parser("calibrate", help="run one calibration")
-    c.add_argument("--layout", required=True)
-    c.add_argument("--scenario", required=True)
-    c.add_argument("--state", required=True)
-    c.add_argument("--measurements", required=True)
-    c.add_argument("--config", default=None)
-    c.add_argument("--method", choices=[METHOD_KALIBRE, METHOD_VANILLA, METHOD_HEURISTIC],
-                   default=METHOD_KALIBRE)
-    c.add_argument("--solver", choices=["zonal", "external"], default="zonal")
-    c.add_argument("--external-command", default=None)
-    c.add_argument("--workdir", default=None)
-    c.add_argument("--iters", type=_iterations, default=None)
-    c.add_argument("--seed", type=_seed, default=None)
+    c = command("calibrate", "run one calibration", "layout", "scenario", "state", "measurements")
+    c.add_argument("--config", dest="config_file")
+    c.add_argument("--method", choices=[METHOD_KALIBRE, METHOD_VANILLA, METHOD_HEURISTIC])
+    c.add_argument("--solver", dest="solver_kind", choices=["zonal", "external"])
+    c.add_argument("--external-command")
+    c.add_argument("--workdir")
+    c.add_argument("--iters", type=_count)
+    c.add_argument("--seed", type=_seed)
     c.add_argument("--out-dir", required=True)
 
-    d = sub.add_parser("study-datavolume", help="training-data-volume study")
-    d.add_argument("--layout", required=True)
-    d.add_argument("--scenario", required=True)
-    d.add_argument("--state", required=True)
-    d.add_argument("--fractions", default="0.05,0.15,0.30,0.50", type=_fractions)
-    d.add_argument("--pool-size", type=_pool_size, default=200)
-    d.add_argument("--seed", type=_seed, default=0)
+    d = command("study-datavolume", "training-data-volume study", "layout", "scenario", "state")
+    d.add_argument("--fractions", type=_fractions)
+    d.add_argument("--pool-size", type=_pool_size)
+    d.add_argument("--seed", type=_seed)
     d.add_argument("--out-dir", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "generate":
-            paths = cmd_generate(args.out_dir, seed=args.seed, n_cracs=args.cracs,
-                                 n_servers=args.servers, n_cold=args.sensors_cold,
-                                 n_hot=args.sensors_hot, noise_sd=args.noise_sd,
-                                 recirculation=args.recirculation,
-                                 containment=not args.no_containment)
-            for name, path in paths.items():
+        if command == "generate":
+            for name, path in cmd_generate(**options).items():
                 print(f"{name}: {path}")
-        elif args.command == "solve":
-            temps = cmd_solve(args.layout, args.scenario, args.state,
-                              alpha_file=args.alpha, out=args.out)
-            if not args.out:
+        elif command == "solve":
+            temps = cmd_solve(**options)
+            if not options.get("out"):
                 for value in temps:
                     print(repr(float(value)))
-        elif args.command == "calibrate":
-            report = cmd_calibrate(args.layout, args.scenario, args.state,
-                                   args.measurements, args.out_dir,
-                                   config_file=args.config, method=args.method,
-                                   solver_kind=args.solver,
-                                   external_command=args.external_command,
-                                   workdir=args.workdir, iters=args.iters,
-                                   seed=args.seed)
+        elif command == "calibrate":
+            report = cmd_calibrate(**options)
             print(f"best MAE {report['result']['best_mae_c']:.4f} degC "
                   f"in {report['result']['n_solver_calls']} solver calls")
-        elif args.command == "study-datavolume":
-            cells = cmd_study_datavolume(args.layout, args.scenario, args.state,
-                                         args.out_dir, fractions=args.fractions,
-                                         pool_size=args.pool_size, seed=args.seed)
-            for c in cells:
+        elif command == "study-datavolume":
+            for c in cmd_study_datavolume(**options):
                 print(f"{c.surrogate:20s} frac {c.fraction:.2f} test MAE {c.test_mae:.3f}")
     except UnknownMethodError as exc:
         print(f"error: {exc}", file=sys.stderr)

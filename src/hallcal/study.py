@@ -12,6 +12,7 @@ in float64; all three are scored in float64.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,16 @@ VANILLA = "vanilla"
 
 MIN_POOL_SIZE = 10  # the smallest pool the study splits
 TRAIN_SHARE = 0.8  # of the pool; the rest is the test set
+FRACTIONS = (0.05, 0.15, 0.30, 0.50)  # the default study's shares of the train set
+POOL_SIZE = 200  # the default study's pool
 
 
 @dataclass(frozen=True)
 class StudyCell:
     fraction: float
     surrogate: str
-    test_mae: float
     n_train: int
+    test_mae: float
 
 
 def check_shape(fractions: list[float], pool_size: int) -> None:
@@ -74,7 +77,8 @@ def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
 
 
 def run_datavolume_study(scenario: Scenario, state: OperatingState,
-                         fractions: list[float], pool_size: int, seed: int) -> list[StudyCell]:
+                         fractions: Sequence[float] = FRACTIONS, pool_size: int = POOL_SIZE,
+                         seed: int = 0) -> list[StudyCell]:
     """Train all three surrogates at every fraction of the train set, each
     in (0, 1]; returns one cell per (fraction, surrogate) pair."""
     check_shape(fractions, pool_size)
@@ -99,15 +103,15 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
 
         knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())
         knowledge.fit(subset)
-        cells.append(StudyCell(fraction, KNOWLEDGE_FIXED, test_mae(knowledge.predict), k))
+        cells.append(StudyCell(fraction, KNOWLEDGE_FIXED, k, test_mae(knowledge.predict)))
 
         tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
                                         w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
         tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
-        cells.append(StudyCell(fraction, KNOWLEDGE_TRAINABLE,
-                               test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x)), k))
+        cells.append(StudyCell(fraction, KNOWLEDGE_TRAINABLE, k,
+                               test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x))))
 
         vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed)
         vanilla.fit(subset)
-        cells.append(StudyCell(fraction, VANILLA, test_mae(vanilla.predict), k))
+        cells.append(StudyCell(fraction, VANILLA, k, test_mae(vanilla.predict)))
     return cells

@@ -36,6 +36,7 @@ from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import ZonalSolver, external_solve, synthesize_measurements
+from hallcal.study import FRACTIONS, POOL_SIZE
 
 ECHO_SOLVER = Path(__file__).parents[1] / "scripts" / "echo_solver.py"
 
@@ -89,6 +90,20 @@ class TestRoundTrips:
         assert (layout.n_cracs, layout.n_servers, layout.n_sensors) == (4, 64, 24)
         assert sum(1 for s in layout.sensors if s.aisle == "cold") == 16
         assert sum(1 for s in layout.sensors if s.aisle == "hot") == 8
+
+    def test_generate_without_options_is_the_reference_hall(self, tmp_path):
+        # the hall's shape comes from make_reference_scenario's own defaults
+        assert main(["generate", "--out-dir", str(tmp_path / "cli")]) == 0
+        scenario, state = make_reference_scenario()
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        fileio.save_layout(scenario.layout, ref / "layout.json")
+        fileio.save_scenario(scenario, ref / "scenario.json")
+        fileio.save_state(state, ref / "state.json")
+        fileio.save_measurements([s.id for s in scenario.layout.sensors],
+                                 synthesize_measurements(scenario, state), ref / "measurements.csv")
+        for name in ("layout.json", "scenario.json", "state.json", "measurements.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestParseErrors:
@@ -619,6 +634,16 @@ class TestStudyCommand:
         assert solves == []
         assert not (tmp_path / "study").exists()
 
+    def test_default_shape_comes_from_the_study_module(self, generated, tmp_path, monkeypatch):
+        out, paths = generated
+        calls = []
+        monkeypatch.setattr(cli, "run_datavolume_study",
+                            lambda scenario, state, *shape: calls.append(shape) or [])
+        assert main(["study-datavolume", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--out-dir", str(tmp_path / "study")]) == 0
+        assert calls == [(list(FRACTIONS), POOL_SIZE, 0)]
+
     def test_small_study_writes_table(self, generated, tmp_path):
         out, paths = generated
         cells = cmd_study_datavolume(paths["layout"], paths["scenario"], paths["state"],
@@ -850,6 +875,14 @@ class TestBadNumbersAreUsageErrors:
             main(["generate", "--out-dir", str(tmp_path / "g"), flag, value])
         assert exc.value.code == 1
         assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag", ["--cracs", "--servers", "--sensors-cold", "--sensors-hot"])
+    def test_generate_rejects_bad_counts(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out-dir", str(tmp_path / "g"), flag, "0"])
+        assert exc.value.code == 1
+        assert f"error: argument {flag}: '0' is not an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
     def test_whole_train_set_is_a_valid_fraction(self, generated, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hallcal.cli import cmd_calibrate, cmd_generate
+from hallcal.engine import CalibConfig
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -40,6 +41,14 @@ def test_reference_calibration_prints_each_iteration(capsys):
     assert lines[3] == ""
     assert lines[4].startswith("best MAE ") and lines[4].endswith(" in 5 solver calls")
     assert len(lines) == 5
+
+
+def test_reference_calibration_runs_the_config_default_iterations(capsys):
+    load_script("run_reference_calibration").main([])
+    lines = capsys.readouterr().out.splitlines()
+    n = CalibConfig().max_iterations
+    assert [row.split()[0] for row in lines[1:-2]] == [str(i) for i in range(1, n + 1)]
+    assert lines[-1].endswith(f" in {3 + n} solver calls")
 
 
 BAD_NUMBERS = [

@@ -352,11 +352,18 @@ class TestExternalSolve:
         try:
             with pytest.raises(KeyboardInterrupt if interrupted else SolverTimeoutError):
                 external_solve(spec, self.make_input([0.2]), ["s1"])
-            try:
-                stat = Path(f"/proc/{int(pid_file.read_text())}/stat").read_text()
-            except FileNotFoundError:  # killed and reaped
-                stat = None
-            assert stat is None or stat.rsplit(")", 1)[1].split()[0] == "Z"
+            # a killed process can still read R for a moment under load, so
+            # poll until it is a zombie or reaped
+            deadline = time.monotonic() + 5.0
+            while True:
+                try:
+                    stat = Path(f"/proc/{int(pid_file.read_text())}/stat").read_text()
+                except FileNotFoundError:  # killed and reaped
+                    break
+                if stat.rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+                assert time.monotonic() < deadline, f"grandchild outlived the kill: {stat}"
+                time.sleep(0.01)
         finally:
             if pid_file.exists():
                 try:
