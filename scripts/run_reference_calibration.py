@@ -3,22 +3,25 @@
 per-iteration convergence trace. The run takes `hallcal calibrate`'s own
 path with default settings."""
 
+import argparse
+
 from hallcal.cli import METHOD_KALIBRE, _count, _Parser, _seed, load_settings, run_calibration
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
 
 def main(argv=None):
-    parser = _Parser(description=__doc__)
+    # an option left off is not passed, so CalibConfig's default applies
+    parser = _Parser(description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--iters", type=_count)
-    args = parser.parse_args(argv)
+    parser.add_argument("--iters", dest="max_iterations", metavar="ITERS", type=_count)
+    overrides = vars(parser.parse_args(argv))
 
-    scenario, state = make_reference_scenario(seed=args.seed)
+    scenario, state = make_reference_scenario(seed=overrides["seed"])
     measurements = synthesize_measurements(scenario, state)
-    settings = load_settings(None, iters=args.iters, seed=args.seed)
+    cfg = load_settings(None, **overrides)
     result = run_calibration(METHOD_KALIBRE, ZonalSolver(scenario), measurements, state,
-                             scenario.layout, settings)
+                             scenario.layout, cfg)
 
     print(f"{'iter':>4} {'val MAE':>9} {'evals':>6} {'final L2':>12} {'residual':>10} "
           f"{'solver calls':>12} {'dataset':>8}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .errors import (
     OutputDirectoryError,
     UnknownMethodError,
 )
-from .hall import DEFAULT_CUT_THRESHOLD, build_adjacency
+from .hall import build_adjacency
 from .optim import cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
@@ -46,34 +46,11 @@ METHOD_VANILLA = "vanilla"
 METHOD_HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """Everything a calibration run needs beyond the input files. The config
-    file is this dataclass as JSON, with `calib`'s fields at the top level:
-    load_settings parses that form and settings_echo writes it."""
-
-    calib: CalibConfig = field(default_factory=CalibConfig, metadata={"inline": True})
-    cut_threshold: float = DEFAULT_CUT_THRESHOLD
-
-    def __post_init__(self):
-        if self.cut_threshold < 0:
-            raise ValueError("cut_threshold must be >= 0")
-
-
-def load_settings(config_path, iters=None, seed=None) -> RunSettings:
-    """Settings from the config file (defaults without one), then the
-    --iters and --seed overrides."""
+def load_settings(config_path, **overrides) -> CalibConfig:
+    """The config file's settings (defaults without one), with the fields
+    in `overrides` (--iters and --seed) replaced."""
     doc = fileio._load_json(config_path) if config_path else {}
-    settings = fileio.from_json(RunSettings, doc, config_path or "<defaults>")
-    calib = settings.calib
-    if iters is not None:
-        calib = replace(calib, max_iterations=iters)
-    if seed is not None:
-        calib = replace(calib, seed=seed)
-    return replace(settings, calib=calib)
-
-
-settings_echo = fileio.to_json  # the config-file form of settings; load_settings reads it
+    return replace(fileio.from_json(CalibConfig, doc, config_path or "<defaults>"), **overrides)
 
 
 # -- commands -----------------------------------------------------------------
@@ -130,7 +107,7 @@ def _table(columns, records):
     return header, [[getattr(r, c) for c in columns] for r in records]
 
 
-def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
+def _write_calibration_report(out_dir: Path, method: str, cfg: CalibConfig,
                               inputs: dict, layout, measurements, result: CalibrationResult,
                               aborted: Optional[str] = None):
     """The run directory's files. A run that aborted writes the iterations
@@ -150,7 +127,7 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
     report = {
         "method": method,
         "inputs": inputs,
-        "config": settings_echo(settings),
+        "config": fileio.to_json(cfg),
         "result": {
             "best_mae_c": result.best_mae if predicted is not None else None,
             "n_solver_calls": result.n_solver_calls,
@@ -168,64 +145,62 @@ def _write_calibration_report(out_dir: Path, method: str, settings: RunSettings,
 def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
                   out_dir, config_file=None, method=METHOD_KALIBRE,
                   solver_kind="zonal", external_command=None, workdir=None,
-                  iters=None, seed=None) -> dict:
-    """Run one calibration by the selected method and write its report."""
+                  **overrides) -> dict:
+    """Run one calibration by the selected method and write its report;
+    `overrides` replace CalibConfig fields of the config file."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
     state = fileio.load_state(state_file, layout)
     measurements = fileio.load_measurements(measurements_file, [s.id for s in layout.sensors])
-    settings = load_settings(config_file, iters=iters, seed=seed)
+    cfg = load_settings(config_file, **overrides)
     solver = _make_solver(solver_kind, layout, scenario, external_command, workdir)
-    model = make_surrogate(method, layout, settings)
+    model = make_surrogate(method, layout, cfg)
     out = _make_out_dir(out_dir)
     inputs = {"layout": str(layout_file), "scenario": str(scenario_file),
               "state": str(state_file), "measurements": str(measurements_file),
               "solver": solver_kind}
     try:
-        result = _run_method(model, solver, measurements, state, layout, settings)
+        result = _run_method(model, solver, measurements, state, layout, cfg)
     except CalibrationAbortedError as exc:
-        _write_calibration_report(out, method, settings, inputs,
+        _write_calibration_report(out, method, cfg, inputs,
                                   layout, measurements, exc.result, aborted=str(exc))
         raise
-    return _write_calibration_report(out, method, settings, inputs,
-                                     layout, measurements, result)
+    return _write_calibration_report(out, method, cfg, inputs, layout, measurements, result)
 
 
-def make_surrogate(method, layout, settings: RunSettings):
+def make_surrogate(method, layout, cfg: CalibConfig):
     """The method's surrogate, None for the heuristic. Kalibre's builds the
     adjacency priors, so a threshold that cuts them all fails here."""
-    calib = settings.calib
     if method == METHOD_KALIBRE:
-        return KnowledgeSurrogateModel(build_adjacency(layout, settings.cut_threshold),
-                                       calib.penalty)
+        return KnowledgeSurrogateModel(build_adjacency(layout, cfg.cut_threshold), cfg.penalty)
     if method == METHOD_VANILLA:
-        return VanillaSurrogateModel(layout, calib.penalty, calib.train, seed=calib.seed)
+        return VanillaSurrogateModel(layout, cfg.penalty, cfg.train, seed=cfg.seed)
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
     return None
 
 
 def run_calibration(method, solver, measurements, state, layout,
-                    settings: RunSettings) -> CalibrationResult:
+                    cfg: CalibConfig) -> CalibrationResult:
     """Calibrate by one method."""
-    model = make_surrogate(method, layout, settings)
-    return _run_method(model, solver, measurements, state, layout, settings)
+    model = make_surrogate(method, layout, cfg)
+    return _run_method(model, solver, measurements, state, layout, cfg)
 
 
-def _run_method(model, solver, measurements, state, layout, settings) -> CalibrationResult:
+def _run_method(model, solver, measurements, state, layout, cfg: CalibConfig) -> CalibrationResult:
     """A surrogate runs the engine's loop; with none, the heuristic runs the
     (1+1)-ES on the loop's run record (solver MAE), one solver call per
     candidate, for the 3 + max_iterations calls a surrogate run makes."""
-    calib = settings.calib
     if model is not None:
-        return calibrate(solver, model, measurements, state, layout, calib)
-    run = _RunRecord(solver, measurements, state, layout, calib.bounds)
-    res = cmaes_1p1(run.solve, calib.bounds, 3 + calib.max_iterations, run.alpha_star, calib.seed)
+        return calibrate(solver, model, measurements, state, layout, cfg)
+    run = _RunRecord(solver, measurements, state, layout, cfg.bounds)
+    res = cmaes_1p1(run.solve, cfg.bounds, 3 + cfg.max_iterations, run.alpha_star, cfg.seed)
     return replace(run.result(), es_adaptations=len(res.adaptations))
 
 
 def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None) -> np.ndarray:
-    """One-shot zonal solve, at alpha_true unless an alpha file is given."""
+    """One-shot zonal solve, at alpha_true unless an alpha file is given;
+    the readings go to the file `out` if given, its directory made first."""
     layout = fileio.load_layout(layout_file)
     scenario = fileio.load_scenario(scenario_file, layout)
     state = fileio.load_state(state_file, layout)
@@ -233,9 +208,14 @@ def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None)
         alpha = fileio.load_alpha(alpha_file, [s.id for s in layout.servers])
     else:
         alpha = scenario.alpha_true
+    if out:
+        _make_out_dir(Path(out).parent)
     temps = ZonalSolver(scenario).solve(state.to_input(alpha))
     if out:
-        fileio.save_measurements([s.id for s in layout.sensors], temps, Path(out))
+        try:
+            fileio.save_measurements([s.id for s in layout.sensors], temps, Path(out))
+        except OSError as exc:
+            raise OutputDirectoryError(f"cannot write {out}: {exc.strerror}") from exc
     return temps
 
 
@@ -330,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--solver", dest="solver_kind", choices=["zonal", "external"])
     c.add_argument("--external-command")
     c.add_argument("--workdir")
-    c.add_argument("--iters", type=_count)
+    c.add_argument("--iters", dest="max_iterations", metavar="ITERS", type=_count)
     c.add_argument("--seed", type=_seed)
     c.add_argument("--out-dir", required=True)
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationAbortedError, DimensionMismatchError, HallcalError
-from .hall import AdjacencyPriors, HallLayout, OperatingState, SystemInput
+from .hall import DEFAULT_CUT_THRESHOLD, AdjacencyPriors, HallLayout, OperatingState, SystemInput
 from .mlp import (
     MLP_TRAIN,
     MlpWeights,
@@ -221,6 +221,9 @@ def _penalty_feasible_band(cfg: "CalibConfig") -> Optional[Bounds]:
 
 @dataclass(frozen=True)
 class CalibConfig:
+    """Everything a calibration run needs beyond its input files. The config
+    file is this dataclass as JSON, and report.json echoes it in that form."""
+
     bounds: Bounds = SEARCH_BOUNDS
     max_iterations: int = 15
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
@@ -229,12 +232,15 @@ class CalibConfig:
     adam: AdamConfig = field(default_factory=AdamConfig)
     use_de: Optional[bool] = None  # None: the model's exact search if it has one, else DE+Adam
     seed: int = 0
+    cut_threshold: float = DEFAULT_CUT_THRESHOLD  # the knowledge surrogate's adjacency cut
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.cut_threshold < 0:
+            raise ValueError("cut_threshold must be >= 0")
 
 
 @dataclass(kw_only=True)

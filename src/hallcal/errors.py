@@ -89,7 +89,8 @@ class CalibrationAbortedError(HallcalError):
 
 
 class OutputDirectoryError(HallcalError):
-    """A command's output directory cannot be created."""
+    """A command's output directory cannot be created, or its output file
+    cannot be written."""
 
 
 class PoolTooSmallError(HallcalError):

@@ -29,11 +29,22 @@ def _dump_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path):
+def _read_text(path: Path) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8
+    raises ParseError naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+
+
+def _load_json(path: Path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
@@ -41,8 +52,7 @@ def _load_json(path: Path):
 # -- dataclasses as JSON --------------------------------------------------------
 #
 # Every JSON input is a dataclass as an object keyed by its field names; a
-# nested dataclass is a nested object (merged into the enclosing one when its
-# field has metadata {"inline": True}), tuples and arrays are lists, an
+# nested dataclass is a nested object, tuples and arrays are lists, an
 # Optional field takes null, and Bounds is [lower, upper].
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
@@ -69,30 +79,22 @@ def from_json(cls, doc, path, name: str = "", **given):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: {name or 'document'} must be a JSON object")
     rest = dict(doc)
-    obj = _parse_fields(cls, rest, name, path, given)
-    if rest:
-        raise ParseError(f"{path}: {f'{name}.{min(rest)}'.lstrip('.')}: unknown field")
-    return obj
-
-
-def _parse_fields(cls, doc: dict, name: str, path, given: dict):
-    """Build `cls` from the keys of `doc` it owns, popping each one; fields
-    missing from `doc` keep their defaults."""
     kwargs = dict(given)
     for f, tp in _schema(cls):
         key = f"{name}.{f.name}".lstrip(".")
         if f.name in given:
             continue
-        elif f.metadata.get("inline"):
-            kwargs[f.name] = _parse_fields(tp, doc, name, path, {})
-        elif f.name in doc:
-            kwargs[f.name] = _parse_value(tp, doc.pop(f.name), key, path)
+        elif f.name in rest:
+            kwargs[f.name] = _parse_value(tp, rest.pop(f.name), key, path)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ParseError(f"{path}: {key}: missing field")
     try:
-        return cls(**kwargs)
+        obj = cls(**kwargs)
     except (ValueError, InvalidInputError) as exc:
         raise ParseError(f"{path}: {name}: {exc}" if name else f"{path}: {exc}") from exc
+    if rest:
+        raise ParseError(f"{path}: {f'{name}.{min(rest)}'.lstrip('.')}: unknown field")
+    return obj
 
 
 def _parse_value(tp, value, name: str, path):
@@ -134,8 +136,7 @@ def to_json(obj, omit: Sequence[str] = ()) -> dict:
     doc = {}
     for f in fields(obj):
         if f.name not in omit:
-            value = _echo_value(getattr(obj, f.name))
-            doc.update(value if f.metadata.get("inline") else {f.name: value})
+            doc[f.name] = _echo_value(getattr(obj, f.name))
     return doc
 
 
@@ -207,10 +208,7 @@ def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
     with `positive`, not above 0), and a repeated id each raise ParseError
     naming the file and the line, as does an id of `ids` with no record.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: file not found") from exc
+    lines = _read_text(path).splitlines()
     first = 1
     if header is not None:
         if not lines or lines[0].strip() != header:

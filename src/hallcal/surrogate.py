@@ -236,15 +236,10 @@ def penalty_h(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> f
     if alpha.shape != powers.shape:
         raise DimensionMismatchError("alpha and powers differ in length")
     _check_alpha(alpha)
-    return float(_hinge(alpha, powers, params))
-
-
-def _hinge(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> np.ndarray:
-    """penalty_h of one flow-rate vector (m,) or of each row of a batch (K, m)."""
     dt = params.kappa / alpha
     low = np.maximum(0.0, params.dt_low - dt)
     high = np.maximum(0.0, dt - params.dt_high)
-    return ((low + high) * powers).sum(axis=-1)
+    return float(((low + high) * powers).sum())
 
 
 def _penalty_grad(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> np.ndarray:
@@ -453,10 +448,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         u, n_evals = q, n_evals + 1
 
     alpha = bounds.clip(1.0 / u)
-    _check_alpha(alpha)
-    x_hot = ((powers / alpha)[:, None] * priors.w_ss).sum(axis=0)  # _features' order, same bits
-    fun = search_loss(_predict(w, priors.hot_mask, x_cold, x_hot), x.with_flow_rates(alpha),
-                      t_meas, params)
+    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params)
     if not np.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=n_evals,

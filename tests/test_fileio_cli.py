@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from hallcal import cli, fileio
 from hallcal.cli import (
-    RunSettings,
     _make_solver,
     cmd_calibrate,
     cmd_generate,
@@ -22,7 +21,6 @@ from hallcal.cli import (
     load_settings,
     main,
     run_calibration,
-    settings_echo,
 )
 from hallcal.engine import CalibConfig, KnowledgeSurrogateModel, mae
 from hallcal.errors import (
@@ -176,7 +174,7 @@ def run_settings(draw):
     decay = st.floats(0.0, 1.0, exclude_min=True)
     lower = draw(st.floats(1e-4, 1.0))
     dt_low = draw(st.floats(1e-3, 50.0))
-    calib = CalibConfig(
+    return CalibConfig(
         bounds=Bounds(lower, lower + draw(st.floats(1e-3, 10.0))),
         max_iterations=draw(counts),
         penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
@@ -186,8 +184,8 @@ def run_settings(draw):
         adam=AdamConfig(draw(positive), draw(counts)),
         use_de=draw(st.sampled_from([None, True, False])),
         seed=draw(seeds),
+        cut_threshold=draw(unit),
     )
-    return RunSettings(calib=calib, cut_threshold=draw(unit))
 
 
 # config files the loader must refuse, each with the field its error names
@@ -239,19 +237,19 @@ class TestConfigSchema:
     def test_echo_parses_back_to_the_same_settings(self, settings_):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
-            fileio._dump_json(settings_echo(settings_), path)
+            fileio._dump_json(fileio.to_json(settings_), path)
             assert load_settings(path) == settings_
 
     def test_null_use_de_is_the_default(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"use_de": None}))
         assert load_settings(cfg) == load_settings(None)
-        assert load_settings(cfg).calib.use_de is None
+        assert load_settings(cfg).use_de is None
 
     def test_echo_widens_integral_floats(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"penalty": {"lam": 2}, "bounds": [1, 2]}))
-        echo = settings_echo(load_settings(cfg))
+        echo = fileio.to_json(load_settings(cfg))
         assert json.dumps([echo["penalty"]["lam"], echo["bounds"]]) == "[2.0, [1.0, 2.0]]"
 
     @pytest.mark.parametrize("doc, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
@@ -259,7 +257,7 @@ class TestConfigSchema:
         cfg = tmp_path / "c.json"
         cfg.write_text(doc)
         with pytest.raises(ParseError, match=r"c\.json: .*" + re.escape(field)):
-            load_settings(cfg, iters=1)
+            load_settings(cfg, max_iterations=1)
 
     @pytest.mark.parametrize("doc, field", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
     def test_bad_value_exits_2(self, generated, tmp_path, capsys, doc, field):
@@ -346,7 +344,7 @@ class TestCalibrateCommand:
         out, paths = generated
         run = tmp_path / "run"
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                               paths["measurements"], run, iters=2, seed=1)
+                               paths["measurements"], run, max_iterations=2, seed=1)
         assert (run / "report.json").exists()
         assert (run / "traces.csv").exists()
         assert (run / "sensors.csv").exists()
@@ -362,7 +360,7 @@ class TestCalibrateCommand:
         for name in ("r1", "r2"):
             run = tmp_path / name
             cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                          paths["measurements"], run, iters=2, seed=1)
+                          paths["measurements"], run, max_iterations=2, seed=1)
             runs.append(run)
         for f in ("report.json", "traces.csv", "sensors.csv", "alpha_star.csv"):
             assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes()
@@ -372,7 +370,7 @@ class TestCalibrateCommand:
         out, paths = generated
         first = tmp_path / "first"
         cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                      paths["measurements"], first, iters=3, seed=7)
+                      paths["measurements"], first, max_iterations=3, seed=7)
         echoed = json.loads((first / "report.json").read_text())["config"]
         cfg_file = tmp_path / "echoed.json"
         cfg_file.write_text(json.dumps(echoed))
@@ -382,17 +380,35 @@ class TestCalibrateCommand:
         for f in ("report.json", "traces.csv", "sensors.csv", "alpha_star.csv"):
             assert (first / f).read_bytes() == (replay / f).read_bytes()
 
+    def test_echoed_non_default_config_replays_through_main(self, generated, tmp_path):
+        # cut_threshold sits beside the search settings in the one echoed config block
+        out, paths = generated
+        inputs = ["--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                  "--state", str(paths["state"]), "--measurements", str(paths["measurements"])]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cut_threshold": 0.02, "penalty": {"dt_low": 4.0, "lam": 0.5}}))
+        assert main(["calibrate", *inputs, "--config", str(cfg), "--iters", "3", "--seed", "7",
+                     "--out-dir", str(tmp_path / "first")]) == 0
+        echoed = json.loads((tmp_path / "first" / "report.json").read_text())["config"]
+        assert (echoed["cut_threshold"], echoed["penalty"]["dt_low"], echoed["penalty"]["lam"],
+                echoed["max_iterations"], echoed["seed"]) == (0.02, 4.0, 0.5, 3, 7)
+        cfg.write_text(json.dumps(echoed))
+        assert main(["calibrate", *inputs, "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "replay")]) == 0
+        for f in ("report.json", "traces.csv", "alpha_star.csv"):
+            assert (tmp_path / "first" / f).read_bytes() == (tmp_path / "replay" / f).read_bytes()
+
     @pytest.mark.parametrize("method", ["kalibre", "vanilla", "heuristic"])
     def test_seed_flag_equals_config_seed(self, generated, tmp_path, method):
         # the config's seed is the run's only seed, as --seed sets it
         out, paths = generated
         base = {"train": {"epochs": 20}}
-        for name, doc, seed in (("flag", base, 3), ("file", dict(base, seed=3), None)):
+        for name, doc, flags in (("flag", base, {"seed": 3}), ("file", dict(base, seed=3), {})):
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(doc))
             cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                           paths["measurements"], tmp_path / name, config_file=cfg,
-                          iters=2, seed=seed, method=method)
+                          max_iterations=2, method=method, **flags)
         for f in ("traces.csv", "alpha_star.csv"):
             assert (tmp_path / "flag" / f).read_bytes() == (tmp_path / "file" / f).read_bytes()
 
@@ -404,7 +420,7 @@ class TestCalibrateCommand:
             cfg.write_text(json.dumps({"train": {"epochs": 20}, "use_de": use_de}))
             cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                           paths["measurements"], tmp_path / name, config_file=cfg,
-                          iters=2, seed=1, method="vanilla")
+                          max_iterations=2, seed=1, method="vanilla")
         for f in ("traces.csv", "alpha_star.csv"):
             assert (tmp_path / "default" / f).read_bytes() == (tmp_path / "de" / f).read_bytes()
         rows = list(csv.DictReader((tmp_path / "default" / "traces.csv").read_text().splitlines()))
@@ -419,7 +435,7 @@ class TestCalibrateCommand:
         monkeypatch.setattr(KnowledgeSurrogateModel, "search",
                             lambda self, *args: found.append(search(self, *args)) or found[-1])
         cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                      paths["measurements"], tmp_path / "run", iters=15, seed=7)
+                      paths["measurements"], tmp_path / "run", max_iterations=15, seed=7)
         rows = list(csv.DictReader((tmp_path / "run" / "traces.csv").read_text().splitlines()))
         assert len(rows) == len(found) == 15
         for row, res in zip(rows, found):
@@ -433,7 +449,7 @@ class TestCalibrateCommand:
         # of 3 + iters solves makes 2 + iters of them
         out, paths = generated
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                               paths["measurements"], tmp_path / "run", iters=iters, seed=1,
+                               paths["measurements"], tmp_path / "run", max_iterations=iters, seed=1,
                                method="heuristic")
         assert report["result"]["es_adaptations"] == adaptations
         rows = list(csv.DictReader((tmp_path / "run" / "traces.csv").read_text().splitlines()))
@@ -473,7 +489,7 @@ class TestCalibrateCommand:
         out, paths = generated
         run = tmp_path / "run_h"
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                               paths["measurements"], run, iters=4, seed=1,
+                               paths["measurements"], run, max_iterations=4, seed=1,
                                method="heuristic")
         assert report["result"]["n_solver_calls"] == 7  # budget 3 + iters
         lines = (run / "traces.csv").read_text().splitlines()
@@ -498,7 +514,7 @@ class TestCalibrateCommand:
         run = tmp_path / "run_v"
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                                paths["measurements"], run, config_file=cfg,
-                               iters=1, seed=1, method="vanilla")
+                               max_iterations=1, seed=1, method="vanilla")
         assert report["method"] == "vanilla"
 
     def test_unknown_method_raises(self, generated, tmp_path):
@@ -534,7 +550,7 @@ class TestCalibrateCommand:
         run = tmp_path / "run_ext"
         report = cmd_calibrate(case / "layout.json", case / "scenario.json",
                                case / "state.json", case / "measurements.csv", run,
-                               iters=1, seed=0, solver_kind="external",
+                               max_iterations=1, seed=0, solver_kind="external",
                                external_command=f"{sys.executable} {script}",
                                workdir=str(tmp_path / "ext_work"))
         assert report["inputs"]["solver"] == "external"
@@ -590,12 +606,34 @@ class TestSolveCommand:
         paths = cmd_generate(tmp_path / "c", seed=2, n_servers=8, n_cold=3,
                              n_hot=2, noise_sd=0.0)
         layout = fileio.load_layout(paths["layout"])
-        out_file = tmp_path / "solved.csv"
+        out_file = tmp_path / "new" / "solved.csv"  # --out makes its directory
         temps = cmd_solve(paths["layout"], paths["scenario"], paths["state"],
                           out=out_file)
         meas = fileio.load_measurements(paths["measurements"], [s.id for s in layout.sensors])
         np.testing.assert_allclose(temps, meas, atol=1e-12)
-        assert out_file.exists()
+        assert np.array_equal(fileio.load_measurements(out_file, [s.id for s in layout.sensors]),
+                              temps)
+
+    def test_out_under_a_regular_file_is_2_before_the_solve(self, generated, tmp_path, capsys,
+                                                           monkeypatch):
+        out, paths = generated
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        solves = []
+        monkeypatch.setattr(ZonalSolver, "_solve", lambda self, x: solves.append(x))
+        code = main(["solve", "--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"]), "--out", str(blocker / "solved.csv")])
+        assert code == 2
+        assert re.fullmatch("error: cannot create output directory " + re.escape(str(blocker))
+                            + ": .+\n", capsys.readouterr().err)
+        assert solves == []
+
+    def test_out_that_is_a_directory_is_2(self, generated, tmp_path, capsys):
+        out, paths = generated
+        code = main(["solve", "--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"]), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 class TestStudyCommand:
@@ -676,6 +714,44 @@ class TestMainExitCodes:
                      "--measurements", str(bad),
                      "--out-dir", str(tmp_path / "r")])
         assert code == 2
+
+    def test_directory_as_measurements_is_2_with_no_run_dir(self, generated, tmp_path, capsys):
+        out, paths = generated
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(out), "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot read: Is a directory\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_non_utf8_layout_is_2(self, generated, tmp_path, capsys):
+        out, paths = generated
+        layout = tmp_path / "layout.json"
+        layout.write_bytes(Path(paths["layout"]).read_bytes().replace(b'"crac-', b'"\xffcrac-', 1))
+        code = main(["solve", "--layout", str(layout), "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"])])
+        assert code == 2
+        assert re.fullmatch(f"error: {re.escape(str(layout))}: not UTF-8 text at byte \\d+\n",
+                            capsys.readouterr().err)
+
+    def test_non_utf8_solver_output_is_3_with_a_partial_report(self, generated, tmp_path, capsys):
+        out, paths = generated
+        script = tmp_path / "undecodable_solver.py"
+        script.write_text("import sys\nfrom pathlib import Path\n"
+                          "(Path(sys.argv[1]) / 'sensor_output.txt').write_bytes(b'\\xff\\n')\n")
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--iters", "2",
+                     "--solver", "external",
+                     "--external-command", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+                     "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert "sensor_output.txt: not UTF-8 text at byte 0" in capsys.readouterr().err
+        result = json.loads((tmp_path / "r" / "report.json").read_text())["result"]
+        assert result["aborted"].startswith("solver failed during seeding: ")
+        assert result["iterations"] == 0 and result["n_solver_calls"] == 1
+        assert (tmp_path / "r" / "traces.csv").exists()
+        assert (tmp_path / "r" / "alpha_star.csv").exists()
 
     @pytest.mark.parametrize("method, aborted", [
         ("kalibre", "solver failed during seeding"),

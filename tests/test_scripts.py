@@ -27,7 +27,7 @@ def test_compare_methods_matches_calibrate(tmp_path, capsys):
     for method, (best, calls) in printed.items():
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                                paths["measurements"], tmp_path / method, method=method,
-                               iters=2, seed=1)["result"]
+                               max_iterations=2, seed=1)["result"]
         assert (f"{report['best_mae_c']:.4f}", report["n_solver_calls"]) == (best, calls)
         assert calls == 5
 
