@@ -212,10 +212,7 @@ def cmd_solve(layout_file, scenario_file, state_file, alpha_file=None, out=None)
         _make_out_dir(Path(out).parent)
     temps = ZonalSolver(scenario).solve(state.to_input(alpha))
     if out:
-        try:
-            fileio.save_measurements([s.id for s in layout.sensors], temps, Path(out))
-        except OSError as exc:
-            raise OutputDirectoryError(f"cannot write {out}: {exc.strerror}") from exc
+        fileio.save_measurements([s.id for s in layout.sensors], temps, out)
     return temps
 
 

@@ -46,10 +46,12 @@ from .optim import (
 from .solver import ThermalSolver
 from .surrogate import (
     PenaltyParams,
+    StateTerms,
     SurrogateWeights,
     TrainingSample,
     convex_search,
     fit_terms,
+    fold_terms,
     forward,
     grad_alpha,
     init_weights,
@@ -136,7 +138,9 @@ def mae(pred: np.ndarray, meas: np.ndarray) -> float:
 
 
 class KnowledgeSurrogateModel:
-    """Stateful wrapper pairing the knowledge surrogate with its priors."""
+    """Stateful wrapper pairing the knowledge surrogate with its priors. It
+    keeps the StateTerms of the last operating state it saw, which in a
+    calibration is the only one, for its fits and searches."""
 
     def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams):
         self.priors = priors
@@ -144,18 +148,27 @@ class KnowledgeSurrogateModel:
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
         self._summed: list[TrainingSample] = []  # the samples _terms sums, in order
         self._terms = None  # their fit_terms, summed
+        self._state: Optional[StateTerms] = None
+
+    def _state_of(self, x: OperatingState) -> StateTerms:
+        """The StateTerms of x's state, computed only when its values differ
+        from those of the last state seen."""
+        if self._state is None or not self._state.holds(x):
+            self._state = StateTerms.of(self.priors, x)
+        return self._state
 
     def fit(self, dataset: list[TrainingSample]) -> None:
         """fit_weights on the dataset, from running sums of fit_terms: only
         the samples past the prefix already summed (the same objects, in
-        order) add terms. They are added one at a time, the order in which
-        fit_weights sums, so the weights match it bit for bit. A dataset
-        that does not extend that prefix starts the sums over."""
+        order) add terms, each by fold_terms. They are added one at a time,
+        the order in which fit_weights sums, so the weights match it bit for
+        bit. A dataset that does not extend that prefix starts the sums
+        over."""
         k, terms = len(self._summed), self._terms
         if not (0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
             k, terms = len(dataset), fit_terms(self.priors, dataset)
         for sample in dataset[k:]:
-            gram, rhs = fit_terms(self.priors, [sample])
+            gram, rhs = fold_terms(self.priors, self._state_of(sample.input), sample)
             terms = (terms[0] + gram, terms[1] + rhs)
         self._summed, self._terms = list(dataset), terms
         self.weights = solve_fit(*terms, len(dataset), self.penalty.kappa)
@@ -171,7 +184,8 @@ class KnowledgeSurrogateModel:
 
     def search(self, x: SystemInput, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
         """The exact minimum of l2 over the box, starting at x.flow_rates."""
-        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds)
+        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds,
+                             self._state_of(x))
 
 
 class VanillaSurrogateModel:
@@ -331,7 +345,6 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
     """Run the four-step loop for cfg.max_iterations and return the best
     validated flow-rate vector with its traces."""
     run = _RunRecord(solver, measurements, state, layout, cfg.bounds)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.max_iterations)
     alpha = run.alpha_star
     exact = getattr(model, "search", None) if cfg.use_de is None else None
 
@@ -346,16 +359,17 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
-        de_seed = int(seeds[it - 1].generate_state(1)[0])
         with run.aborting(f"surrogate failed at iteration {it}"):
             model.fit(dataset)
             if exact is not None:
                 res = exact(state.to_input(alpha), run.measurements, cfg.bounds)
             elif cfg.use_de is False:
                 res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
-            else:
+            else:  # DE's seed: child it - 1 of cfg.seed, as SeedSequence.spawn numbers them
+                child = np.random.SeedSequence(cfg.seed, spawn_key=(it - 1,))
                 res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
-                                    de_seed, init_bounds=_penalty_feasible_band(cfg))
+                                    int(child.generate_state(1)[0]),
+                                    init_bounds=_penalty_feasible_band(cfg))
         alpha = res.x
         run.solve(alpha, res, dataset, t0)
 

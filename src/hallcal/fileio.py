@@ -19,14 +19,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, ParseError
+from .errors import DimensionMismatchError, InvalidInputError, OutputDirectoryError, ParseError
 from .hall import HallLayout, OperatingState, validate_layout
 from .optim import Bounds
 from .solver import Scenario
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; one that cannot be written raises
+    OutputDirectoryError naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OutputDirectoryError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _dump_json(payload, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_text(path: Path) -> str:
@@ -65,10 +74,21 @@ def _schema(cls) -> tuple:
     return tuple((f, hints[f.name]) for f in fields(cls))
 
 
-def from_json(cls, doc, path, name: str = "", **given):
-    """`cls` from its JSON form `doc`, read from the file `path`; `name` is
-    the dotted field `doc` sits at. Fields in `given` are taken as they
-    are and must not appear in `doc`.
+class _Invalid(Exception):
+    """A JSON value that does not fit its field. The readers it passes up
+    through add the field's keys, innermost first; from_json then forms the
+    dotted name and the message text(name). No name is formed for a value
+    that fits."""
+
+    def __init__(self, text, *keys):
+        super().__init__()
+        self.text = text
+        self.keys = list(keys)
+
+
+def from_json(cls, doc, path, **given):
+    """`cls` from its JSON form `doc`, read from the file `path`. Fields in
+    `given` are taken as they are and must not appear in `doc`.
 
     A bool takes only true/false, an int only a JSON integer, a float any
     finite number (an integer is widened), a str only a string; a tuple or
@@ -76,58 +96,103 @@ def from_json(cls, doc, path, name: str = "", **given):
     unknown key, a value of the wrong type and a value the dataclass
     rejects each raise ParseError naming the file and the dotted field.
     """
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: {name or 'document'} must be a JSON object")
-    rest = dict(doc)
-    kwargs = dict(given)
-    for f, tp in _schema(cls):
-        key = f"{name}.{f.name}".lstrip(".")
-        if f.name in given:
-            continue
-        elif f.name in rest:
-            kwargs[f.name] = _parse_value(tp, rest.pop(f.name), key, path)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ParseError(f"{path}: {key}: missing field")
     try:
-        obj = cls(**kwargs)
-    except (ValueError, InvalidInputError) as exc:
-        raise ParseError(f"{path}: {name}: {exc}" if name else f"{path}: {exc}") from exc
-    if rest:
-        raise ParseError(f"{path}: {f'{name}.{min(rest)}'.lstrip('.')}: unknown field")
-    return obj
+        return _reader(cls)(doc, **given)
+    except _Invalid as exc:
+        name = ".".join(map(str, reversed(exc.keys))).lstrip(".")
+        raise ParseError(f"{path}: {exc.text(name)}") from exc.__cause__
 
 
-def _parse_value(tp, value, name: str, path):
-    """Check one JSON value against its field's type."""
-    if tp is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif tp in _KINDS:
-        if type(value) is tp:
-            return value
-    elif tp is np.ndarray:
-        return np.array(_parse_value(tuple[float, ...], value, name, path), dtype=float)
-    elif type(None) in typing.get_args(tp):  # Optional[X]: null or an X
-        (inner,) = [t for t in typing.get_args(tp) if t is not type(None)]
-        return None if value is None else _parse_value(inner, value, name, path)
-    elif typing.get_origin(tp) is tuple:
-        args = typing.get_args(tp)
-        if not isinstance(value, list):
-            raise ParseError(f"{path}: {name} must be a list, got {json.dumps(value)}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ParseError(f"{path}: {name} must be a list of {len(args)} values, "
-                             f"got {json.dumps(value)}")
-        return tuple(_parse_value(t, v, f"{name}.{i}", path)
-                     for i, (t, v) in enumerate(zip(args, value)))
-    else:
-        if tp is Bounds:
+@functools.cache
+def _reader(tp):
+    """The function that checks one JSON value against the type `tp` and
+    returns it as a `tp`, raising _Invalid if it does not fit; built once
+    per type."""
+    if tp in _KINDS:
+        def read(value):
+            if tp is float:
+                if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                    return float(value)
+            elif type(value) is tp:
+                return value
+            raise _Invalid(lambda name: f"{name} must be {_KINDS[tp]}, got {json.dumps(value)}")
+        return read
+    if tp is np.ndarray:
+        items = _reader(tuple[float, ...])
+        return lambda value: np.array(items(value), dtype=float)
+    if type(None) in typing.get_args(tp):  # Optional[X]: null or an X
+        (inner,) = [_reader(t) for t in typing.get_args(tp) if t is not type(None)]
+        return lambda value: None if value is None else inner(value)
+    if typing.get_origin(tp) is tuple:
+        return _tuple_reader(typing.get_args(tp))
+    if tp is Bounds:
+        pair = _object_reader(Bounds)
+
+        def read(value):
             if not (isinstance(value, list) and len(value) == 2):
-                raise ParseError(f"{path}: {name} must be [lower, upper]")
-            value = dict(zip(("lower", "upper"), value))
-        return from_json(tp, value, path, name)
-    raise ParseError(f"{path}: {name} must be {_KINDS[tp]}, got {json.dumps(value)}")
+                raise _Invalid(lambda name: f"{name} must be [lower, upper]")
+            return pair(dict(zip(("lower", "upper"), value)))
+        return read
+    return _object_reader(tp)
+
+
+def _tuple_reader(args: tuple):
+    """A tuple's reader: a list of len(args) values, or of any length for
+    tuple[X, ...]; an item that does not fit is named by its index."""
+    items = [_reader(t) for t in args if t is not Ellipsis]
+
+    def read(value):
+        if not isinstance(value, list):
+            raise _Invalid(lambda name: f"{name} must be a list, got {json.dumps(value)}")
+        if args[-1] is Ellipsis:
+            readers = items * len(value)
+        elif len(value) == len(items):
+            readers = items
+        else:
+            raise _Invalid(lambda name: f"{name} must be a list of {len(items)} values, "
+                                        f"got {json.dumps(value)}")
+        out = []
+        try:
+            for item, v in zip(readers, value):
+                out.append(item(v))
+        except _Invalid as exc:
+            exc.keys.append(len(out))
+            raise
+        return tuple(out)
+
+    return read
+
+
+def _object_reader(cls):
+    """A dataclass's reader: an object keyed by its field names."""
+    schema = [(f.name, _reader(tp), f.default is MISSING and f.default_factory is MISSING)
+              for f, tp in _schema(cls)]
+
+    def read(doc, **given):
+        if not isinstance(doc, dict):
+            raise _Invalid(lambda name: f"{name or 'document'} must be a JSON object")
+        rest, kwargs = dict(doc), dict(given)
+        for key, read_field, required in schema:
+            if key in given:
+                continue
+            elif key in rest:
+                try:
+                    kwargs[key] = read_field(rest.pop(key))
+                except _Invalid as exc:
+                    exc.keys.append(key)
+                    raise
+            elif required:
+                raise _Invalid(lambda name: f"{name}: missing field", key)
+        try:
+            obj = cls(**kwargs)
+        except (ValueError, InvalidInputError) as exc:
+            reason = str(exc)
+            raise _Invalid(lambda name: f"{name}: {reason}" if name else reason) from exc
+        if rest:
+            raise _Invalid(lambda name: f"{name}: unknown field", min(rest))
+        return obj
+
+    return read
 
 
 def to_json(obj, omit: Sequence[str] = ()) -> dict:
@@ -158,7 +223,7 @@ def _echo_value(value):
 
 
 def save_layout(layout: HallLayout, path: Path) -> None:
-    _dump_json(to_json(layout), Path(path))
+    _dump_json(to_json(layout), path)
 
 
 def load_layout(path: Path) -> HallLayout:
@@ -166,7 +231,7 @@ def load_layout(path: Path) -> HallLayout:
 
 
 def save_scenario(scenario: Scenario, path: Path) -> None:
-    _dump_json(to_json(scenario, omit=("layout",)), Path(path))
+    _dump_json(to_json(scenario, omit=("layout",)), path)
 
 
 def load_scenario(path: Path, layout: HallLayout) -> Scenario:
@@ -175,8 +240,7 @@ def load_scenario(path: Path, layout: HallLayout) -> Scenario:
 
 def save_state(state: OperatingState, path: Path) -> None:
     """The state's fields as JSON; a SystemInput's flow rates are left out."""
-    _dump_json({f.name: _echo_value(getattr(state, f.name)) for f in fields(OperatingState)},
-               Path(path))
+    _dump_json({f.name: _echo_value(getattr(state, f.name)) for f in fields(OperatingState)}, path)
 
 
 def load_state(path: Path, layout: HallLayout) -> OperatingState:
@@ -195,7 +259,7 @@ def load_state(path: Path, layout: HallLayout) -> OperatingState:
 def save_measurements(sensor_ids: Sequence[str], values: np.ndarray, path: Path) -> None:
     lines = ["sensor_id,temperature_c"]
     lines += [f"{sid},{float(v)!r}" for sid, v in zip(sensor_ids, values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
@@ -249,7 +313,7 @@ def load_measurements(path: Path, sensor_ids: Sequence[str]) -> np.ndarray:
 def save_alpha(server_ids: Sequence[str], alpha: np.ndarray, path: Path) -> None:
     lines = ["server_id,alpha_cfm_per_w"]
     lines += [f"{sid},{float(a)!r}" for sid, a in zip(server_ids, alpha)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_alpha(path: Path, server_ids: Sequence[str]) -> np.ndarray:
@@ -270,4 +334,4 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -167,7 +167,8 @@ class ZonalSolver(ThermalSolver):
         cold_flow = phi @ self.crac_to_cold  # (n_cold,)
         bypass_flow = r * (phi @ self.crac_to_hot)  # (n_hot,)
 
-        utilization = np.where(self.rated > 0, x.server_powers / self.rated, 0.0)
+        utilization = np.divide(x.server_powers, self.rated, out=np.zeros_like(x.server_powers),
+                                where=self.rated > 0)  # a zero-rated server is idle
         rise = KAPPA_CFM_PER_W * utilization / x.flow_rates  # (m,)
 
         # t_hot = H t_cold + h0: each hot zone mixes server exhaust (inlet air

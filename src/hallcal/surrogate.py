@@ -36,7 +36,7 @@ from .errors import (
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
-from .hall import AdjacencyPriors, SystemInput
+from .hall import AdjacencyPriors, OperatingState, SystemInput
 from .optim import Bounds, SearchResult, TrainConfig, adam_fit
 
 AIR_DENSITY = 1.205  # kg/m^3
@@ -137,29 +137,75 @@ def _cooling_coefficients(w_cs: np.ndarray, fan_speeds: np.ndarray,
     return ez / ez.sum(axis=-2, keepdims=True)
 
 
-def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
-              targets: Optional[np.ndarray] = None, dense: bool = False):
-    """Softmax coefficients, X_cold and X_hot under the adjacency w_cs (l, n)
-    and w_ss (m, n), of one input, its arrays (l,) and (m,), or of a batch
-    stacked to (B, l) and (B, m).
+def _state_features(w_cs: np.ndarray, w_ss: np.ndarray, x: OperatingState,
+                    dense: bool = False):
+    """Softmax coefficients and X_cold under the adjacency w_cs (l, n), of
+    one state, its arrays (l,) and (m,), or of a batch stacked to (B, l) and
+    (B, m): the features that do not depend on the flow rates.
 
     The fixed priors mask the softmax to their support; trainable adjacency
-    has no fixed zero pattern, so it is dense. The two variants sum X_hot
-    over the servers in different orders, and each order is part of its
-    variant's reproducible output. Raises DimensionMismatchError when the
-    CRAC, server or (given) target width does not match the adjacency.
+    has no fixed zero pattern, so it is dense. Raises DimensionMismatchError
+    when the CRAC or server count does not match the adjacency.
     """
     if x.crac_setpoints.shape[-1:] != w_cs.shape[:1]:
         raise DimensionMismatchError("CRAC count does not match the adjacency")
     if x.server_powers.shape[-1:] != w_ss.shape[:1]:
         raise DimensionMismatchError("server count does not match the adjacency")
-    if targets is not None and targets.shape[-1:] != w_cs.shape[1:]:
-        raise DimensionMismatchError("target width does not match the sensor count")
-    _check_alpha(x.flow_rates)
     coeff = _cooling_coefficients(w_cs, x.crac_fan_speeds, dense)
+    return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2)
+
+
+def _hot_features(w_ss: np.ndarray, x: SystemInput, dense: bool = False) -> np.ndarray:
+    """X_hot under the adjacency w_ss (m, n), of an input whose server count
+    _state_features has checked. The two variants sum over the servers in
+    different orders, and each order is part of its variant's reproducible
+    output."""
+    _check_alpha(x.flow_rates)
     pw = x.server_powers / x.flow_rates
-    x_hot = pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
-    return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2), x_hot
+    return pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
+
+
+def _check_targets(targets: np.ndarray, w_cs: np.ndarray) -> None:
+    if targets.shape[-1:] != w_cs.shape[1:]:
+        raise DimensionMismatchError("target width does not match the sensor count")
+
+
+def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
+              targets: Optional[np.ndarray] = None, dense: bool = False):
+    """Softmax coefficients, X_cold and X_hot of one input or a batch (see
+    _state_features and _hot_features); a given target width is checked
+    against the sensor count too."""
+    coeff, x_cold = _state_features(w_cs, w_ss, x, dense)
+    if targets is not None:
+        _check_targets(targets, w_cs)
+    return coeff, x_cold, _hot_features(w_ss, x, dense)
+
+
+def _state_key(x: OperatingState) -> tuple:
+    """The values of x's state fields, as bytes: writing to x's arrays later
+    does not change the key."""
+    return tuple(getattr(x, f.name).tobytes() for f in fields(OperatingState))
+
+
+@dataclass(frozen=True)
+class StateTerms:
+    """The fixed-prior surrogate's terms that depend on the operating state
+    alone, so every flow rate of a calibration shares them: X_cold, and the
+    heating factor P_j w_ss[j, k] of convex_search's A. `key` is the state's
+    values (_state_key) they were computed from."""
+
+    key: tuple
+    x_cold: np.ndarray  # (n,)
+    heat: np.ndarray  # (m, n)
+
+    @classmethod
+    def of(cls, priors: AdjacencyPriors, x: OperatingState) -> "StateTerms":
+        _, x_cold = _state_features(priors.w_cs, priors.w_ss, x)
+        return cls(_state_key(x), x_cold, x.server_powers[:, None] * priors.w_ss)
+
+    def holds(self, x: OperatingState) -> bool:
+        """Whether x's state has, value for value, the state of these terms."""
+        return self.key == _state_key(x)
 
 
 def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
@@ -296,6 +342,13 @@ def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     return search_grad(pred, x, t_meas, params, mse_grad)
 
 
+def _normal_terms(hot_mask: np.ndarray, x_cold: np.ndarray, x_hot: np.ndarray,
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fit_terms of feature rows X_cold, X_hot and targets, each (B, n)."""
+    cols = np.stack([x_cold, np.ones_like(x_cold), hot_mask * x_hot], axis=-1)  # (B, n, 3)
+    return np.einsum("bkq,bkr->kqr", cols, cols), np.einsum("bkq,bk->kq", cols, targets)
+
+
 def fit_terms(priors: AdjacencyPriors,
               batch: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
     """The batch's share of fit_weights' normal equations: per sensor the
@@ -304,9 +357,16 @@ def fit_terms(priors: AdjacencyPriors,
     the samples, so the terms of a dataset are those of its parts added."""
     if not batch:
         raise EmptyDatasetError("training dataset is empty")
-    x_cold, x_hot, targets = _batch_features(priors, batch)
-    cols = np.stack([x_cold, np.ones_like(x_cold), priors.hot_mask * x_hot], axis=-1)  # (B, n, 3)
-    return np.einsum("bkq,bkr->kqr", cols, cols), np.einsum("bkq,bk->kq", cols, targets)
+    return _normal_terms(priors.hot_mask, *_batch_features(priors, batch))
+
+
+def fold_terms(priors: AdjacencyPriors, state: StateTerms,
+               sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
+    """fit_terms(priors, [sample]), bit for bit, for a sample whose state
+    `state` holds: only its X_hot is computed."""
+    _check_targets(sample.target, priors.w_cs)
+    x_hot = _hot_features(priors.w_ss, sample.input)
+    return _normal_terms(priors.hot_mask, state.x_cold[None], x_hot[None], sample.target[None])
 
 
 def solve_fit(gram: np.ndarray, rhs: np.ndarray, count: int,
@@ -356,7 +416,8 @@ def hinge_box_prox(v: np.ndarray, k_lo: float, k_hi: float, s: np.ndarray,
 
 
 def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-                  t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds) -> SearchResult:
+                  t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds,
+                  state: Optional[StateTerms] = None) -> SearchResult:
     """The minimum of loss_l2 over the flow-rate box, by FISTA in u = 1/alpha,
     finished by one exact least-squares projection.
 
@@ -386,12 +447,16 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     accepts q, as its last iterate, only when q passes the stop test
     |q - T(q)| < SEARCH_TOL t; otherwise it keeps stepping. On the
     reference hall most warm-started searches end at q with no step.
+
+    `state` gives the StateTerms of x's state when the caller keeps them; it
+    must hold x. The result is the same with or without it.
     """
-    _, x_cold, _ = _features(priors.w_cs, priors.w_ss, x)
+    state = StateTerms.of(priors, x) if state is None else state
+    _check_alpha(x.flow_rates)
     n = priors.n_sensors
-    r0 = _search_residual(_predict(w, priors.hot_mask, x_cold, 0.0), t_meas)  # u = 0
+    r0 = _search_residual(_predict(w, priors.hot_mask, state.x_cold, 0.0), t_meas)  # u = 0
     powers = x.server_powers
-    A = (powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T  # (n, m)
+    A = (state.heat * (priors.hot_mask * w.c)).T  # (n, m)
     if not np.all(np.isfinite(A)):  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
     eig, vec = np.linalg.eigh(A.dot(A.T))
@@ -448,7 +513,9 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         u, n_evals = q, n_evals + 1
 
     alpha = bounds.clip(1.0 / u)
-    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params)
+    end = x.with_flow_rates(alpha)
+    fun = search_loss(_predict(w, priors.hot_mask, state.x_cold, _hot_features(priors.w_ss, end)),
+                      end, t_meas, params)  # loss_l2 at alpha
     if not np.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=n_evals,

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hallcal.engine import (
     init_samples,
     mae,
 )
-from hallcal import engine
+from hallcal import engine, surrogate
 from hallcal.errors import (
     CalibrationAbortedError,
     DimensionMismatchError,
@@ -32,6 +32,7 @@ from hallcal.surrogate import (
     PenaltyParams,
     SurrogateWeights,
     TrainingSample,
+    convex_search,
     fit_weights,
     grad_alpha,
     init_weights,
@@ -189,6 +190,24 @@ class TestKnowledgeModelObjective:
                                    state.server_powers, np.full(alpha.size, 0.2)), meas)
 
 
+@pytest.fixture(scope="module")
+def two_states():
+    """The reference hall, its priors, its state and a second state."""
+    scenario, state = make_reference_scenario(seed=0)
+    other = OperatingState(state.crac_setpoints + 1.5, state.crac_fan_speeds * 0.9,
+                           state.server_powers * 1.1)
+    return scenario, build_adjacency(scenario.layout), state, other
+
+
+def solved(solver, state, rng, count):
+    """`count` solves of `state` at random flow rates, as training samples."""
+    samples = []
+    for _ in range(count):
+        x = state.to_input(rng.uniform(0.05, 1.0, state.server_powers.size))
+        samples.append(TrainingSample(input=x, target=solver.solve(x)))
+    return samples
+
+
 def assert_same_weights(got: SurrogateWeights, want: SurrogateWeights):
     for name in "abcd":
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -227,18 +246,71 @@ class TestKnowledgeModelFit:
             assert_same_weights(weights, fit_weights(priors, dataset, model.penalty.kappa))
 
     def test_each_fit_sums_only_the_new_samples(self, small_case, monkeypatch):
+        # the first fit sums its three seed solves in one batch; every later
+        # fit folds in its one new solve, and both reach the one _normal_terms
         scenario, state, priors = small_case
-        batch_sizes, fit_terms = [], engine.fit_terms
+        rows, folds = [], []
+        normal_terms, fold_terms = surrogate._normal_terms, engine.fold_terms
 
-        def counted(priors, batch):
-            batch_sizes.append(len(batch))
-            return fit_terms(priors, batch)
+        def counted_rows(hot_mask, x_cold, *rest):
+            rows.append(len(x_cold))
+            return normal_terms(hot_mask, x_cold, *rest)
 
-        monkeypatch.setattr(engine, "fit_terms", counted)
+        def counted_fold(*args):
+            folds.append(args[2])
+            return fold_terms(*args)
+
+        monkeypatch.setattr(surrogate, "_normal_terms", counted_rows)
+        monkeypatch.setattr(engine, "fold_terms", counted_fold)
         cfg = small_config(max_iterations=5)
         calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
                   synthesize_measurements(scenario, state), state, scenario.layout, cfg)
-        assert batch_sizes == [3, 1, 1, 1, 1]
+        assert rows == [3, 1, 1, 1, 1]
+        assert len(folds) == 4
+
+    def test_folds_match_the_full_fit_across_a_state_switch(self, two_states):
+        scenario, priors, first, second = two_states
+        solver, rng = ZonalSolver(scenario), np.random.default_rng(5)
+        dataset = (solved(solver, first, rng, 5) + solved(solver, second, rng, 4)
+                   + solved(solver, first, rng, 2))
+        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        for k in range(3, len(dataset) + 1):
+            model.fit(dataset[:k])
+            assert_same_weights(model.weights, fit_weights(priors, dataset[:k]))
+
+    def test_a_state_written_in_place_is_told_by_its_values(self, two_states):
+        # the model keys its state terms by value: after the arrays it last
+        # saw are overwritten with another state, a fold recomputes them
+        scenario, priors, first, second = two_states
+        solver, rng = ZonalSolver(scenario), np.random.default_rng(6)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        dataset = solved(solver, first, rng, 3)
+        model.fit(dataset)
+        held = OperatingState(*[np.copy(getattr(first, f.name)) for f in fields(OperatingState)])
+        model.search(held.to_input(dataset[0].input.flow_rates), dataset[0].target,
+                     engine.SEARCH_BOUNDS)
+        for f in fields(OperatingState):
+            getattr(held, f.name)[:] = getattr(second, f.name)
+        dataset += solved(solver, held, rng, 2)
+        model.fit(dataset[:4])
+        model.fit(dataset)
+        assert_same_weights(model.weights, fit_weights(priors, dataset))
+
+    def test_search_matches_a_fresh_convex_search(self, two_states):
+        scenario, priors, first, second = two_states
+        solver, rng = ZonalSolver(scenario), np.random.default_rng(7)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        dataset = solved(solver, first, rng, 4)
+        model.fit(dataset[:3])
+        model.fit(dataset)  # the fold leaves the first state's terms in the model
+        meas = synthesize_measurements(scenario, first)
+        bounds = engine.SEARCH_BOUNDS
+        for state in (first, second, first):
+            x = state.to_input(np.full(scenario.layout.n_servers, bounds.midpoint))
+            got = model.search(x, meas, bounds)
+            want = convex_search(model.weights, priors, x, meas, model.penalty, bounds)
+            assert np.array_equal(got.x, want.x)
+            assert (got.fun, got.n_evals, got.residual) == (want.fun, want.n_evals, want.residual)
 
     @pytest.mark.parametrize("kind", ["reordered", "shorter"])
     def test_a_list_that_does_not_extend_the_prefix_starts_over(self, reference_fits, kind):
@@ -413,6 +485,18 @@ class TestCalibrate:
             assert (t.search_residual is not None) == (stage == "convex")
             if stage == "convex":
                 assert t.search_residual <= SEARCH_TOL
+
+    def test_de_seeds_are_the_spawned_children_of_the_run_seed(self, small_case, monkeypatch):
+        # iteration i's DE seed is child i - 1 of SeedSequence(cfg.seed).spawn(...)
+        scenario, state, priors = small_case
+        seeds, hybrid = [], engine.hybrid_search
+        monkeypatch.setattr(engine, "hybrid_search",
+                            lambda *args, **kw: seeds.append(args[6]) or hybrid(*args, **kw))
+        cfg = small_config(max_iterations=3, use_de=True, seed=11)
+        calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
+                  synthesize_measurements(scenario, state), state, scenario.layout, cfg)
+        children = np.random.SeedSequence(11).spawn(3)
+        assert seeds == [int(c.generate_state(1)[0]) for c in children]
 
     def test_vanilla_model_runs_through_engine(self, small_case):
         scenario, state, _ = small_case

@@ -846,6 +846,26 @@ class TestMainExitCodes:
                             + re.escape(str(blocker / "run")) + ": .+\n", err)
         assert solves == []
 
+    @pytest.mark.parametrize("command, blocked", [("generate", "layout.json"),
+                                                  ("calibrate", "report.json"),
+                                                  ("study-datavolume", "study.json")])
+    def test_output_file_that_cannot_be_written_is_2(self, generated, tmp_path, capsys,
+                                                     command, blocked):
+        # the run directory exists, but one file in it is a directory
+        out, paths = generated
+        run = tmp_path / "run"
+        (run / blocked).mkdir(parents=True)
+        argv = [command, "--out-dir", str(run)]
+        if command != "generate":
+            argv += ["--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                     "--state", str(paths["state"])]
+        if command == "calibrate":
+            argv += ["--measurements", str(paths["measurements"]), "--iters", "1"]
+        if command == "study-datavolume":
+            argv += ["--pool-size", "20", "--fractions", "0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {run / blocked}: Is a directory\n"
+
     def test_threshold_that_cuts_every_weight_is_2_with_no_run_dir(self, generated, tmp_path,
                                                                   capsys, monkeypatch):
         out, paths = generated

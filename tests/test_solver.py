@@ -104,6 +104,24 @@ class TestZonalSolve:
         # hot aisles pick up no heat, so they agree with the cold mix
         assert abs(hot.mean() - cold.mean()) < 0.05
 
+    def test_zero_rated_idle_server_is_no_server(self, reference):
+        # a rating of 0 is allowed: the solve must not divide by it (pytest makes
+        # a RuntimeWarning an error), and the server then moves no air at all
+        scenario, state = reference
+        j, keep = 5, np.arange(scenario.layout.n_servers) != 5
+        servers = list(scenario.layout.servers)
+        servers[j] = replace(servers[j], rated_power=0.0)
+        zero_rated = replace(scenario, layout=replace(scenario.layout, servers=tuple(servers)))
+        powers = state.server_powers.copy()
+        powers[j] = 0.0
+        got = ZonalSolver(zero_rated).solve(SystemInput(
+            state.crac_setpoints, state.crac_fan_speeds, powers, scenario.alpha_true))
+        removed = replace(scenario, alpha_true=scenario.alpha_true[keep], layout=replace(
+            scenario.layout, servers=tuple(s for s, k in zip(servers, keep) if k)))
+        want = ZonalSolver(removed).solve(SystemInput(
+            state.crac_setpoints, state.crac_fan_speeds, powers[keep], scenario.alpha_true[keep]))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_single_server_first_principle_rise(self):
         # one CRAC at 20 degC, no recirculation, P = rated = 200 W,
         # alpha = 0.175 cfm/W -> hot sensor at 20 + kappa/0.175 ~ 30
