@@ -162,8 +162,11 @@ def cmd_calibrate(layout_file, scenario_file, state_file, measurements_file,
     try:
         result = _run_method(model, solver, measurements, state, layout, cfg)
     except CalibrationAbortedError as exc:
-        _write_calibration_report(out, method, cfg, inputs,
-                                  layout, measurements, exc.result, aborted=str(exc))
+        try:
+            _write_calibration_report(out, method, cfg, inputs,
+                                      layout, measurements, exc.result, aborted=str(exc))
+        except OutputDirectoryError as write_exc:  # the abort, not the partial write, ends the run
+            print(f"error: {write_exc}", file=sys.stderr)
         raise
     return _write_calibration_report(out, method, cfg, inputs, layout, measurements, result)
 

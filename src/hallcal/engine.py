@@ -140,7 +140,8 @@ def mae(pred: np.ndarray, meas: np.ndarray) -> float:
 class KnowledgeSurrogateModel:
     """Stateful wrapper pairing the knowledge surrogate with its priors. It
     keeps the StateTerms of the last operating state it saw, which in a
-    calibration is the only one, for its fits and searches."""
+    calibration is the only one, for its fits, predictions, objectives and
+    searches."""
 
     def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams):
         self.priors = priors
@@ -174,13 +175,14 @@ class KnowledgeSurrogateModel:
         self.weights = solve_fit(*terms, len(dataset), self.penalty.kappa)
 
     def predict(self, x: SystemInput) -> np.ndarray:
-        return forward(self.weights, self.priors, x)
+        return forward(self.weights, self.priors, x, self._state_of(x))
 
     def l2(self, x: SystemInput, t_meas: np.ndarray) -> float:
-        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty)
+        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty, self._state_of(x))
 
     def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
-        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty)
+        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty,
+                          self._state_of(x))
 
     def search(self, x: SystemInput, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
         """The exact minimum of l2 over the box, starting at x.flow_rates."""

@@ -7,7 +7,9 @@ rise, hot zones mix server exhaust with bypass air scaled by CRAC flow,
 and sensors read their own zone blended with nearby same-aisle zones.
 The balance is affine in the zone temperatures, so each solve is exact:
 hot zones are an affine map of the cold ones, and cold zones are explicit
-under containment and one small linear system without it.
+under containment and one small linear system without it. All of it but
+the servers' rise depends on the operating state alone, so a solver
+derives it once per state and each solve pays only for the flow rates.
 Its functional form is deliberately richer than the surrogate's (fan-law
 flows, inverse-square mixing, bypass dilution, envelope leakage) so the
 surrogate can approximate but never equal it.
@@ -38,8 +40,8 @@ from .errors import (
     SolverTimeoutError,
     ZeroDistanceError,
 )
-from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, squared_distances,
-                   validate_layout)
+from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, check_counts,
+                   squared_distances, validate_layout)
 from .surrogate import KAPPA_CFM_PER_W
 
 
@@ -117,8 +119,29 @@ def _aisle_mixing(positions: np.ndarray, mixing: float) -> np.ndarray:
     return (1.0 - mixing) * np.eye(g) + mixing * off
 
 
+_FLOW_RATES = fields(SystemInput)[-1]
+
+
+@dataclass(frozen=True)
+class _ZonalTerms:
+    """The zonal balance's terms that depend on the operating state alone,
+    so every flow rate at that state shares them. `key` is the state's
+    values (OperatingState.key) they were derived from; B and lhs = I - B H
+    are None under containment, where the cold zones need no solve."""
+
+    key: tuple
+    load: np.ndarray  # kappa * utilization, (m,): a server's rise times its flow rate
+    mixed: np.ndarray  # (n_hot,) whether the hot zone has inflow
+    hot_total: np.ndarray  # (n_hot,) its inflow, floored at 1e-12
+    H: np.ndarray  # (n_hot, n_cold)
+    c0: np.ndarray  # (n_cold,)
+    B: Optional[np.ndarray]  # (n_cold, n_hot)
+    lhs: Optional[np.ndarray]  # (n_cold, n_cold)
+
+
 class ZonalSolver(ThermalSolver):
-    """Mass-and-energy-balance zonal model of one scenario's hall."""
+    """Mass-and-energy-balance zonal model of one scenario's hall. It keeps
+    the state terms of the last operating state it solved."""
 
     def __init__(self, scenario: Scenario):
         super().__init__()
@@ -149,16 +172,36 @@ class ZonalSolver(ThermalSolver):
         self.exhaust = server_flow[:, None] * self.server_exhaust  # (m, n_hot)
         self.exhaust_flow = self.exhaust.sum(axis=0)  # (n_hot,)
         self.exhaust_inlet = self.exhaust.T @ self.server_inlet  # (n_hot, n_cold)
+        self._state: Optional[_ZonalTerms] = None
 
-    def _validate(self, x: SystemInput) -> None:
-        x.check(self.layout)
-        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in fields(x)):
+    def _validate(self, x: SystemInput, known: bool = False) -> None:
+        """Raise unless the solve can take x. With `known`, x's state is one
+        this solver has passed, so only its flow rates are checked: count,
+        finiteness, then sign, in the order and with the messages of the full
+        check."""
+        if known:
+            checked = (_FLOW_RATES,)
+            check_counts(x, self.layout, checked)
+        else:
+            checked = fields(x)
+            x.check(self.layout)
+        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in checked):
             raise InvalidInputError("non-finite entries in solver input")
         if np.any(x.flow_rates <= 0):
             raise InvalidInputError("flow rates must be positive")
 
-    def _solve(self, x: SystemInput) -> np.ndarray:
-        self._validate(x)
+    def _state_of(self, x: SystemInput) -> _ZonalTerms:
+        """The _ZonalTerms of x's state, after checking x. They are derived,
+        and the state checked, only when its values differ from those of the
+        last state solved; its flow rates are checked on every call."""
+        key = x.key()
+        known = self._state is not None and self._state.key == key
+        self._validate(x, known)
+        if not known:
+            self._state = self._derive(x, key)
+        return self._state
+
+    def _derive(self, x: OperatingState, key: tuple) -> _ZonalTerms:
         sc = self.scenario
         r, leak = sc.recirculation_fraction, sc.ambient_leakage
 
@@ -169,7 +212,6 @@ class ZonalSolver(ThermalSolver):
 
         utilization = np.divide(x.server_powers, self.rated, out=np.zeros_like(x.server_powers),
                                 where=self.rated > 0)  # a zero-rated server is idle
-        rise = KAPPA_CFM_PER_W * utilization / x.flow_rates  # (m,)
 
         # t_hot = H t_cold + h0: each hot zone mixes server exhaust (inlet air
         # plus rise) with bypass air of its nearby cold zones, by flow; a hot
@@ -181,22 +223,30 @@ class ZonalSolver(ThermalSolver):
                      (self.exhaust_inlet + bypass_flow[:, None] * self.hot_to_cold)
                      / hot_total[:, None],
                      self.hot_to_cold)  # (n_hot, n_cold)
-        h0 = np.where(mixed, (self.exhaust.T @ rise) / hot_total, 0.0)
 
         # t_cold = c0 + B t_hot: CRAC supply, plus the hot air that flows back
         # over uncontained aisles, blended with ambient by envelope leakage.
         backflow = (0.0 if sc.layout.containment else r) * self.exhaust_flow  # (n_hot,)
         cold_total = cold_flow + backflow @ self.hot_to_cold
         c0 = (1.0 - leak) * (cold_supply / cold_total) + leak * sc.ambient_c
-        t_cold = c0
+        B = lhs = None
         if not sc.layout.containment:
             # H and B are non-negative (flows and weights are, by the Scenario
             # and OperatingState checks), each row of H sums to 1, and each row
             # of B sums to (1 - leak) * (backflow share of cold_total) < 1, as
             # cold_flow > 0. So |B H|_inf < 1 and I - B H is nonsingular.
             B = ((1.0 - leak) / cold_total)[:, None] * (self.hot_to_cold.T * backflow)
-            t_cold = np.linalg.solve(np.eye(c0.size) - B @ H, c0 + B @ h0)
-        t_hot = H @ t_cold + h0
+            lhs = np.eye(c0.size) - B @ H
+        return _ZonalTerms(key, KAPPA_CFM_PER_W * utilization, mixed, hot_total, H, c0, B, lhs)
+
+    def _solve(self, x: SystemInput) -> np.ndarray:
+        st = self._state_of(x)
+        rise = st.load / x.flow_rates  # (m,)
+        h0 = np.where(st.mixed, (self.exhaust.T @ rise) / st.hot_total, 0.0)
+        t_cold = st.c0
+        if st.lhs is not None:
+            t_cold = np.linalg.solve(st.lhs, st.c0 + st.B @ h0)
+        t_hot = st.H @ t_cold + h0
 
         readings = np.empty(self.layout.n_sensors)
         readings[self.cold_idx] = self.mix_cold @ t_cold

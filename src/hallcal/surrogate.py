@@ -24,6 +24,7 @@ air density, heat capacity, and the cfm unit conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -181,31 +182,31 @@ def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
     return coeff, x_cold, _hot_features(w_ss, x, dense)
 
 
-def _state_key(x: OperatingState) -> tuple:
-    """The values of x's state fields, as bytes: writing to x's arrays later
-    does not change the key."""
-    return tuple(getattr(x, f.name).tobytes() for f in fields(OperatingState))
-
-
 @dataclass(frozen=True)
 class StateTerms:
     """The fixed-prior surrogate's terms that depend on the operating state
-    alone, so every flow rate of a calibration shares them: X_cold, and the
-    heating factor P_j w_ss[j, k] of convex_search's A. `key` is the state's
-    values (_state_key) they were computed from."""
+    alone, so every flow rate of a calibration shares them: X_cold, the
+    hot-sensor indices, and for convex_search's A the heating factor
+    H_h[j, k] = P_j w_ss[j, k] over the hot sensors k and its Gram matrix
+    G_h = H_h^T H_h. `key` is the state's values (OperatingState.key) they
+    were computed from."""
 
     key: tuple
     x_cold: np.ndarray  # (n,)
-    heat: np.ndarray  # (m, n)
+    hot: np.ndarray  # (n_hot,) indices of the hot sensors, where hot_mask is 1
+    heat_hot: np.ndarray  # (m, n_hot)
+    gram_hot: np.ndarray  # (n_hot, n_hot)
 
     @classmethod
     def of(cls, priors: AdjacencyPriors, x: OperatingState) -> "StateTerms":
         _, x_cold = _state_features(priors.w_cs, priors.w_ss, x)
-        return cls(_state_key(x), x_cold, x.server_powers[:, None] * priors.w_ss)
+        hot = np.flatnonzero(priors.hot_mask)
+        heat_hot = x.server_powers[:, None] * priors.w_ss[:, hot]
+        return cls(x.key(), x_cold, hot, heat_hot, heat_hot.T @ heat_hot)
 
     def holds(self, x: OperatingState) -> bool:
         """Whether x's state has, value for value, the state of these terms."""
-        return self.key == _state_key(x)
+        return self.key == x.key()
 
 
 def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
@@ -215,9 +216,15 @@ def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
     return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
 
 
-def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
-    """Predicted temperatures at all sensor locations, degC."""
-    _, x_cold, x_hot = _features(priors.w_cs, priors.w_ss, x)
+def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
+            state: Optional[StateTerms] = None) -> np.ndarray:
+    """Predicted temperatures at all sensor locations, degC. `state` gives
+    the StateTerms of x's state when the caller keeps them; it must hold x.
+    The result is the same with or without it."""
+    if state is None:
+        _, x_cold, x_hot = _features(priors.w_cs, priors.w_ss, x)
+    else:
+        x_cold, x_hot = state.x_cold, _hot_features(priors.w_ss, x)
     return _predict(w, priors.hot_mask, x_cold, x_hot)
 
 
@@ -320,19 +327,22 @@ def search_grad(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray, params: Pe
 
 
 def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            t_meas: np.ndarray, params: PenaltyParams) -> float:
-    """search_loss of the knowledge surrogate."""
-    return search_loss(forward(w, priors, x), x, t_meas, params)
+            t_meas: np.ndarray, params: PenaltyParams,
+            state: Optional[StateTerms] = None) -> float:
+    """search_loss of the knowledge surrogate; `state` as in forward."""
+    return search_loss(forward(w, priors, x, state), x, t_meas, params)
 
 
 def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-               t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
-    """Analytic gradient of loss_l2 with respect to the flow rates.
+               t_meas: np.ndarray, params: PenaltyParams,
+               state: Optional[StateTerms] = None) -> np.ndarray:
+    """Analytic gradient of loss_l2 with respect to the flow rates; `state`
+    as in forward.
 
     Flow rates reach the loss through X_hot (chain -P_j/alpha_j^2 into the
     hot-aisle sensors) and through the hinge penalty.
     """
-    pred = forward(w, priors, x)
+    pred = forward(w, priors, x, state)
     dxhot_scale = -x.server_powers / x.flow_rates ** 2  # (m,)
 
     def mse_grad(residual: np.ndarray) -> np.ndarray:
@@ -428,9 +438,15 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     therefore a convex quadratic plus a separable convex term over the box
     [1/upper, 1/lower], which FISTA (Beck & Teboulle 2009: proximal
     gradient steps t = 1/L, L = (2/n) |A|_2^2, with Nesterov momentum)
-    solves exactly. |A|_2^2 is the largest eigenvalue of the n x n matrix
-    A A^T. The momentum restarts whenever it points uphill (O'Donoghue &
-    Candes 2015), which more than halves the steps on the reference hall.
+    solves exactly. The momentum restarts whenever it points uphill
+    (O'Donoghue & Candes 2015), which more than halves the steps on the
+    reference hall.
+
+    A's cold-sensor rows are zero, so their share of r0 is a constant of
+    the loss and the search works with the n_hot hot rows alone:
+    A = (H_h diag(c_h))^T and A A^T = diag(c_h) G_h diag(c_h), from the
+    StateTerms' H_h and G_h and the hot sensors' c. |A|_2^2 is the largest
+    eigenvalue of that n_hot x n_hot matrix.
 
     The run starts at x.flow_rates. It stops once the stationarity residual
     |y - T(y)| / t of the extrapolated point y falls below SEARCH_TOL, where
@@ -445,8 +461,9 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     the eigendecomposition of A A^T that gives L, before its first step
     and after every step that ends strictly inside band and box. It
     accepts q, as its last iterate, only when q passes the stop test
-    |q - T(q)| < SEARCH_TOL t; otherwise it keeps stepping. On the
-    reference hall most warm-started searches end at q with no step.
+    |q - T(q)| < SEARCH_TOL t, and then reports that gap as its residual;
+    otherwise it keeps stepping. On the reference hall most warm-started
+    searches end at q with no step.
 
     `state` gives the StateTerms of x's state when the caller keeps them; it
     must hold x. The result is the same with or without it.
@@ -454,13 +471,17 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     state = StateTerms.of(priors, x) if state is None else state
     _check_alpha(x.flow_rates)
     n = priors.n_sensors
-    r0 = _search_residual(_predict(w, priors.hot_mask, state.x_cold, 0.0), t_meas)  # u = 0
+    # the hot rows of the residual at u = 0
+    r0 = _search_residual(_predict(w, priors.hot_mask, state.x_cold, 0.0), t_meas)[state.hot]
     powers = x.server_powers
-    A = (state.heat * (priors.hot_mask * w.c)).T  # (n, m)
-    if not np.all(np.isfinite(A)):  # the eigensolver below would fail on it
+    c_hot = w.c[state.hot]
+    A = (state.heat_hot * c_hot).T  # (n_hot, m)
+    AAt = c_hot[:, None] * state.gram_hot * c_hot
+    if not np.all(np.isfinite(AAt)):  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
-    eig, vec = np.linalg.eigh(A.dot(A.T))
-    L = 2.0 / n * eig[-1]
+    eig, vec = np.linalg.eigh(AAt)
+    top = eig[-1] if eig.size else 0.0  # a hall without hot sensors has no rows of A
+    L = 2.0 / n * top
     t = 1.0 / L if L > 0.0 else 1.0  # with A = 0 only the hinge moves u, at any step
     gA = 2.0 * t / n * A  # the forward step y - t grad(y) is y - (A y) gA - r0 gA
     c = r0.dot(gA)
@@ -468,8 +489,10 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     s = t * params.lam / n * params.kappa * powers
     u_lo, u_hi = 1.0 / bounds.upper, 1.0 / bounds.lower
     inner_lo, inner_hi = max(k_lo, u_lo), min(k_hi, u_hi)  # band and box
-    # the pseudo-inverse's range: cold sensors give A zero rows, so A A^T is singular
-    rank = eig > n * np.finfo(float).eps * eig[-1]
+    # the pseudo-inverse's range: a hot sensor whose c or server support is
+    # zero makes A A^T singular. The tolerance is that of the n x n matrix
+    # over all sensors, whose other eigenvalues are the cold rows' zeros.
+    rank = eig > n * np.finfo(float).eps * top
     eig, vec = eig[rank], vec[:, rank]
 
     def step(y: np.ndarray) -> np.ndarray:
@@ -479,19 +502,21 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
 
     stop = (SEARCH_TOL * t) ** 2  # |y - T(y)|^2 at the stationarity tolerance
 
-    def projection(u: np.ndarray) -> Optional[np.ndarray]:
-        """u's projection onto the least-squares minimisers, if it passes
-        the stop test; strict, so NaN and SEARCH_TOL = 0 never pass."""
+    def projection(u: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+        """u's projection q onto the least-squares minimisers and its gap
+        |q - T(q)|^2, if it passes the stop test; strict, so NaN and
+        SEARCH_TOL = 0 never pass."""
         q = u - (vec.dot((A.dot(u) + r0).dot(vec) / eig)).dot(A)
         gap = q - step(q)
-        return q if gap.dot(gap) < stop else None
+        gap2 = gap.dot(gap)
+        return (q, gap2) if gap2 < stop else None
 
     u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
     n_evals = 1  # the points visited: start, FISTA iterates, accepted projection
-    q = projection(u)
+    found = projection(u)
     y, theta = u.copy(), 1.0
     gap, move = np.empty_like(u), np.empty_like(u)
-    for _ in range(0 if q is not None else SEARCH_MAX_STEPS):
+    for _ in range(0 if found is not None else SEARCH_MAX_STEPS):
         u_next = step(y)
         n_evals += 1
         np.subtract(y, u_next, out=gap)
@@ -500,8 +525,8 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         if not gap.dot(gap) >= stop:  # NaN stops too
             break
         if inner_lo < u.min() and u.max() < inner_hi:
-            q = projection(u)
-            if q is not None:
+            found = projection(u)
+            if found is not None:
                 break
         if gap.dot(move) > 0.0:  # momentum points uphill: restart it
             theta = 1.0
@@ -509,17 +534,17 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         np.multiply(move, (theta - 1.0) / theta_next, out=y)
         y += u
         theta = theta_next
-    if q is not None:
-        u, n_evals = q, n_evals + 1
+    if found is not None:
+        (u, gap2), n_evals = found, n_evals + 1
+        residual = math.sqrt(gap2) / t
+    else:
+        residual = float(np.linalg.norm(u - step(u)) / t)
 
     alpha = bounds.clip(1.0 / u)
-    end = x.with_flow_rates(alpha)
-    fun = search_loss(_predict(w, priors.hot_mask, state.x_cold, _hot_features(priors.w_ss, end)),
-                      end, t_meas, params)  # loss_l2 at alpha
+    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params, state)
     if not np.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
-    return SearchResult(x=alpha, fun=fun, n_evals=n_evals,
-                        residual=float(np.linalg.norm(u - step(u)) / t))
+    return SearchResult(x=alpha, fun=fun, n_evals=n_evals, residual=residual)
 
 
 # -- variant with trainable adjacency (data-volume study) --------------------

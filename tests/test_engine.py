@@ -486,6 +486,19 @@ class TestCalibrate:
             if stage == "convex":
                 assert t.search_residual <= SEARCH_TOL
 
+    @pytest.mark.parametrize("use_de", [True, False], ids=["de-adam", "adam"])
+    def test_state_features_once_per_state(self, small_case, monkeypatch, use_de):
+        # the seed solves' first fit featurizes its batch of three; every fold,
+        # objective and gradient call after it reads the model's one StateTerms
+        scenario, state, priors = small_case
+        calls, features = [], surrogate._state_features
+        monkeypatch.setattr(surrogate, "_state_features", lambda w_cs, w_ss, x, dense=False: (
+            calls.append(x.crac_setpoints.shape[:-1]) or features(w_cs, w_ss, x, dense)))
+        cfg = small_config(max_iterations=3, use_de=use_de)
+        calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
+                  synthesize_measurements(scenario, state), state, scenario.layout, cfg)
+        assert calls == [(3,), ()]
+
     def test_de_seeds_are_the_spawned_children_of_the_run_seed(self, small_case, monkeypatch):
         # iteration i's DE seed is child i - 1 of SeedSequence(cfg.seed).spawn(...)
         scenario, state, priors = small_case

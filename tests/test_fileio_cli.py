@@ -778,6 +778,24 @@ class TestMainExitCodes:
         assert (tmp_path / "r" / "alpha_star.csv").exists()
         assert not (tmp_path / "r" / "sensors.csv").exists()
 
+    def test_abort_whose_partial_report_cannot_be_written_is_3(self, generated, tmp_path,
+                                                              capsys):
+        # the failed write is reported, then the abort ends the run
+        out, paths = generated
+        run = tmp_path / "r"
+        (run / "report.json").mkdir(parents=True)
+        failing = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(4)'"
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--solver", "external",
+                     "--external-command", failing, "--workdir", str(tmp_path / "work"),
+                     "--out-dir", str(run)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {run / 'report.json'}: Is a directory",
+            "calibration aborted: solver failed during seeding: external solver exited 4"]
+        assert (run / "traces.csv").exists() and (run / "alpha_star.csv").exists()
+
     def test_heuristic_solver_failure_partway_keeps_its_solves(self, generated, tmp_path, capsys):
         # the command logs each call's flow rates and readings, and exits 4 on its 6th call
         out, paths = generated

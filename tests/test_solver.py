@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallcal.errors import (
     CommandFailedError,
@@ -226,6 +228,109 @@ class TestZonalSolve:
         solver = ZonalSolver(uncontained)
         # backflow warms the cold aisles relative to the contained hall
         assert t_open[solver.cold_idx].mean() > t_closed[solver.cold_idx].mean()
+
+
+def cache_scenario(containment: bool) -> Scenario:
+    """Two CRACs, four servers (the third rated 0 W), two cold and two hot
+    sensors, with or without containment."""
+    layout = HallLayout(
+        cracs=(Crac(id="c1", position=(0.0, 0.0, 1.0)), Crac(id="c2", position=(8.0, 0.0, 1.0))),
+        servers=tuple(Server(id=f"s{j}", position=(1.0 + 2.0 * j, 3.0, 1.2), type_tag="t",
+                             rated_power=0.0 if j == 2 else 400.0) for j in range(4)),
+        sensors=(Sensor(id="n1", position=(3.0, 2.0, 1.5), aisle=COLD),
+                 Sensor(id="n2", position=(6.0, 2.0, 1.5), aisle=COLD),
+                 Sensor(id="n3", position=(3.0, 4.0, 1.5), aisle=HOT),
+                 Sensor(id="n4", position=(6.0, 4.0, 1.5), aisle=HOT)),
+        containment=containment)
+    return Scenario(layout=layout, alpha_true=np.full(4, 0.2), recirculation_fraction=0.3)
+
+
+def cache_state(i: int) -> OperatingState:
+    """A new copy of one of two valid states; the zero-rated server draws 0 W
+    in the first and 50 W in the second."""
+    return [OperatingState([18.0, 20.0], [0.8, 0.5], [300.0, 150.0, 0.0, 380.0]),
+            OperatingState([21.0, 19.5], [0.0, 1.0], [100.0, 400.0, 50.0, 0.0])][i]
+
+
+def cache_input(state: OperatingState, op: str, arg) -> SystemInput:
+    """The input of a solve op at `state`: its flow rates, or a bad input."""
+    if op == "solve":
+        return state.to_input(np.array(arg))
+    if op == "extra crac":
+        return SystemInput(np.append(state.crac_setpoints, 20.0),
+                           np.append(state.crac_fan_speeds, 0.5), state.server_powers,
+                           np.full(4, 0.2))
+    if op == "reshaped":  # the state's values, powers in another shape
+        return SystemInput(state.crac_setpoints, state.crac_fan_speeds, state.server_powers[None],
+                           np.full((1, 4), 0.2))
+    x = state.to_input(np.full(4, 0.2))
+    if arg == "long":  # past SystemInput's own length check, to the solver's
+        object.__setattr__(x, "flow_rates", np.full(5, 0.2))
+    else:
+        x.flow_rates[1] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -0.1}[arg]
+    return x
+
+
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("state"), st.integers(0, 1)),
+    st.tuples(st.just("write"), st.sampled_from([f.name for f in fields(OperatingState)]),
+              st.integers(0, 3),
+              st.one_of(st.floats(-1.0, 500.0, allow_subnormal=False),
+                        st.sampled_from([0.0, 1.0, 1.5, np.nan, np.inf]))),
+    st.tuples(st.just("solve"), st.lists(st.floats(0.05, 3.0), min_size=4, max_size=4)),
+    st.tuples(st.just("bad flow"), st.sampled_from(["nan", "inf", "zero", "negative", "long"])),
+    st.tuples(st.sampled_from(["extra crac", "reshaped"]), st.none()),
+)
+
+
+def outcome(solve, x):
+    """The readings of solve(x), or the type and message of what it raised."""
+    try:
+        return solve(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestStateCache:
+    """A ZonalSolver keeps the terms of the last state it solved; each of its
+    answers must be a fresh solver's, bit for bit and error for error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(containment=st.booleans(), ops=st.lists(CACHE_OPS, min_size=1, max_size=12))
+    def test_matches_a_fresh_solver(self, containment, ops):
+        # "state" swaps in new arrays of a base state, "write" edits the current
+        # state's arrays in place (a bad value makes a bad state); the rest solve
+        scenario = cache_scenario(containment)
+        solver = ZonalSolver(scenario)
+        state = cache_state(0)
+        for op, *arg in ops:
+            if op == "state":
+                state = cache_state(*arg)
+            elif op == "write":
+                name, i, value = arg
+                values = getattr(state, name)
+                values[i % values.size] = value
+            else:
+                x = cache_input(state, op, *arg)
+                got, want = outcome(solver.solve, x), outcome(lambda x: zonal_solve(scenario, x), x)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                else:
+                    assert got == want
+
+    def test_each_state_is_derived_once(self, monkeypatch):
+        derived, derive = [], ZonalSolver._derive
+        monkeypatch.setattr(ZonalSolver, "_derive",
+                            lambda self, x, key: derived.append(key) or derive(self, x, key))
+        solver = ZonalSolver(cache_scenario(False))
+        state = cache_state(0)
+        for alpha in (0.1, 0.2, 0.3):
+            solver.solve(state.to_input(np.full(4, alpha)))
+        solver.solve(cache_state(0).to_input(np.full(4, 0.2)))  # the same values, new arrays
+        assert len(derived) == 1
+        state.server_powers[0] += 1.0  # written in place: a new state
+        solver.solve(state.to_input(np.full(4, 0.2)))
+        assert len(derived) == 2
 
 
 class TestMonotonicity:

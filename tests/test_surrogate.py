@@ -20,7 +20,7 @@ from hallcal.errors import (
     ObjectiveNonFiniteError,
 )
 from hallcal.hall import AdjacencyPriors, SystemInput, build_adjacency
-from hallcal.optim import Bounds, TrainConfig, hybrid_search
+from hallcal.optim import Bounds, SearchResult, TrainConfig, hybrid_search
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
@@ -31,6 +31,7 @@ from hallcal.surrogate import (
     KAPPA_CFM_PER_W,
     SEARCH_TOL,
     PenaltyParams,
+    StateTerms,
     SurrogateWeights,
     TrainableAdjacencyWeights,
     TrainingSample,
@@ -388,25 +389,26 @@ class TestFitWeights:
                               fit_weights(reference_priors, batch).pack())
 
 
+def frozen_case(seed: int, **hall):
+    """A knowledge surrogate fitted to the three seed solves and three solves
+    at random in-band flow rates on make_reference_scenario(seed, **hall),
+    its priors, the operating state and the measurements."""
+    scenario, state = make_reference_scenario(seed=seed, **hall)
+    priors = build_adjacency(scenario.layout)
+    solver = ZonalSolver(scenario)
+    m = scenario.layout.n_servers
+    dataset = init_samples(SEARCH_BOUNDS, state, solver, m)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = state.to_input(rng.uniform(0.12, 0.35, m))
+        dataset.append(TrainingSample(input=x, target=solver.solve(x)))
+    return fit_weights(priors, dataset), priors, state, synthesize_measurements(scenario, state)
+
+
 @pytest.fixture(scope="module")
 def frozen_cases():
-    """Per reference seed 0-4: a knowledge surrogate fitted to the three seed
-    solves and three solves at random in-band flow rates, its priors, the
-    operating state and the measurements."""
-    cases = []
-    for seed in range(5):
-        scenario, state = make_reference_scenario(seed=seed)
-        priors = build_adjacency(scenario.layout)
-        solver = ZonalSolver(scenario)
-        m = scenario.layout.n_servers
-        dataset = init_samples(SEARCH_BOUNDS, state, solver, m)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            x = state.to_input(rng.uniform(0.12, 0.35, m))
-            dataset.append(TrainingSample(input=x, target=solver.solve(x)))
-        cases.append((fit_weights(priors, dataset), priors, state,
-                      synthesize_measurements(scenario, state)))
-    return cases
+    """The frozen_case of each reference seed 0-4."""
+    return [frozen_case(seed) for seed in range(5)]
 
 
 def five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi):
@@ -572,6 +574,107 @@ class TestConvexSearch:
         alpha[5] = 0.0
         with pytest.raises(NonPositiveFlowRateError):
             self.search(frozen_cases[0], alpha)
+
+
+def dense_convex_search(w, priors, x, t_meas, params, bounds):
+    """convex_search in its full-row form: A over all n sensors, cold rows
+    zero, with A A^T formed from A, and an accepted projection's residual
+    taken by one more step. The hot-row search is held to it."""
+    n = priors.n_sensors
+    x_cold = StateTerms.of(priors, x).x_cold
+    r0 = surrogate._predict(w, priors.hot_mask, x_cold, 0.0) - t_meas
+    A = (x.server_powers[:, None] * priors.w_ss * (priors.hot_mask * w.c)).T
+    eig, vec = np.linalg.eigh(A.dot(A.T))
+    L = 2.0 / n * eig[-1]
+    t = 1.0 / L if L > 0.0 else 1.0
+    gA = 2.0 * t / n * A
+    c = r0.dot(gA)
+    k_lo, k_hi = params.dt_low / params.kappa, params.dt_high / params.kappa
+    s = t * params.lam / n * params.kappa * x.server_powers
+    u_lo, u_hi = 1.0 / bounds.upper, 1.0 / bounds.lower
+    inner_lo, inner_hi = max(k_lo, u_lo), min(k_hi, u_hi)
+    rank = eig > n * np.finfo(float).eps * eig[-1]
+    eig, vec = eig[rank], vec[:, rank]
+
+    def step(y):
+        return hinge_box_prox(y - A.dot(y).dot(gA) - c, k_lo, k_hi, s, u_lo, u_hi)
+
+    stop = (SEARCH_TOL * t) ** 2
+
+    def projection(u):
+        q = u - (vec.dot((A.dot(u) + r0).dot(vec) / eig)).dot(A)
+        gap = q - step(q)
+        return q if gap.dot(gap) < stop else None
+
+    u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
+    n_evals = 1
+    q = projection(u)
+    y, theta = u.copy(), 1.0
+    for _ in range(0 if q is not None else surrogate.SEARCH_MAX_STEPS):
+        u_next = step(y)
+        n_evals += 1
+        gap, move = y - u_next, u_next - u
+        u = u_next
+        if not gap.dot(gap) >= stop:
+            break
+        if inner_lo < u.min() and u.max() < inner_hi:
+            q = projection(u)
+            if q is not None:
+                break
+        if gap.dot(move) > 0.0:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + (1.0 + 4.0 * theta * theta) ** 0.5)
+        y = u + move * ((theta - 1.0) / theta_next)
+        theta = theta_next
+    if q is not None:
+        u, n_evals = q, n_evals + 1
+    alpha = bounds.clip(1.0 / u)
+    return SearchResult(x=alpha, fun=loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params),
+                        n_evals=n_evals, residual=float(np.linalg.norm(u - step(u)) / t))
+
+
+class TestHotRowSearch:
+    """convex_search over the hot rows against dense_convex_search."""
+
+    params = PenaltyParams()
+
+    def assert_matches_dense(self, case, alpha0):
+        w, priors, state, meas = case
+        x = state.to_input(alpha0)
+        got = convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
+        want = dense_convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
+        assert got.n_evals == want.n_evals
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=0.0)
+        assert got.fun == pytest.approx(want.fun, rel=1e-12)
+        return got
+
+    def assert_matches_from_cold_and_warm(self, case) -> int:
+        """Both searches from the box midpoint, then from where that ended,
+        which accepts its projection; the first search's n_evals."""
+        first = self.assert_matches_dense(case, np.full(case[2].server_powers.size,
+                                                        SEARCH_BOUNDS.midpoint))
+        assert self.assert_matches_dense(case, first.x).n_evals == 2
+        return first.n_evals
+
+    def test_reference_seeds(self, frozen_cases):
+        evals = [self.assert_matches_from_cold_and_warm(case) for case in frozen_cases]
+        assert max(evals) > 2  # some take FISTA steps
+
+    def test_wide_hall(self):
+        # the 256-server hall with 16 hot sensors that CI calibrates
+        case = frozen_case(7, n_cracs=8, n_servers=256, n_cold=32, n_hot=16)
+        assert self.assert_matches_from_cold_and_warm(case) > 2
+
+    def test_hot_sensor_without_server_support(self, frozen_cases):
+        # its column of H_h is zero, so G_h is singular
+        w, priors, state, meas = frozen_cases[0]
+        hot = np.flatnonzero(priors.hot_mask)
+        w_ss = priors.w_ss.copy()
+        w_ss[:, hot[2]] = 0.0
+        unsupported = AdjacencyPriors(priors.w_cs, w_ss, priors.hot_mask)
+        gram = StateTerms.of(unsupported, state).gram_hot
+        assert not gram[2].any() and not gram[:, 2].any()
+        assert self.assert_matches_from_cold_and_warm((w, unsupported, state, meas)) > 2
 
 
 def reference_trainable(priors):
