@@ -12,6 +12,7 @@ in float64; all three are scored in float64.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .surrogate import (
 KNOWLEDGE_FIXED = "knowledge-fixed"
 KNOWLEDGE_TRAINABLE = "knowledge-trainable"
 VANILLA = "vanilla"
+SURROGATES = (KNOWLEDGE_FIXED, KNOWLEDGE_TRAINABLE, VANILLA)  # table order; cheapest fit first
 
 MIN_POOL_SIZE = 10  # the smallest pool the study splits
 TRAIN_SHARE = 0.8  # of the pool; the rest is the test set
@@ -80,7 +82,9 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
                          fractions: Sequence[float] = FRACTIONS, pool_size: int = POOL_SIZE,
                          seed: int = 0) -> list[StudyCell]:
     """Train all three surrogates at every fraction of the train set, each
-    in (0, 1]; returns one cell per (fraction, surrogate) pair."""
+    in (0, 1]; returns one cell per (fraction, surrogate) pair, fraction by
+    fraction in SURROGATES order. The pool's solves run in this process,
+    the cold-start fits on every CPU it may use (`_fit_on_every_cpu`)."""
     check_shape(fractions, pool_size)
     layout: HallLayout = scenario.layout
     pool = build_pool(scenario, state, pool_size, seed)
@@ -96,22 +100,116 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
     def test_mae(predict) -> float:
         return float(np.mean([mae(predict(s.input), s.target) for s in test_pool]))
 
-    cells: list[StudyCell] = []
-    for fraction in fractions:
+    def fit_cell(fraction: float, surrogate: str) -> StudyCell:
         k = round(fraction * n_train)
         subset = train_pool[:k]
-
-        knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())
-        knowledge.fit(subset)
-        cells.append(StudyCell(fraction, KNOWLEDGE_FIXED, k, test_mae(knowledge.predict)))
-
-        tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
-                                        w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
-        tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
-        cells.append(StudyCell(fraction, KNOWLEDGE_TRAINABLE, k,
-                               test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x))))
-
+        if surrogate == KNOWLEDGE_FIXED:
+            knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())
+            knowledge.fit(subset)
+            return StudyCell(fraction, surrogate, k, test_mae(knowledge.predict))
+        if surrogate == KNOWLEDGE_TRAINABLE:
+            tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
+                                            w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
+            tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
+            return StudyCell(fraction, surrogate, k,
+                             test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x)))
         vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed)
         vanilla.fit(subset)
-        cells.append(StudyCell(fraction, VANILLA, k, test_mae(vanilla.predict)))
-    return cells
+        return StudyCell(fraction, surrogate, k, test_mae(vanilla.predict))
+
+    keys = [(fraction, surrogate) for fraction in fractions for surrogate in SURROGATES]
+    # costliest fit first: the MLP, then the trainable adjacency, each on its
+    # largest subset first, so the last fits to finish are the short ones
+    handout = sorted(range(len(keys)),
+                     key=lambda i: (-SURROGATES.index(keys[i][1]), -keys[i][0]))
+    return _fit_on_every_cpu(lambda i: fit_cell(*keys[i]), handout)
+
+
+def _fit_on_every_cpu(fit, handout: list[int]) -> list:
+    """[fit(i) for i in range(len(handout))], computed by this process and
+    W - 1 forked workers, W = min(CPUs in its affinity mask, len(handout)).
+
+    The processes take the indices in `handout` order from one shared
+    counter, so one that finishes early takes the next. A worker inherits
+    everything `fit` reads; only the index it takes goes in and only
+    (index, fit(index)) comes back. The first error raised in any process
+    stops the handout and is raised here once every worker has ended and
+    been reaped. With one CPU nothing is forked, and neither is it while
+    this process runs other threads. Fork is unsafe then, and the usual
+    ones are a multithreaded BLAS's, which every worker would inherit to
+    contend for the same CPUs: on a 2-vCPU machine with OpenBLAS's default
+    2 threads, forking made the default study up to 13 times slower."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("i", 0)  # how many of handout have been taken
+    reader, writer = ctx.Pipe(duplex=False)  # worker -> this process: (index, result or error)
+    write_lock = ctx.Lock()
+    results: dict[int, object] = {}
+
+    def take_and_fit(put) -> None:
+        while True:
+            with taken.get_lock():
+                position = taken.value
+                taken.value += 1
+            if position >= len(handout):
+                return
+            try:
+                put(handout[position], fit(handout[position]))
+            except Exception:
+                with taken.get_lock():  # no process takes another index
+                    taken.value = len(handout)
+                raise
+
+    def work() -> None:
+        def put(index, result) -> None:
+            with write_lock:
+                writer.send((index, result))
+        try:
+            take_and_fit(put)
+        except Exception as exc:
+            put(None, exc)
+
+    workers = []
+    try:
+        cpus = 1 if _other_threads_run() else len(os.sched_getaffinity(0))
+        for _ in range(min(cpus, len(handout)) - 1):
+            worker = ctx.Process(target=work)
+            worker.start()
+            workers.append(worker)
+        take_and_fit(results.__setitem__)
+        running = {worker.sentinel: worker for worker in workers}
+        while len(results) < len(handout):
+            ready = wait([reader, *running])
+            if reader in ready:
+                index, result = reader.recv()
+                if index is None:
+                    raise result
+                results[index] = result
+                continue
+            for sentinel in ready:
+                worker = running.pop(sentinel)
+                worker.join()
+                if worker.exitcode != 0:
+                    raise ChildProcessError(f"study worker {worker.pid} ended with exit code "
+                                            f"{worker.exitcode} before returning its fits")
+    except BaseException:
+        for worker in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+        reader.close()
+        writer.close()
+    return [results[i] for i in range(len(handout))]
+
+
+def _other_threads_run() -> bool:
+    """Whether this process runs a thread besides the calling one; True
+    where no /proc tells (macOS, which has no affinity masks either)."""
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
