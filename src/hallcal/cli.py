@@ -196,7 +196,9 @@ def _run_method(model, solver, measurements, state, layout, cfg: CalibConfig) ->
     candidate, for the 3 + max_iterations calls a surrogate run makes."""
     if model is not None:
         return calibrate(solver, model, measurements, state, layout, cfg)
-    run = _RunRecord(solver, measurements, state, layout, cfg.bounds)
+    run = _RunRecord(solver, measurements, layout, cfg.bounds)
+    with run.aborting("solver failed at iteration 1"):
+        run.solver = solver.at(state)
     res = cmaes_1p1(run.solve, cfg.bounds, 3 + cfg.max_iterations, run.alpha_star, cfg.seed)
     return replace(run.result(), es_adaptations=len(res.adaptations))
 

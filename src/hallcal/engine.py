@@ -43,7 +43,7 @@ from .optim import (
     adam_search,
     hybrid_search,
 )
-from .solver import ThermalSolver
+from .solver import BoundSolver, ThermalSolver
 from .surrogate import (
     PenaltyParams,
     StateTerms,
@@ -52,10 +52,10 @@ from .surrogate import (
     convex_search,
     fit_terms,
     fold_terms,
-    forward,
-    grad_alpha,
+    forward_at,
+    grad_at,
     init_weights,
-    loss_l2,
+    loss_at,
     solve_fit,
 )
 
@@ -96,13 +96,15 @@ def default_augment_scales(layout: HallLayout) -> AugmentScales:
 
 def init_samples(bounds: Bounds, state: OperatingState, solver: ThermalSolver,
                  n_servers: int) -> list[TrainingSample]:
-    """Three seed solves: flow rates pinned at the lower bound, the upper
-    bound, and their midpoint."""
-    samples = []
-    for value in (bounds.lower, bounds.upper, bounds.midpoint):
-        x = state.to_input(np.full(n_servers, value))
-        samples.append(TrainingSample(input=x, target=solver.solve(x)))
-    return samples
+    """Three seed solves at `state`: flow rates pinned at the lower bound,
+    the upper bound, and their midpoint."""
+    return _seed_samples(bounds, solver.at(state), n_servers)
+
+
+def _seed_samples(bounds: Bounds, solver: BoundSolver, n_servers: int) -> list[TrainingSample]:
+    """init_samples by a solver bound to their state."""
+    alphas = [np.full(n_servers, v) for v in (bounds.lower, bounds.upper, bounds.midpoint)]
+    return [TrainingSample(input=solver.state.to_input(a), target=solver.solve(a)) for a in alphas]
 
 
 def augment(samples: list[TrainingSample], batch: int, scales: AugmentScales,
@@ -138,56 +140,51 @@ def mae(pred: np.ndarray, meas: np.ndarray) -> float:
 
 
 class KnowledgeSurrogateModel:
-    """Stateful wrapper pairing the knowledge surrogate with its priors. It
-    keeps the StateTerms of the last operating state it saw, which in a
-    calibration is the only one, for its fits, predictions, objectives and
-    searches."""
+    """Stateful wrapper pairing the knowledge surrogate with its priors.
+    `at` binds it to one operating state, whose StateTerms it computes
+    once: its fits then take samples at that state, and its predictions,
+    objectives and searches take flow rates alone."""
 
     def __init__(self, priors: AdjacencyPriors, penalty: PenaltyParams):
         self.priors = priors
         self.penalty = penalty
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
-        self._summed: list[TrainingSample] = []  # the samples _terms sums, in order
-        self._terms = None  # their fit_terms, summed
-        self._state: Optional[StateTerms] = None
+        self._summed: list[TrainingSample] = []  # the samples _sums sums, in order
+        self._sums = None  # their fit_terms, summed
 
-    def _state_of(self, x: OperatingState) -> StateTerms:
-        """The StateTerms of x's state, computed only when its values differ
-        from those of the last state seen."""
-        if self._state is None or not self._state.holds(x):
-            self._state = StateTerms.of(self.priors, x)
-        return self._state
+    def at(self, state: OperatingState) -> "KnowledgeSurrogateModel":
+        """This model, bound to a copy of `state`."""
+        self.terms: StateTerms = StateTerms.of(self.priors, state.copy())
+        return self
 
     def fit(self, dataset: list[TrainingSample]) -> None:
-        """fit_weights on the dataset, from running sums of fit_terms: only
-        the samples past the prefix already summed (the same objects, in
-        order) add terms, each by fold_terms. They are added one at a time,
-        the order in which fit_weights sums, so the weights match it bit for
-        bit. A dataset that does not extend that prefix starts the sums
-        over."""
-        k, terms = len(self._summed), self._terms
+        """fit_weights on the dataset, samples at the bound state, from
+        running sums of fit_terms: only the samples past the prefix already
+        summed (the same objects, in order) add terms, each by fold_terms,
+        one at a time, the order in which fit_weights sums, so the weights
+        match it bit for bit. Any other dataset starts the sums over."""
+        k, sums = len(self._summed), self._sums
         if not (0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
-            k, terms = len(dataset), fit_terms(self.priors, dataset)
+            k, sums = len(dataset), fit_terms(self.priors, dataset)
         for sample in dataset[k:]:
-            gram, rhs = fold_terms(self.priors, self._state_of(sample.input), sample)
-            terms = (terms[0] + gram, terms[1] + rhs)
-        self._summed, self._terms = list(dataset), terms
-        self.weights = solve_fit(*terms, len(dataset), self.penalty.kappa)
+            gram, rhs = fold_terms(self.priors, self.terms, sample)
+            sums = (sums[0] + gram, sums[1] + rhs)
+        self._summed, self._sums = list(dataset), sums
+        self.weights = solve_fit(*sums, len(dataset), self.penalty.kappa)
 
-    def predict(self, x: SystemInput) -> np.ndarray:
-        return forward(self.weights, self.priors, x, self._state_of(x))
+    def predict(self, alpha: np.ndarray) -> np.ndarray:
+        return forward_at(self.weights, self.priors, self.terms, alpha)
 
-    def l2(self, x: SystemInput, t_meas: np.ndarray) -> float:
-        return loss_l2(self.weights, self.priors, x, t_meas, self.penalty, self._state_of(x))
+    def l2(self, alpha: np.ndarray, t_meas: np.ndarray) -> float:
+        return loss_at(self.weights, self.priors, self.terms, alpha, t_meas, self.penalty)
 
-    def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
-        return grad_alpha(self.weights, self.priors, x, t_meas, self.penalty,
-                          self._state_of(x))
+    def l2_grad_alpha(self, alpha: np.ndarray, t_meas: np.ndarray) -> np.ndarray:
+        return grad_at(self.weights, self.priors, self.terms, alpha, t_meas, self.penalty)
 
-    def search(self, x: SystemInput, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
-        """The exact minimum of l2 over the box, starting at x.flow_rates."""
-        return convex_search(self.weights, self.priors, x, t_meas, self.penalty, bounds,
-                             self._state_of(x))
+    def search(self, alpha: np.ndarray, t_meas: np.ndarray, bounds: Bounds) -> SearchResult:
+        """The exact minimum of l2 over the box, starting at alpha."""
+        return convex_search(self.weights, self.priors, self.terms, alpha, t_meas,
+                             self.penalty, bounds)
 
 
 class VanillaSurrogateModel:
@@ -206,20 +203,25 @@ class VanillaSurrogateModel:
         self.weights: MlpWeights = init_mlp(in_dim, layout.n_sensors, seed)
         self._stats_fitted = False
 
+    def at(self, state: OperatingState) -> "VanillaSurrogateModel":
+        """This model, bound to a copy of `state`: its predictions and objectives take flow rates."""
+        self.state = state.copy()
+        return self
+
     def fit(self, dataset: list[TrainingSample]) -> None:
         if not self._stats_fitted:
             self.weights = fit_standardizer(self.weights, dataset)
             self._stats_fitted = True
         self.weights = mlp_train(self.weights, dataset, self.train_cfg)
 
-    def predict(self, x: SystemInput) -> np.ndarray:
-        return mlp_forward(self.weights, x)
+    def predict(self, alpha: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.weights, self.state.to_input(alpha))
 
-    def l2(self, x: SystemInput, t_meas: np.ndarray) -> float:
-        return mlp_loss_l2(self.weights, x, t_meas, self.penalty)
+    def l2(self, alpha: np.ndarray, t_meas: np.ndarray) -> float:
+        return mlp_loss_l2(self.weights, self.state.to_input(alpha), t_meas, self.penalty)
 
-    def l2_grad_alpha(self, x: SystemInput, t_meas: np.ndarray) -> np.ndarray:
-        return mlp_grad_alpha(self.weights, x, t_meas, self.penalty)
+    def l2_grad_alpha(self, alpha: np.ndarray, t_meas: np.ndarray) -> np.ndarray:
+        return mlp_grad_alpha(self.weights, self.state.to_input(alpha), t_meas, self.penalty)
 
 
 # -- the loop -----------------------------------------------------------------
@@ -288,15 +290,16 @@ class _RunRecord:
     """What every calibration method keeps of its solves: the earliest best
     MAE with its flow rates (the box midpoint until a solve validates) and
     temperatures, and one trace row per solve. A toolkit error raised under
-    `aborting` ends the run as a CalibrationAbortedError with this result."""
+    `aborting` ends the run as a CalibrationAbortedError with this result.
+    Before its first solve, the run binds `solver` to its state
+    (ThermalSolver.at) under `aborting`."""
 
     def __init__(self, solver: ThermalSolver, measurements: np.ndarray,
-                 state: OperatingState, layout: HallLayout, bounds: Bounds):
+                 layout: HallLayout, bounds: Bounds):
         self.measurements = np.asarray(measurements, dtype=float)
         if self.measurements.size != layout.n_sensors:
             raise DimensionMismatchError("measurement length does not match the layout")
-        self.solver = solver
-        self.state = state
+        self.solver = solver  # a bound solver counts its solves in this one's n_calls
         self.alpha_star = np.full(layout.n_servers, bounds.midpoint)
         self.best_mae = np.inf
         self.best_temps: Optional[np.ndarray] = None
@@ -322,14 +325,13 @@ class _RunRecord:
         and return its validation MAE."""
         t0 = time.perf_counter() if t0 is None else t0
         it = len(self.traces) + 1
-        x = self.state.to_input(alpha)
         with self.aborting(f"solver failed at iteration {it}"):
-            temps = self.solver.solve(x)
+            temps = self.solver.solve(alpha)
         val = mae(temps, self.measurements)
         if val < self.best_mae:
             self.best_mae, self.alpha_star, self.best_temps = val, alpha.copy(), temps
         if dataset is not None:
-            dataset.append(TrainingSample(input=x, target=temps))
+            dataset.append(TrainingSample(input=self.solver.state.to_input(alpha), target=temps))
         columns = {} if search is None else dict(
             mean_l2=None if search.losses is None else float(np.mean(search.losses)),
             mean_grad_mag=None if search.grad_norms is None else float(np.mean(search.grad_norms)),
@@ -346,25 +348,27 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
               state: OperatingState, layout: HallLayout, cfg: CalibConfig) -> CalibrationResult:
     """Run the four-step loop for cfg.max_iterations and return the best
     validated flow-rate vector with its traces."""
-    run = _RunRecord(solver, measurements, state, layout, cfg.bounds)
+    run = _RunRecord(solver, measurements, layout, cfg.bounds)
     alpha = run.alpha_star
+    with run.aborting("solver failed during seeding"):
+        run.solver = solver.at(state)
+        dataset = _seed_samples(cfg.bounds, run.solver, layout.n_servers)
+    with run.aborting("surrogate failed at iteration 1"):
+        model = model.at(run.solver.state)
     exact = getattr(model, "search", None) if cfg.use_de is None else None
 
     def objective(a: np.ndarray) -> float:
-        return model.l2(state.to_input(a), run.measurements)
+        return model.l2(a, run.measurements)
 
     def gradient(a: np.ndarray) -> np.ndarray:
-        return model.l2_grad_alpha(state.to_input(a), run.measurements)
-
-    with run.aborting("solver failed during seeding"):
-        dataset = init_samples(cfg.bounds, state, solver, layout.n_servers)
+        return model.l2_grad_alpha(a, run.measurements)
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
         with run.aborting(f"surrogate failed at iteration {it}"):
             model.fit(dataset)
             if exact is not None:
-                res = exact(state.to_input(alpha), run.measurements, cfg.bounds)
+                res = exact(alpha, run.measurements, cfg.bounds)
             elif cfg.use_de is False:
                 res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
             else:  # DE's seed: child it - 1 of cfg.seed, as SeedSequence.spawn numbers them

@@ -9,7 +9,7 @@ influence is exactly zero, plus the one-hot hot-aisle sensor mask.
 
 from __future__ import annotations
 
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -110,19 +110,19 @@ class OperatingState:
         """This state with the flow rates alpha, as one solver input."""
         return SystemInput(*[getattr(self, f.name) for f in fields(OperatingState)], alpha)
 
-    def key(self) -> tuple:
-        """The shape and bytes of each state field, flow rates aside: a cache
-        keyed by it tells states apart by their values, and writing to the
-        arrays later does not change a key already taken."""
-        return tuple((a.shape, a.tobytes())
-                     for a in (getattr(self, f.name) for f in fields(OperatingState)))
+    def copy(self) -> "OperatingState":
+        """This state, flow rates aside, in arrays of its own."""
+        return OperatingState(*[getattr(self, f.name).copy() for f in fields(OperatingState)])
 
     def check(self, layout: HallLayout) -> None:
         """Raise DimensionMismatchError, naming the field, unless every field
         has one entry per CRAC or server of `layout`; then InvalidInputError
         unless every fan speed is in [0, 1] with at least one above 0 and
         every power is >= 0."""
-        check_counts(self, layout, fields(self))
+        for f in fields(self):
+            values, count = getattr(self, f.name), getattr(layout, f.metadata["count"])
+            if values.shape != (count,):
+                raise DimensionMismatchError(f"{f.name}: expected {count} entries, got {values.size}")
         for f in fields(self):
             if "rule" in f.metadata:
                 rule, bad = f.metadata["rule"]
@@ -132,15 +132,6 @@ class OperatingState:
                     raise InvalidInputError(f"{f.name}.{i}: {float(values[i])!r} is not {rule}")
         if not np.any(self.crac_fan_speeds > 0):
             raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
-
-
-def check_counts(x: OperatingState, layout: HallLayout, checked: Sequence[Field]) -> None:
-    """Raise DimensionMismatchError, naming the field, unless each checked
-    field of x has one entry per CRAC or server of `layout`."""
-    for f in checked:
-        values, count = getattr(x, f.name), getattr(layout, f.metadata["count"])
-        if values.shape != (count,):
-            raise DimensionMismatchError(f"{f.name}: expected {count} entries, got {values.size}")
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def mlp_grad_weights(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
 
 def mlp_loss_l2(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
                 params: PenaltyParams) -> float:
-    return search_loss(mlp_forward(w, x), x, t_meas, params)
+    return search_loss(mlp_forward(w, x), x.flow_rates, x.server_powers, t_meas, params)
 
 
 def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
@@ -214,7 +214,8 @@ def mlp_grad_alpha(w: MlpWeights, x: SystemInput, t_meas: np.ndarray,
         full[w.kept] = delta_in[0] / w.input_std[w.kept]
         return full[-m:]
 
-    return search_grad(activations[-1][0], x, t_meas, params, mse_grad)
+    return search_grad(activations[-1][0], x.flow_rates, x.server_powers, t_meas, params,
+                       mse_grad)
 
 
 def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig) -> MlpWeights:

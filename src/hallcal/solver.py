@@ -8,8 +8,9 @@ and sensors read their own zone blended with nearby same-aisle zones.
 The balance is affine in the zone temperatures, so each solve is exact:
 hot zones are an affine map of the cold ones, and cold zones are explicit
 under containment and one small linear system without it. All of it but
-the servers' rise depends on the operating state alone, so a solver
-derives it once per state and each solve pays only for the flow rates.
+the servers' rise depends on the operating state alone, so a solver bound
+to one state (`ZonalSolver.at`) derives it once and each of its solves
+pays only for the flow rates.
 Its functional form is deliberately richer than the surrogate's (fan-law
 flows, inverse-square mixing, bypass dilution, envelope leakage) so the
 surrogate can approximate but never equal it.
@@ -29,19 +30,20 @@ import signal
 import subprocess
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     CommandFailedError,
+    DimensionMismatchError,
     InvalidInputError,
     ParseError,
     SolverTimeoutError,
     ZeroDistanceError,
 )
-from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, check_counts,
-                   squared_distances, validate_layout)
+from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, squared_distances,
+                   validate_layout)
 from .surrogate import KAPPA_CFM_PER_W
 
 
@@ -94,6 +96,27 @@ class ThermalSolver:
     def _solve(self, x: SystemInput) -> np.ndarray:
         raise NotImplementedError
 
+    def at(self, state: OperatingState) -> "BoundSolver":
+        """This solver bound to a copy of `state`: its solves take flow rates alone."""
+        state = state.copy()
+        return BoundSolver(self, state, self._bind(state))
+
+    def _bind(self, state: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve at `state`, as a function of the flow rates."""
+        return lambda alpha: self._solve(state.to_input(alpha))
+
+
+class BoundSolver(ThermalSolver):
+    """A solver bound to one operating state by `at`. Its solve takes the
+    flow rates alone, and counts in the n_calls of the solver it came from."""
+
+    n_calls = property(lambda self: self.parent.n_calls,
+                       lambda self, n: setattr(self.parent, "n_calls", n))
+
+    def __init__(self, parent: ThermalSolver, state: OperatingState,
+                 solve: Callable[[np.ndarray], np.ndarray]):
+        self.parent, self.state, self._solve = parent, state, solve
+
 
 def _inverse_square_weights(src: np.ndarray, dst: np.ndarray, normalize_axis: int,
                             what: str) -> np.ndarray:
@@ -119,29 +142,8 @@ def _aisle_mixing(positions: np.ndarray, mixing: float) -> np.ndarray:
     return (1.0 - mixing) * np.eye(g) + mixing * off
 
 
-_FLOW_RATES = fields(SystemInput)[-1]
-
-
-@dataclass(frozen=True)
-class _ZonalTerms:
-    """The zonal balance's terms that depend on the operating state alone,
-    so every flow rate at that state shares them. `key` is the state's
-    values (OperatingState.key) they were derived from; B and lhs = I - B H
-    are None under containment, where the cold zones need no solve."""
-
-    key: tuple
-    load: np.ndarray  # kappa * utilization, (m,): a server's rise times its flow rate
-    mixed: np.ndarray  # (n_hot,) whether the hot zone has inflow
-    hot_total: np.ndarray  # (n_hot,) its inflow, floored at 1e-12
-    H: np.ndarray  # (n_hot, n_cold)
-    c0: np.ndarray  # (n_cold,)
-    B: Optional[np.ndarray]  # (n_cold, n_hot)
-    lhs: Optional[np.ndarray]  # (n_cold, n_cold)
-
-
 class ZonalSolver(ThermalSolver):
-    """Mass-and-energy-balance zonal model of one scenario's hall. It keeps
-    the state terms of the last operating state it solved."""
+    """Mass-and-energy-balance zonal model of one scenario's hall."""
 
     def __init__(self, scenario: Scenario):
         super().__init__()
@@ -172,36 +174,17 @@ class ZonalSolver(ThermalSolver):
         self.exhaust = server_flow[:, None] * self.server_exhaust  # (m, n_hot)
         self.exhaust_flow = self.exhaust.sum(axis=0)  # (n_hot,)
         self.exhaust_inlet = self.exhaust.T @ self.server_inlet  # (n_hot, n_cold)
-        self._state: Optional[_ZonalTerms] = None
 
-    def _validate(self, x: SystemInput, known: bool = False) -> None:
-        """Raise unless the solve can take x. With `known`, x's state is one
-        this solver has passed, so only its flow rates are checked: count,
-        finiteness, then sign, in the order and with the messages of the full
-        check."""
-        if known:
-            checked = (_FLOW_RATES,)
-            check_counts(x, self.layout, checked)
-        else:
-            checked = fields(x)
-            x.check(self.layout)
-        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in checked):
+    def _solve(self, x: SystemInput) -> np.ndarray:
+        return self._bind(x)(x.flow_rates)
+
+    def _bind(self, x: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve at x's state, once x passes the state's checks: all of the
+        balance but the servers' rise is derived here, so the solve checks its
+        flow rates (count, finiteness, then sign) and computes only the rest."""
+        x.check(self.layout)
+        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in fields(x)):
             raise InvalidInputError("non-finite entries in solver input")
-        if np.any(x.flow_rates <= 0):
-            raise InvalidInputError("flow rates must be positive")
-
-    def _state_of(self, x: SystemInput) -> _ZonalTerms:
-        """The _ZonalTerms of x's state, after checking x. They are derived,
-        and the state checked, only when its values differ from those of the
-        last state solved; its flow rates are checked on every call."""
-        key = x.key()
-        known = self._state is not None and self._state.key == key
-        self._validate(x, known)
-        if not known:
-            self._state = self._derive(x, key)
-        return self._state
-
-    def _derive(self, x: OperatingState, key: tuple) -> _ZonalTerms:
         sc = self.scenario
         r, leak = sc.recirculation_fraction, sc.ambient_leakage
 
@@ -229,7 +212,7 @@ class ZonalSolver(ThermalSolver):
         backflow = (0.0 if sc.layout.containment else r) * self.exhaust_flow  # (n_hot,)
         cold_total = cold_flow + backflow @ self.hot_to_cold
         c0 = (1.0 - leak) * (cold_supply / cold_total) + leak * sc.ambient_c
-        B = lhs = None
+        B = lhs = None  # under containment the cold zones need no solve
         if not sc.layout.containment:
             # H and B are non-negative (flows and weights are, by the Scenario
             # and OperatingState checks), each row of H sums to 1, and each row
@@ -237,21 +220,24 @@ class ZonalSolver(ThermalSolver):
             # cold_flow > 0. So |B H|_inf < 1 and I - B H is nonsingular.
             B = ((1.0 - leak) / cold_total)[:, None] * (self.hot_to_cold.T * backflow)
             lhs = np.eye(c0.size) - B @ H
-        return _ZonalTerms(key, KAPPA_CFM_PER_W * utilization, mixed, hot_total, H, c0, B, lhs)
+        load = KAPPA_CFM_PER_W * utilization  # (m,) a server's rise times its flow rate
 
-    def _solve(self, x: SystemInput) -> np.ndarray:
-        st = self._state_of(x)
-        rise = st.load / x.flow_rates  # (m,)
-        h0 = np.where(st.mixed, (self.exhaust.T @ rise) / st.hot_total, 0.0)
-        t_cold = st.c0
-        if st.lhs is not None:
-            t_cold = np.linalg.solve(st.lhs, st.c0 + st.B @ h0)
-        t_hot = st.H @ t_cold + h0
+        def solve(alpha: np.ndarray) -> np.ndarray:
+            alpha = np.asarray(alpha, dtype=float)
+            if alpha.shape != load.shape:
+                raise DimensionMismatchError("powers and flow rates differ in length")
+            if not np.all(np.isfinite(alpha)):
+                raise InvalidInputError("non-finite entries in solver input")
+            if np.any(alpha <= 0):
+                raise InvalidInputError("flow rates must be positive")
+            h0 = np.where(mixed, (self.exhaust.T @ (load / alpha)) / hot_total, 0.0)
+            t_cold = c0 if lhs is None else np.linalg.solve(lhs, c0 + B @ h0)
+            readings = np.empty(self.layout.n_sensors)
+            readings[self.cold_idx] = self.mix_cold @ t_cold
+            readings[self.hot_idx] = self.mix_hot @ (H @ t_cold + h0)
+            return readings
 
-        readings = np.empty(self.layout.n_sensors)
-        readings[self.cold_idx] = self.mix_cold @ t_cold
-        readings[self.hot_idx] = self.mix_hot @ t_hot
-        return readings
+        return solve
 
 
 def zonal_solve(scenario: Scenario, x: SystemInput) -> np.ndarray:

@@ -67,14 +67,13 @@ def check_shape(fractions: list[float], pool_size: int) -> None:
 
 def build_pool(scenario: Scenario, state: OperatingState, pool_size: int,
                seed: int) -> list[TrainingSample]:
-    """Solver samples at flow rates drawn uniformly over the search box."""
+    """Solver samples at `state` and flow rates drawn uniformly over the search box."""
     rng = np.random.default_rng(seed)
-    solver = ZonalSolver(scenario)
+    solver = ZonalSolver(scenario).at(state)
     pool = []
     for _ in range(pool_size):
         alpha = rng.uniform(SEARCH_BOUNDS.lower, SEARCH_BOUNDS.upper, scenario.layout.n_servers)
-        x = state.to_input(alpha)
-        pool.append(TrainingSample(input=x, target=solver.solve(x)))
+        pool.append(TrainingSample(input=solver.state.to_input(alpha), target=solver.solve(alpha)))
     return pool
 
 
@@ -98,22 +97,23 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
     n = layout.n_sensors
 
     def test_mae(predict) -> float:
-        return float(np.mean([mae(predict(s.input), s.target) for s in test_pool]))
+        """Mean test MAE of predict, a function of the flow rates at `state`."""
+        return float(np.mean([mae(predict(s.input.flow_rates), s.target) for s in test_pool]))
 
     def fit_cell(fraction: float, surrogate: str) -> StudyCell:
         k = round(fraction * n_train)
         subset = train_pool[:k]
         if surrogate == KNOWLEDGE_FIXED:
-            knowledge = KnowledgeSurrogateModel(priors, PenaltyParams())
+            knowledge = KnowledgeSurrogateModel(priors, PenaltyParams()).at(state)
             knowledge.fit(subset)
             return StudyCell(fraction, surrogate, k, test_mae(knowledge.predict))
         if surrogate == KNOWLEDGE_TRAINABLE:
             tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
                                             w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
             tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
-            return StudyCell(fraction, surrogate, k,
-                             test_mae(lambda x: forward_trainable(tw, priors.hot_mask, x)))
-        vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed)
+            return StudyCell(fraction, surrogate, k, test_mae(
+                lambda alpha: forward_trainable(tw, priors.hot_mask, state.to_input(alpha))))
+        vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed).at(state)
         vanilla.fit(subset)
         return StudyCell(fraction, surrogate, k, test_mae(vanilla.predict))
 

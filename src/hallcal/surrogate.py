@@ -118,7 +118,9 @@ class TrainingSample:
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
 
-def _check_alpha(alpha: np.ndarray) -> None:
+def _check_alpha(alpha: np.ndarray, powers: np.ndarray) -> None:
+    if alpha.shape != powers.shape:
+        raise DimensionMismatchError("powers and flow rates differ in length")
     if np.any(alpha <= 0.0):
         raise NonPositiveFlowRateError("all flow rates must be > 0")
 
@@ -156,13 +158,14 @@ def _state_features(w_cs: np.ndarray, w_ss: np.ndarray, x: OperatingState,
     return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2)
 
 
-def _hot_features(w_ss: np.ndarray, x: SystemInput, dense: bool = False) -> np.ndarray:
-    """X_hot under the adjacency w_ss (m, n), of an input whose server count
-    _state_features has checked. The two variants sum over the servers in
-    different orders, and each order is part of its variant's reproducible
-    output."""
-    _check_alpha(x.flow_rates)
-    pw = x.server_powers / x.flow_rates
+def _hot_features(w_ss: np.ndarray, powers: np.ndarray, alpha: np.ndarray,
+                  dense: bool = False) -> np.ndarray:
+    """X_hot under the adjacency w_ss (m, n), of server powers whose count
+    _state_features has checked, at flow rates of their shape. The two
+    variants sum over the servers in different orders, and each order is
+    part of its variant's reproducible output."""
+    _check_alpha(alpha, powers)
+    pw = powers / alpha
     return pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
 
 
@@ -179,19 +182,20 @@ def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
     coeff, x_cold = _state_features(w_cs, w_ss, x, dense)
     if targets is not None:
         _check_targets(targets, w_cs)
-    return coeff, x_cold, _hot_features(w_ss, x, dense)
+    return coeff, x_cold, _hot_features(w_ss, x.server_powers, x.flow_rates, dense)
 
 
 @dataclass(frozen=True)
 class StateTerms:
     """The fixed-prior surrogate's terms that depend on the operating state
-    alone, so every flow rate of a calibration shares them: X_cold, the
-    hot-sensor indices, and for convex_search's A the heating factor
-    H_h[j, k] = P_j w_ss[j, k] over the hot sensors k and its Gram matrix
-    G_h = H_h^T H_h. `key` is the state's values (OperatingState.key) they
-    were computed from."""
+    alone, so every flow rate of a calibration shares them: the server
+    powers, X_cold, the hot-sensor indices, and for convex_search's A the
+    heating factor H_h[j, k] = P_j w_ss[j, k] over the hot sensors k and
+    its Gram matrix G_h = H_h^T H_h. The `_at` functions take them in
+    place of the state; KnowledgeSurrogateModel.at computes them once per
+    run."""
 
-    key: tuple
+    powers: np.ndarray  # (m,)
     x_cold: np.ndarray  # (n,)
     hot: np.ndarray  # (n_hot,) indices of the hot sensors, where hot_mask is 1
     heat_hot: np.ndarray  # (m, n_hot)
@@ -202,11 +206,7 @@ class StateTerms:
         _, x_cold = _state_features(priors.w_cs, priors.w_ss, x)
         hot = np.flatnonzero(priors.hot_mask)
         heat_hot = x.server_powers[:, None] * priors.w_ss[:, hot]
-        return cls(x.key(), x_cold, hot, heat_hot, heat_hot.T @ heat_hot)
-
-    def holds(self, x: OperatingState) -> bool:
-        """Whether x's state has, value for value, the state of these terms."""
-        return self.key == x.key()
+        return cls(x.server_powers, x_cold, hot, heat_hot, heat_hot.T @ heat_hot)
 
 
 def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
@@ -216,16 +216,17 @@ def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
     return w.a * x_cold + w.b + hot_mask * (w.c * x_hot + w.d)
 
 
-def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            state: Optional[StateTerms] = None) -> np.ndarray:
-    """Predicted temperatures at all sensor locations, degC. `state` gives
-    the StateTerms of x's state when the caller keeps them; it must hold x.
-    The result is the same with or without it."""
-    if state is None:
-        _, x_cold, x_hot = _features(priors.w_cs, priors.w_ss, x)
-    else:
-        x_cold, x_hot = state.x_cold, _hot_features(priors.w_ss, x)
+def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.ndarray:
+    """Predicted temperatures at all sensor locations, degC."""
+    _, x_cold, x_hot = _features(priors.w_cs, priors.w_ss, x)
     return _predict(w, priors.hot_mask, x_cold, x_hot)
+
+
+def forward_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
+               alpha: np.ndarray) -> np.ndarray:
+    """forward at the state of `terms` and the flow rates alpha."""
+    return _predict(w, priors.hot_mask, terms.x_cold,
+                    _hot_features(priors.w_ss, terms.powers, alpha))
 
 
 def _stack_batch(batch: list[TrainingSample]):
@@ -286,9 +287,7 @@ def penalty_h(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> f
     """
     alpha = np.asarray(alpha, dtype=float)
     powers = np.asarray(powers, dtype=float)
-    if alpha.shape != powers.shape:
-        raise DimensionMismatchError("alpha and powers differ in length")
-    _check_alpha(alpha)
+    _check_alpha(alpha, powers)
     dt = params.kappa / alpha
     low = np.maximum(0.0, params.dt_low - dt)
     high = np.maximum(0.0, dt - params.dt_high)
@@ -309,47 +308,63 @@ def _search_residual(pred: np.ndarray, t_meas: np.ndarray) -> np.ndarray:
     return pred - t_meas
 
 
-def search_loss(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray,
-                params: PenaltyParams) -> float:
+def search_loss(pred: np.ndarray, alpha: np.ndarray, powers: np.ndarray,
+                t_meas: np.ndarray, params: PenaltyParams) -> float:
     """The flow-rate search objective of any surrogate, from its prediction
-    at x: mean squared sensor error plus the scaled hinge penalty,
-    MSE + (lam / n) * h."""
+    at the flow rates alpha and server powers: mean squared sensor error
+    plus the scaled hinge penalty, MSE + (lam / n) * h."""
     mse = float(np.mean(_search_residual(pred, t_meas) ** 2))
-    return mse + params.lam / pred.size * penalty_h(x.flow_rates, x.server_powers, params)
+    return mse + params.lam / pred.size * penalty_h(alpha, powers, params)
 
 
-def search_grad(pred: np.ndarray, x: SystemInput, t_meas: np.ndarray, params: PenaltyParams,
-                mse_grad: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def search_grad(pred: np.ndarray, alpha: np.ndarray, powers: np.ndarray, t_meas: np.ndarray,
+                params: PenaltyParams, mse_grad: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Gradient of search_loss with respect to the flow rates; mse_grad maps
     the residual pred - t_meas to the MSE term's gradient."""
     g_mse = mse_grad(_search_residual(pred, t_meas))
-    return g_mse + params.lam / pred.size * _penalty_grad(x.flow_rates, x.server_powers, params)
+    return g_mse + params.lam / pred.size * _penalty_grad(alpha, powers, params)
 
 
 def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-            t_meas: np.ndarray, params: PenaltyParams,
-            state: Optional[StateTerms] = None) -> float:
-    """search_loss of the knowledge surrogate; `state` as in forward."""
-    return search_loss(forward(w, priors, x, state), x, t_meas, params)
+            t_meas: np.ndarray, params: PenaltyParams) -> float:
+    """search_loss of the knowledge surrogate."""
+    return search_loss(forward(w, priors, x), x.flow_rates, x.server_powers, t_meas, params)
 
 
-def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-               t_meas: np.ndarray, params: PenaltyParams,
-               state: Optional[StateTerms] = None) -> np.ndarray:
-    """Analytic gradient of loss_l2 with respect to the flow rates; `state`
-    as in forward.
+def loss_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
+            alpha: np.ndarray, t_meas: np.ndarray, params: PenaltyParams) -> float:
+    """loss_l2 at the state of `terms` and the flow rates alpha."""
+    return search_loss(forward_at(w, priors, terms, alpha), alpha, terms.powers, t_meas, params)
+
+
+def _grad(w: SurrogateWeights, priors: AdjacencyPriors, pred: np.ndarray, alpha: np.ndarray,
+          powers: np.ndarray, t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
+    """Analytic gradient of loss_l2 with respect to the flow rates, from the
+    prediction at alpha and the powers.
 
     Flow rates reach the loss through X_hot (chain -P_j/alpha_j^2 into the
     hot-aisle sensors) and through the hinge penalty.
     """
-    pred = forward(w, priors, x, state)
-    dxhot_scale = -x.server_powers / x.flow_rates ** 2  # (m,)
+    dxhot_scale = -powers / alpha ** 2  # (m,)
 
     def mse_grad(residual: np.ndarray) -> np.ndarray:
         sens = residual * priors.hot_mask * w.c  # (n,)
         return 2.0 / residual.size * dxhot_scale * (priors.w_ss @ sens)
 
-    return search_grad(pred, x, t_meas, params, mse_grad)
+    return search_grad(pred, alpha, powers, t_meas, params, mse_grad)
+
+
+def grad_alpha(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
+               t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
+    """Analytic gradient of loss_l2 with respect to the flow rates (_grad)."""
+    return _grad(w, priors, forward(w, priors, x), x.flow_rates, x.server_powers, t_meas, params)
+
+
+def grad_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
+            alpha: np.ndarray, t_meas: np.ndarray, params: PenaltyParams) -> np.ndarray:
+    """grad_alpha at the state of `terms` and the flow rates alpha."""
+    return _grad(w, priors, forward_at(w, priors, terms, alpha), alpha, terms.powers,
+                 t_meas, params)
 
 
 def _normal_terms(hot_mask: np.ndarray, x_cold: np.ndarray, x_hot: np.ndarray,
@@ -370,13 +385,13 @@ def fit_terms(priors: AdjacencyPriors,
     return _normal_terms(priors.hot_mask, *_batch_features(priors, batch))
 
 
-def fold_terms(priors: AdjacencyPriors, state: StateTerms,
+def fold_terms(priors: AdjacencyPriors, terms: StateTerms,
                sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
-    """fit_terms(priors, [sample]), bit for bit, for a sample whose state
-    `state` holds: only its X_hot is computed."""
+    """fit_terms(priors, [sample]), bit for bit, for a sample at the state
+    of `terms`: only its X_hot is computed."""
     _check_targets(sample.target, priors.w_cs)
-    x_hot = _hot_features(priors.w_ss, sample.input)
-    return _normal_terms(priors.hot_mask, state.x_cold[None], x_hot[None], sample.target[None])
+    x_hot = _hot_features(priors.w_ss, terms.powers, sample.input.flow_rates)
+    return _normal_terms(priors.hot_mask, terms.x_cold[None], x_hot[None], sample.target[None])
 
 
 def solve_fit(gram: np.ndarray, rhs: np.ndarray, count: int,
@@ -425,11 +440,12 @@ def hinge_box_prox(v: np.ndarray, k_lo: float, k_hi: float, s: np.ndarray,
     return np.minimum(out, u_hi, out=out)
 
 
-def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
-                  t_meas: np.ndarray, params: PenaltyParams, bounds: Bounds,
-                  state: Optional[StateTerms] = None) -> SearchResult:
-    """The minimum of loss_l2 over the flow-rate box, by FISTA in u = 1/alpha,
-    finished by one exact least-squares projection.
+def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
+                  alpha0: np.ndarray, t_meas: np.ndarray, params: PenaltyParams,
+                  bounds: Bounds) -> SearchResult:
+    """The minimum of loss_at over the flow-rate box at the state of
+    `terms`, by FISTA in u = 1/alpha, finished by one exact least-squares
+    projection.
 
     With the weights frozen the residual pred - t_meas is affine in u,
     A u + r0 with A[k, j] = hot_k c_k P_j w_ss[j, k] and
@@ -448,7 +464,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     StateTerms' H_h and G_h and the hot sensors' c. |A|_2^2 is the largest
     eigenvalue of that n_hot x n_hot matrix.
 
-    The run starts at x.flow_rates. It stops once the stationarity residual
+    The run starts at alpha0. It stops once the stationarity residual
     |y - T(y)| / t of the extrapolated point y falls below SEARCH_TOL, where
     T(y) = prox(y - t grad(y)) is the next iterate, or after
     SEARCH_MAX_STEPS steps. T is nonexpansive, so the residual at the
@@ -464,19 +480,15 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
     |q - T(q)| < SEARCH_TOL t, and then reports that gap as its residual;
     otherwise it keeps stepping. On the reference hall most warm-started
     searches end at q with no step.
-
-    `state` gives the StateTerms of x's state when the caller keeps them; it
-    must hold x. The result is the same with or without it.
     """
-    state = StateTerms.of(priors, x) if state is None else state
-    _check_alpha(x.flow_rates)
+    _check_alpha(alpha0, terms.powers)
     n = priors.n_sensors
     # the hot rows of the residual at u = 0
-    r0 = _search_residual(_predict(w, priors.hot_mask, state.x_cold, 0.0), t_meas)[state.hot]
-    powers = x.server_powers
-    c_hot = w.c[state.hot]
-    A = (state.heat_hot * c_hot).T  # (n_hot, m)
-    AAt = c_hot[:, None] * state.gram_hot * c_hot
+    r0 = _search_residual(_predict(w, priors.hot_mask, terms.x_cold, 0.0), t_meas)[terms.hot]
+    powers = terms.powers
+    c_hot = w.c[terms.hot]
+    A = (terms.heat_hot * c_hot).T  # (n_hot, m)
+    AAt = c_hot[:, None] * terms.gram_hot * c_hot
     if not np.all(np.isfinite(AAt)):  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
     eig, vec = np.linalg.eigh(AAt)
@@ -511,7 +523,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         gap2 = gap.dot(gap)
         return (q, gap2) if gap2 < stop else None
 
-    u = np.clip(1.0 / x.flow_rates, u_lo, u_hi)
+    u = np.clip(1.0 / alpha0, u_lo, u_hi)
     n_evals = 1  # the points visited: start, FISTA iterates, accepted projection
     found = projection(u)
     y, theta = u.copy(), 1.0
@@ -541,7 +553,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
         residual = float(np.linalg.norm(u - step(u)) / t)
 
     alpha = bounds.clip(1.0 / u)
-    fun = loss_l2(w, priors, x.with_flow_rates(alpha), t_meas, params, state)
+    fun = loss_at(w, priors, terms, alpha, t_meas, params)
     if not np.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=n_evals, residual=residual)

@@ -23,17 +23,20 @@ from hallcal.errors import (
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
-from hallcal.hall import SystemInput, build_adjacency
+from hallcal.hall import build_adjacency
+from hallcal.mlp import mlp_forward, mlp_grad_alpha, mlp_loss_l2
 from hallcal.optim import Bounds, DeConfig, TrainConfig
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import OperatingState, ThermalSolver, ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
     SEARCH_TOL,
     PenaltyParams,
+    StateTerms,
     SurrogateWeights,
     TrainingSample,
     convex_search,
     fit_weights,
+    forward,
     grad_alpha,
     init_weights,
     loss_l2,
@@ -136,58 +139,75 @@ class TestMae:
 
 
 class TestKnowledgeModelObjective:
-    """model.l2 and model.l2_grad_alpha against the plain surrogate functions."""
+    """A bound model's predict, l2 and l2_grad_alpha against the plain
+    surrogate functions at the state it bound."""
 
     @pytest.fixture
-    def model(self, small_case):
-        scenario, _, priors = small_case
-        n = scenario.layout.n_sensors
-        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+    def weights(self, small_case):
+        n = small_case[0].layout.n_sensors
         rng = np.random.default_rng(4)
-        model.weights = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.3, 4 * n), n)
+        return SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0, 0.3, 4 * n), n)
+
+    @staticmethod
+    def bound(small_case, weights, state):
+        model = KnowledgeSurrogateModel(small_case[2], PenaltyParams()).at(state)
+        model.weights = weights
         return model
 
     @staticmethod
     def assert_bit_identical(model, x, meas):
-        assert model.l2(x, meas) == loss_l2(model.weights, model.priors, x, meas, model.penalty)
-        assert np.array_equal(model.l2_grad_alpha(x, meas),
+        alpha = x.flow_rates
+        assert np.array_equal(model.predict(alpha), forward(model.weights, model.priors, x))
+        assert model.l2(alpha, meas) == loss_l2(model.weights, model.priors, x, meas,
+                                                model.penalty)
+        assert np.array_equal(model.l2_grad_alpha(alpha, meas),
                               grad_alpha(model.weights, model.priors, x, meas, model.penalty))
 
-    def test_two_states_used_alternately(self, small_case, model):
+    def test_two_states_used_alternately(self, small_case, weights):
         scenario, state, _ = small_case
         other = OperatingState(state.crac_setpoints + 1.5, state.crac_fan_speeds * 0.8,
                                state.server_powers)
+        models = [self.bound(small_case, weights, s) for s in (state, other)]
         meas = synthesize_measurements(scenario, state)
         rng = np.random.default_rng(5)
         for i in range(6):
             alpha = rng.uniform(0.05, 0.6, scenario.layout.n_servers)
-            self.assert_bit_identical(model, (state, other)[i % 2].to_input(alpha), meas)
+            self.assert_bit_identical(models[i % 2], (state, other)[i % 2].to_input(alpha), meas)
 
-    def test_in_place_edit_of_a_state(self, small_case, model):
+    def test_in_place_edit_of_a_state(self, small_case, weights):
+        # the model keeps the values it bound: a write to the caller's arrays
+        # after binding changes nothing it computes
         scenario, state, _ = small_case
-        edited = OperatingState(state.crac_setpoints.copy(), state.crac_fan_speeds.copy(),
-                                state.server_powers)
+        edited = state.copy()
+        model = self.bound(small_case, weights, edited)
         meas = synthesize_measurements(scenario, state)
         alpha = np.full(scenario.layout.n_servers, 0.2)
-        before = model.l2(edited.to_input(alpha), meas)
         edited.crac_setpoints[0] += 2.0
-        self.assert_bit_identical(model, edited.to_input(alpha), meas)
-        assert model.l2(edited.to_input(alpha), meas) != before
         edited.crac_fan_speeds[-1] *= 0.5
-        self.assert_bit_identical(model, edited.to_input(alpha), meas)
+        edited.server_powers[1] += 50.0
+        self.assert_bit_identical(model, state.to_input(alpha), meas)
+        assert model.l2(alpha, meas) != loss_l2(weights, model.priors, edited.to_input(alpha),
+                                                meas, model.penalty)
 
-    def test_every_call_checks_its_input(self, small_case, model):
+    def test_every_call_checks_its_input(self, small_case, weights):
         scenario, state, _ = small_case
+        model = self.bound(small_case, weights, state)
         meas = synthesize_measurements(scenario, state)
         alpha = np.full(scenario.layout.n_servers, 0.2)
-        model.l2(state.to_input(alpha), meas)  # a valid call first, with this state
-        alpha[3] = 0.0
-        for method in (model.l2, model.l2_grad_alpha):
+        model.l2(alpha, meas)  # a valid call first
+        zero = alpha.copy()
+        zero[3] = 0.0
+        calls = (model.predict, lambda a: model.l2(a, meas), lambda a: model.l2_grad_alpha(a, meas),
+                 lambda a: model.search(a, meas, engine.SEARCH_BOUNDS))
+        for call in calls:
             with pytest.raises(NonPositiveFlowRateError):
-                method(state.to_input(alpha), meas)
-            with pytest.raises(DimensionMismatchError):
-                method(SystemInput(state.crac_setpoints[:-1], state.crac_fan_speeds[:-1],
-                                   state.server_powers, np.full(alpha.size, 0.2)), meas)
+                call(zero)
+            for wrong in (alpha[:-1], np.append(alpha, 0.2)):
+                with pytest.raises(DimensionMismatchError):
+                    call(wrong)
+        with pytest.raises(DimensionMismatchError):  # a state of another CRAC count
+            model.at(OperatingState(state.crac_setpoints[:-1], state.crac_fan_speeds[:-1],
+                                    state.server_powers))
 
 
 @pytest.fixture(scope="module")
@@ -269,46 +289,53 @@ class TestKnowledgeModelFit:
         assert len(folds) == 4
 
     def test_folds_match_the_full_fit_across_a_state_switch(self, two_states):
+        # a model bound anew folds each later sample at the state it is bound to
         scenario, priors, first, second = two_states
         solver, rng = ZonalSolver(scenario), np.random.default_rng(5)
         dataset = (solved(solver, first, rng, 5) + solved(solver, second, rng, 4)
                    + solved(solver, first, rng, 2))
+        states = [first] * 5 + [second] * 4 + [first] * 2
         model = KnowledgeSurrogateModel(priors, PenaltyParams())
         for k in range(3, len(dataset) + 1):
-            model.fit(dataset[:k])
+            model.at(states[k - 1]).fit(dataset[:k])
             assert_same_weights(model.weights, fit_weights(priors, dataset[:k]))
 
     def test_a_state_written_in_place_is_told_by_its_values(self, two_states):
-        # the model keys its state terms by value: after the arrays it last
-        # saw are overwritten with another state, a fold recomputes them
+        # the model binds a copy of the state: after the caller overwrites the
+        # arrays it bound with another state, its folds and searches still
+        # use the values it bound
         scenario, priors, first, second = two_states
         solver, rng = ZonalSolver(scenario), np.random.default_rng(6)
-        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        held = first.copy()
+        model = KnowledgeSurrogateModel(priors, PenaltyParams()).at(held)
         dataset = solved(solver, first, rng, 3)
         model.fit(dataset)
-        held = OperatingState(*[np.copy(getattr(first, f.name)) for f in fields(OperatingState)])
-        model.search(held.to_input(dataset[0].input.flow_rates), dataset[0].target,
-                     engine.SEARCH_BOUNDS)
         for f in fields(OperatingState):
             getattr(held, f.name)[:] = getattr(second, f.name)
-        dataset += solved(solver, held, rng, 2)
+        dataset += solved(solver, first, rng, 2)
         model.fit(dataset[:4])
         model.fit(dataset)
         assert_same_weights(model.weights, fit_weights(priors, dataset))
+        alpha, meas = dataset[0].input.flow_rates, dataset[0].target
+        got = model.search(alpha, meas, engine.SEARCH_BOUNDS)
+        want = convex_search(model.weights, priors, StateTerms.of(priors, first), alpha, meas,
+                             model.penalty, engine.SEARCH_BOUNDS)
+        assert np.array_equal(got.x, want.x) and got.fun == want.fun
 
     def test_search_matches_a_fresh_convex_search(self, two_states):
         scenario, priors, first, second = two_states
         solver, rng = ZonalSolver(scenario), np.random.default_rng(7)
-        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        model = KnowledgeSurrogateModel(priors, PenaltyParams()).at(first)
         dataset = solved(solver, first, rng, 4)
         model.fit(dataset[:3])
-        model.fit(dataset)  # the fold leaves the first state's terms in the model
+        model.fit(dataset)
         meas = synthesize_measurements(scenario, first)
         bounds = engine.SEARCH_BOUNDS
+        alpha = np.full(scenario.layout.n_servers, bounds.midpoint)
         for state in (first, second, first):
-            x = state.to_input(np.full(scenario.layout.n_servers, bounds.midpoint))
-            got = model.search(x, meas, bounds)
-            want = convex_search(model.weights, priors, x, meas, model.penalty, bounds)
+            got = model.at(state).search(alpha, meas, bounds)
+            want = convex_search(model.weights, priors, StateTerms.of(priors, state), alpha, meas,
+                                 model.penalty, bounds)
             assert np.array_equal(got.x, want.x)
             assert (got.fun, got.n_evals, got.residual) == (want.fun, want.n_evals, want.residual)
 
@@ -329,6 +356,22 @@ class TestKnowledgeModelFit:
             model.fit([])
         with pytest.raises(EmptyDatasetError):
             KnowledgeSurrogateModel(priors, model.penalty).fit([])
+
+
+class TestVanillaModel:
+    def test_bound_model_equals_the_mlp_functions(self, small_case):
+        scenario, state, _ = small_case
+        model = VanillaSurrogateModel(scenario.layout, PenaltyParams(), TrainConfig(), seed=3)
+        edited = state.copy()
+        model.at(edited)
+        edited.server_powers[:] += 10.0  # the model keeps the values it bound
+        meas = synthesize_measurements(scenario, state)
+        alpha = np.random.default_rng(8).uniform(0.05, 1.0, scenario.layout.n_servers)
+        x = state.to_input(alpha)
+        assert np.array_equal(model.predict(alpha), mlp_forward(model.weights, x))
+        assert model.l2(alpha, meas) == mlp_loss_l2(model.weights, x, meas, model.penalty)
+        assert np.array_equal(model.l2_grad_alpha(alpha, meas),
+                              mlp_grad_alpha(model.weights, x, meas, model.penalty))
 
 
 class TestVanillaModelFit:
@@ -371,15 +414,15 @@ class FailingSolver(ThermalSolver):
 
 
 class RecordingSolver(ZonalSolver):
-    """A zonal solver that keeps every input it is asked to solve."""
+    """A zonal solver that keeps every input it is asked to solve, bound or not."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.inputs = []
 
-    def _solve(self, x):
-        self.inputs.append(x)
-        return super()._solve(x)
+    def _bind(self, x):
+        solve = super()._bind(x)
+        return lambda alpha: self.inputs.append(x.to_input(alpha)) or solve(alpha)
 
 
 class TestCalibrate:
@@ -433,6 +476,23 @@ class TestCalibrate:
         np.testing.assert_array_equal(a.alpha_star, b.alpha_star)
         assert [t.validation_mae for t in a.traces] == [t.validation_mae for t in b.traces]
         assert [t.mean_l2 for t in a.traces] == [t.mean_l2 for t in b.traces]
+
+    @pytest.mark.parametrize("field, index, value", [("server_powers", 2, np.nan),
+                                                     ("crac_fan_speeds", 0, 1.5)],
+                             ids=["nan-power", "fan-1.5"])
+    def test_invalid_state_aborts_during_seeding(self, small_case, field, index, value):
+        scenario, state, priors = small_case
+        bad = OperatingState(*[np.array(getattr(state, f.name)) for f in fields(OperatingState)])
+        getattr(bad, field)[index] = value
+        cfg = small_config()
+        with pytest.raises(CalibrationAbortedError,
+                           match="^solver failed during seeding: ") as exc_info:
+            calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
+                      synthesize_measurements(scenario, state), bad, scenario.layout, cfg)
+        assert isinstance(exc_info.value.__cause__, InvalidInputError)
+        partial = exc_info.value.result
+        assert partial is not None and partial.traces == [] and partial.best_mae == np.inf
+        assert np.array_equal(partial.alpha_star, np.full(scenario.layout.n_servers, 1.505))
 
     def test_solver_failure_attaches_partial_result(self, small_case):
         scenario, state, priors = small_case
@@ -488,8 +548,9 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("use_de", [True, False], ids=["de-adam", "adam"])
     def test_state_features_once_per_state(self, small_case, monkeypatch, use_de):
-        # the seed solves' first fit featurizes its batch of three; every fold,
-        # objective and gradient call after it reads the model's one StateTerms
+        # binding the model featurizes its state, and the seed solves' first fit
+        # its batch of three; every fold, objective and gradient call reads the
+        # model's one StateTerms
         scenario, state, priors = small_case
         calls, features = [], surrogate._state_features
         monkeypatch.setattr(surrogate, "_state_features", lambda w_cs, w_ss, x, dense=False: (
@@ -497,7 +558,7 @@ class TestCalibrate:
         cfg = small_config(max_iterations=3, use_de=use_de)
         calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
                   synthesize_measurements(scenario, state), state, scenario.layout, cfg)
-        assert calls == [(3,), ()]
+        assert calls == [(), (3,)]
 
     def test_de_seeds_are_the_spawned_children_of_the_run_seed(self, small_case, monkeypatch):
         # iteration i's DE seed is child i - 1 of SeedSequence(cfg.seed).spawn(...)

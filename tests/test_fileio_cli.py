@@ -33,7 +33,7 @@ from hallcal.errors import (
 from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
-from hallcal.solver import ZonalSolver, external_solve, synthesize_measurements
+from hallcal.solver import ThermalSolver, ZonalSolver, external_solve, synthesize_measurements
 from hallcal.study import FRACTIONS, POOL_SIZE
 
 ECHO_SOLVER = Path(__file__).parents[1] / "scripts" / "echo_solver.py"
@@ -459,9 +459,10 @@ class TestCalibrateCommand:
     def test_heuristic_traces_each_solves_own_mae(self, tmp_path, monkeypatch):
         # on reference seed 0: validation_mae_c is each solve's MAE, not the running best
         paths = cmd_generate(tmp_path / "case", seed=0)
-        inputs = []
-        solve = ZonalSolver._solve
-        monkeypatch.setattr(ZonalSolver, "_solve", lambda self, x: inputs.append(x) or solve(self, x))
+        inputs = []  # the flow rates of every solve, which the run makes at its bound state
+        solve = ThermalSolver.solve
+        monkeypatch.setattr(ThermalSolver, "solve",
+                            lambda self, alpha: inputs.append(alpha) or solve(self, alpha))
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                                paths["measurements"], tmp_path / "run", seed=0,
                                method="heuristic")
@@ -472,8 +473,9 @@ class TestCalibrateCommand:
         assert min(maes) == report["result"]["best_mae_c"]
         layout = fileio.load_layout(paths["layout"])
         solver = ZonalSolver(fileio.load_scenario(paths["scenario"], layout))
+        state = fileio.load_state(paths["state"], layout)
         meas = fileio.load_measurements(paths["measurements"], [s.id for s in layout.sensors])
-        assert maes == [mae(solver.solve(x), meas) for x in inputs]
+        assert maes == [mae(solver.solve(state.to_input(a)), meas) for a in inputs]
 
     def test_heuristic_improves_on_its_start_within_default_budget(self):
         # the ES step is a sixth of the box span, so within the 18 solves of
@@ -602,6 +604,24 @@ def test_external_command_is_split_like_a_shell(tmp_path):
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("containment", [True, False])
+    def test_solve_at_alpha_star_reproduces_the_run(self, tmp_path, containment):
+        # `solve` derives the state afresh for its one input; a calibration
+        # binds it once per run. Both must read the same temperatures.
+        case, run = tmp_path / "case", tmp_path / "run"
+        assert main(["generate", "--out-dir", str(case), "--seed", "7",
+                     *([] if containment else ["--no-containment"])]) == 0
+        inputs = ["--layout", str(case / "layout.json"), "--scenario", str(case / "scenario.json"),
+                  "--state", str(case / "state.json")]
+        assert main(["calibrate", *inputs, "--measurements", str(case / "measurements.csv"),
+                     "--iters", "3", "--out-dir", str(run)]) == 0
+        assert main(["solve", *inputs, "--alpha", str(run / "alpha_star.csv"),
+                     "--out", str(tmp_path / "solved.csv")]) == 0
+        with open(run / "sensors.csv") as f:
+            rows = list(csv.DictReader(f))
+        solved = fileio.load_measurements(tmp_path / "solved.csv", [r["sensor_id"] for r in rows])
+        assert [float(r["predicted_c"]) for r in rows] == list(solved)
+
     def test_solve_at_truth_matches_noiseless_measurements(self, tmp_path):
         paths = cmd_generate(tmp_path / "c", seed=2, n_servers=8, n_cold=3,
                              n_hot=2, noise_sd=0.0)
@@ -659,8 +679,8 @@ class TestStudyCommand:
                                                   monkeypatch):
         out, paths = generated
         solves = []
-        solve = ZonalSolver._solve
-        monkeypatch.setattr(ZonalSolver, "_solve",
+        solve = ThermalSolver.solve
+        monkeypatch.setattr(ThermalSolver, "solve",
                             lambda self, x: solves.append(x) or solve(self, x))
         code = main(["study-datavolume", "--layout", str(paths["layout"]),
                      "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
@@ -849,8 +869,8 @@ class TestMainExitCodes:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         solves = []
-        solve = ZonalSolver._solve
-        monkeypatch.setattr(ZonalSolver, "_solve",
+        solve = ThermalSolver.solve
+        monkeypatch.setattr(ThermalSolver, "solve",
                             lambda self, x: solves.append(x) or solve(self, x))
         argv = [command, "--out-dir", str(blocker / "run")]
         if command != "generate":

@@ -21,6 +21,7 @@ from hallcal.errors import (
 from hallcal.hall import COLD, HOT, Crac, HallLayout, Sensor, Server, SystemInput
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import (
+    BoundSolver,
     ExternalSolver,
     ExternalSolverSpec,
     OperatingState,
@@ -230,7 +231,7 @@ class TestZonalSolve:
         assert t_open[solver.cold_idx].mean() > t_closed[solver.cold_idx].mean()
 
 
-def cache_scenario(containment: bool) -> Scenario:
+def small_scenario(containment: bool) -> Scenario:
     """Two CRACs, four servers (the third rated 0 W), two cold and two hot
     sensors, with or without containment."""
     layout = HallLayout(
@@ -245,41 +246,36 @@ def cache_scenario(containment: bool) -> Scenario:
     return Scenario(layout=layout, alpha_true=np.full(4, 0.2), recirculation_fraction=0.3)
 
 
-def cache_state(i: int) -> OperatingState:
+def small_state(i: int) -> OperatingState:
     """A new copy of one of two valid states; the zero-rated server draws 0 W
     in the first and 50 W in the second."""
     return [OperatingState([18.0, 20.0], [0.8, 0.5], [300.0, 150.0, 0.0, 380.0]),
             OperatingState([21.0, 19.5], [0.0, 1.0], [100.0, 400.0, 50.0, 0.0])][i]
 
 
-def cache_input(state: OperatingState, op: str, arg) -> SystemInput:
-    """The input of a solve op at `state`: its flow rates, or a bad input."""
-    if op == "solve":
-        return state.to_input(np.array(arg))
-    if op == "extra crac":
-        return SystemInput(np.append(state.crac_setpoints, 20.0),
-                           np.append(state.crac_fan_speeds, 0.5), state.server_powers,
-                           np.full(4, 0.2))
-    if op == "reshaped":  # the state's values, powers in another shape
-        return SystemInput(state.crac_setpoints, state.crac_fan_speeds, state.server_powers[None],
-                           np.full((1, 4), 0.2))
-    x = state.to_input(np.full(4, 0.2))
-    if arg == "long":  # past SystemInput's own length check, to the solver's
-        object.__setattr__(x, "flow_rates", np.full(5, 0.2))
-    else:
-        x.flow_rates[1] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -0.1}[arg]
-    return x
+BAD_FLOWS = {  # flow rates a solve must reject, with the error of their first failing check
+    "short": ([0.2, 0.2, 0.2], DimensionMismatchError, "powers and flow rates differ in length"),
+    "long": ([0.2] * 5, DimensionMismatchError, "powers and flow rates differ in length"),
+    "nan": ([0.2, np.nan, 0.2, 0.2], InvalidInputError, "non-finite entries in solver input"),
+    "inf": ([0.2, np.inf, 0.2, 0.2], InvalidInputError, "non-finite entries in solver input"),
+    "zero": ([0.2, 0.0, 0.2, 0.2], InvalidInputError, "flow rates must be positive"),
+    "negative": ([0.2, -0.1, 0.2, 0.2], InvalidInputError, "flow rates must be positive"),
+    # count before finiteness before sign
+    "short, nan and zero": ([np.nan, 0.0, 0.2], DimensionMismatchError,
+                            "powers and flow rates differ in length"),
+    "nan and zero": ([0.0, np.nan, 0.2, -1.0], InvalidInputError,
+                     "non-finite entries in solver input"),
+}
 
-
-CACHE_OPS = st.one_of(
+BOUND_OPS = st.one_of(
     st.tuples(st.just("state"), st.integers(0, 1)),
     st.tuples(st.just("write"), st.sampled_from([f.name for f in fields(OperatingState)]),
               st.integers(0, 3),
               st.one_of(st.floats(-1.0, 500.0, allow_subnormal=False),
                         st.sampled_from([0.0, 1.0, 1.5, np.nan, np.inf]))),
+    st.tuples(st.just("bind"), st.none()),
     st.tuples(st.just("solve"), st.lists(st.floats(0.05, 3.0), min_size=4, max_size=4)),
-    st.tuples(st.just("bad flow"), st.sampled_from(["nan", "inf", "zero", "negative", "long"])),
-    st.tuples(st.sampled_from(["extra crac", "reshaped"]), st.none()),
+    st.tuples(st.just("bad flow"), st.sampled_from(sorted(BAD_FLOWS))),
 )
 
 
@@ -291,46 +287,69 @@ def outcome(solve, x):
         return type(exc), str(exc)
 
 
-class TestStateCache:
-    """A ZonalSolver keeps the terms of the last state it solved; each of its
-    answers must be a fresh solver's, bit for bit and error for error."""
+class TestBoundSolver:
+    """ZonalSolver.at checks a copy of the state and derives its terms
+    once; each answer of the bound solver must be a fresh zonal_solve's at
+    the values it bound, bit for bit and error for error."""
 
     @settings(max_examples=150, deadline=None)
-    @given(containment=st.booleans(), ops=st.lists(CACHE_OPS, min_size=1, max_size=12))
+    @given(containment=st.booleans(), ops=st.lists(BOUND_OPS, min_size=1, max_size=12))
     def test_matches_a_fresh_solver(self, containment, ops):
-        # "state" swaps in new arrays of a base state, "write" edits the current
-        # state's arrays in place (a bad value makes a bad state); the rest solve
-        scenario = cache_scenario(containment)
+        # "state" swaps in new arrays of a base state, "write" edits the
+        # current state's arrays in place (a bad value makes a bad state),
+        # "bind" binds the current state; the rest solve at the bound state
+        scenario = small_scenario(containment)
         solver = ZonalSolver(scenario)
-        state = cache_state(0)
+        state = small_state(0)
+        bound, held, solves = solver.at(state), state.copy(), 0
         for op, *arg in ops:
             if op == "state":
-                state = cache_state(*arg)
+                state = small_state(*arg)
             elif op == "write":
                 name, i, value = arg
                 values = getattr(state, name)
                 values[i % values.size] = value
-            else:
-                x = cache_input(state, op, *arg)
-                got, want = outcome(solver.solve, x), outcome(lambda x: zonal_solve(scenario, x), x)
+            elif op == "bind":
+                held = state.copy()  # the values bound, whatever is written later
+                got = outcome(solver.at, state)
+                want = outcome(lambda x: zonal_solve(scenario, x), held.to_input(np.full(4, 0.2)))
+                assert isinstance(got, BoundSolver) == isinstance(want, np.ndarray)
+                bound = got if isinstance(got, BoundSolver) else None
+                if bound is None:
+                    assert got == want  # the state's own check, as a fresh solve makes it
+            elif bound is not None:
+                alpha = np.array(arg[0] if op == "solve" else BAD_FLOWS[arg[0]][0])
+                got = outcome(bound.solve, alpha)
+                want = outcome(lambda a: zonal_solve(scenario, held.to_input(a)), alpha)
+                solves += 1
+                assert all(np.array_equal(getattr(bound.state, f.name), getattr(held, f.name),
+                                          equal_nan=True) for f in fields(OperatingState))
                 if isinstance(want, np.ndarray):
                     assert isinstance(got, np.ndarray) and np.array_equal(got, want)
                 else:
                     assert got == want
+        assert solver.n_calls == solves  # each bound solve counts once, in the parent
 
-    def test_each_state_is_derived_once(self, monkeypatch):
-        derived, derive = [], ZonalSolver._derive
-        monkeypatch.setattr(ZonalSolver, "_derive",
-                            lambda self, x, key: derived.append(key) or derive(self, x, key))
-        solver = ZonalSolver(cache_scenario(False))
-        state = cache_state(0)
+    @pytest.mark.parametrize("containment", [True, False])
+    @pytest.mark.parametrize("case", sorted(BAD_FLOWS))
+    def test_each_solve_checks_its_flow_rates(self, containment, case):
+        # count, finiteness, then sign, with the type and message of zonal_solve's check
+        scenario, state = small_scenario(containment), small_state(0)
+        alpha, error, message = BAD_FLOWS[case]
+        alpha = np.array(alpha)
+        want = outcome(lambda a: zonal_solve(scenario, state.to_input(a)), alpha)
+        assert want == (error, message)
+        assert outcome(ZonalSolver(scenario).at(state).solve, alpha) == want
+
+    def test_binding_checks_and_derives_once(self, monkeypatch):
+        bound, bind = [], ZonalSolver._bind
+        monkeypatch.setattr(ZonalSolver, "_bind", lambda self, x: bound.append(x) or bind(self, x))
+        solver = ZonalSolver(small_scenario(False))
+        at_state = solver.at(small_state(0))
         for alpha in (0.1, 0.2, 0.3):
-            solver.solve(state.to_input(np.full(4, alpha)))
-        solver.solve(cache_state(0).to_input(np.full(4, 0.2)))  # the same values, new arrays
-        assert len(derived) == 1
-        state.server_powers[0] += 1.0  # written in place: a new state
-        solver.solve(state.to_input(np.full(4, 0.2)))
-        assert len(derived) == 2
+            at_state.solve(np.full(4, alpha))
+        assert len(bound) == 1
+        assert solver.n_calls == at_state.n_calls == 3
 
 
 class TestMonotonicity:

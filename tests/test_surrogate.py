@@ -418,12 +418,17 @@ def five_piece_prox(v, k_lo, k_hi, s, u_lo, u_hi):
     return np.clip(out, u_lo, u_hi)
 
 
+def fresh_convex_search(w, priors, x, t_meas, params, bounds):
+    """convex_search from x.flow_rates with the StateTerms of x's state."""
+    return convex_search(w, priors, StateTerms.of(priors, x), x.flow_rates, t_meas, params, bounds)
+
+
 class TestConvexSearch:
     params = PenaltyParams()
 
     def search(self, case, alpha0, bounds=SEARCH_BOUNDS):
         w, priors, state, meas = case
-        return convex_search(w, priors, state.to_input(alpha0), meas, self.params, bounds)
+        return fresh_convex_search(w, priors, state.to_input(alpha0), meas, self.params, bounds)
 
     def test_not_worse_than_hybrid_search(self, frozen_cases):
         cfg = CalibConfig()
@@ -522,8 +527,8 @@ class TestConvexSearch:
     def test_without_hot_sensors_only_the_hinge_moves_the_flow_rate(self):
         # A is zero: the search ends at the band edge nearest its start
         priors = single_sensor_priors(hot=False)
-        res = convex_search(init_weights(1), priors, make_input(20.0, 0.8, 100.0, 2.0),
-                            np.array([21.0]), self.params, SEARCH_BOUNDS)
+        res = fresh_convex_search(init_weights(1), priors, make_input(20.0, 0.8, 100.0, 2.0),
+                                  np.array([21.0]), self.params, SEARCH_BOUNDS)
         assert res.x[0] == pytest.approx(KAPPA_CFM_PER_W / self.params.dt_low, rel=1e-12)
         assert res.residual == 0.0
 
@@ -564,7 +569,7 @@ class TestConvexSearch:
         powers[7] = np.nan
         x = SystemInput(state.crac_setpoints, state.crac_fan_speeds, powers, alpha)
         with pytest.raises(ObjectiveNonFiniteError):
-            convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
+            fresh_convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
 
     def test_input_checks(self, frozen_cases):
         w, priors, state, meas = frozen_cases[0]
@@ -641,7 +646,7 @@ class TestHotRowSearch:
     def assert_matches_dense(self, case, alpha0):
         w, priors, state, meas = case
         x = state.to_input(alpha0)
-        got = convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
+        got = fresh_convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
         want = dense_convex_search(w, priors, x, meas, self.params, SEARCH_BOUNDS)
         assert got.n_evals == want.n_evals
         np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=0.0)
@@ -731,8 +736,8 @@ class TestWidthChecks:
         for call in (lambda: loss_l1(w, reference_priors, [good]),
                      lambda: grad_weights(w, reference_priors, [good]),
                      lambda: forward(w, reference_priors, good.input),
-                     lambda: convex_search(w, reference_priors, good.input, good.target,
-                                           PenaltyParams(), SEARCH_BOUNDS)):
+                     lambda: fresh_convex_search(w, reference_priors, good.input, good.target,
+                                                 PenaltyParams(), SEARCH_BOUNDS)):
             with pytest.raises(DimensionMismatchError):
                 call()
 
