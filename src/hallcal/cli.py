@@ -113,8 +113,9 @@ def _write_calibration_report(out_dir: Path, method: str, cfg: CalibConfig,
     """The run directory's files. A run that aborted writes the iterations
     it finished, its reason under result.aborted, and sensors.csv only if
     some iteration validated."""
-    traced = [f.name for f in fields(IterationTrace) if f.name != "wall_time_s"]
-    for name, columns in (("traces.csv", traced), ("timings.csv", ["iteration", "wall_time_s"])):
+    names = [f.name for f in fields(IterationTrace)]
+    traced, timed = names[:names.index("wall_time_s")], names[names.index("wall_time_s"):]
+    for name, columns in (("traces.csv", traced), ("timings.csv", ["iteration", *timed])):
         fileio.write_csv(out_dir / name, *_table(columns, result.traces))
     predicted = result.best_solver_temps
     if predicted is not None:
@@ -276,56 +277,59 @@ def _fractions(text: str) -> list[float]:
     return [_fraction(part) for part in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand: its help, its input files (each a required --<input>), (flag, keywords)s
+_COMMANDS = {
+    "generate": ("write a synthetic hall scenario", (), [
+        ("--out-dir", dict(required=True)),
+        ("--seed", dict(type=_seed)),
+        ("--cracs", dict(dest="n_cracs", type=_count)),
+        ("--servers", dict(dest="n_servers", type=_count)),
+        ("--sensors-cold", dict(dest="n_cold", type=_count)),
+        ("--sensors-hot", dict(dest="n_hot", type=_count)),
+        ("--noise-sd", dict(type=_noise_sd)),
+        ("--recirculation", dict(type=_recirculation)),
+        ("--no-containment", dict(dest="containment", action="store_false"))]),
+    "solve": ("one-shot zonal solve", ("layout", "scenario", "state"), [
+        ("--alpha", dict(dest="alpha_file", help="flow-rate csv; defaults to the hidden truth")),
+        ("--out", {})]),
+    "calibrate": ("run one calibration", ("layout", "scenario", "state", "measurements"), [
+        ("--config", dict(dest="config_file")),
+        ("--method", dict(choices=[METHOD_KALIBRE, METHOD_VANILLA, METHOD_HEURISTIC])),
+        ("--solver", dict(dest="solver_kind", choices=["zonal", "external"])),
+        ("--external-command", {}),
+        ("--workdir", {}),
+        ("--iters", dict(dest="max_iterations", metavar="ITERS", type=_count)),
+        ("--seed", dict(type=_seed)),
+        ("--out-dir", dict(required=True))]),
+    "study-datavolume": ("training-data-volume study", ("layout", "scenario", "state"), [
+        ("--fractions", dict(type=_fractions)),
+        ("--pool-size", dict(type=_pool_size)),
+        ("--seed", dict(type=_seed)),
+        ("--out-dir", dict(required=True))]),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """Each option's dest is its command function's keyword. An option left
-    off the command line is not passed, so the function's default applies."""
+    off the command line is not passed, so the function's default applies.
+    Given `only`, the others get no options: a command line of `only` reads none."""
     parser = _Parser(prog="hallcal",
                      description="Surrogate-assisted flow-rate calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, help, *inputs):
-        """A subcommand that takes each input file as a required --<input>."""
+    for name, (help, inputs, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        for kind in inputs:
-            p.add_argument(f"--{kind}", dest=f"{kind}_file", required=True)
-        return p
-
-    g = command("generate", "write a synthetic hall scenario")
-    g.add_argument("--out-dir", required=True)
-    g.add_argument("--seed", type=_seed)
-    g.add_argument("--cracs", dest="n_cracs", type=_count)
-    g.add_argument("--servers", dest="n_servers", type=_count)
-    g.add_argument("--sensors-cold", dest="n_cold", type=_count)
-    g.add_argument("--sensors-hot", dest="n_hot", type=_count)
-    g.add_argument("--noise-sd", type=_noise_sd)
-    g.add_argument("--recirculation", type=_recirculation)
-    g.add_argument("--no-containment", dest="containment", action="store_false")
-
-    s = command("solve", "one-shot zonal solve", "layout", "scenario", "state")
-    s.add_argument("--alpha", dest="alpha_file",
-                   help="flow-rate csv; defaults to the hidden truth")
-    s.add_argument("--out")
-
-    c = command("calibrate", "run one calibration", "layout", "scenario", "state", "measurements")
-    c.add_argument("--config", dest="config_file")
-    c.add_argument("--method", choices=[METHOD_KALIBRE, METHOD_VANILLA, METHOD_HEURISTIC])
-    c.add_argument("--solver", dest="solver_kind", choices=["zonal", "external"])
-    c.add_argument("--external-command")
-    c.add_argument("--workdir")
-    c.add_argument("--iters", dest="max_iterations", metavar="ITERS", type=_count)
-    c.add_argument("--seed", type=_seed)
-    c.add_argument("--out-dir", required=True)
-
-    d = command("study-datavolume", "training-data-volume study", "layout", "scenario", "state")
-    d.add_argument("--fractions", type=_fractions)
-    d.add_argument("--pool-size", type=_pool_size)
-    d.add_argument("--seed", type=_seed)
-    d.add_argument("--out-dir", required=True)
+        if only in (None, name):
+            for kind in inputs:
+                p.add_argument(f"--{kind}", dest=f"{kind}_file", required=True)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    options = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    options = vars(build_parser(only).parse_args(argv))
     command = options.pop("command")
     try:
         if command == "generate":

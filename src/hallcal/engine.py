@@ -128,12 +128,11 @@ def augment(samples: list[TrainingSample], batch: int, scales: AugmentScales,
 
 
 def mae(pred: np.ndarray, meas: np.ndarray) -> float:
-    """Mean absolute difference in degC."""
-    pred = np.asarray(pred, dtype=float)
-    meas = np.asarray(meas, dtype=float)
-    if pred.shape != meas.shape:
+    """Mean absolute difference in degC (np.mean's sum and division)."""
+    if np.shape(pred) != np.shape(meas):
         raise DimensionMismatchError("prediction and measurement lengths differ")
-    return float(np.mean(np.abs(pred - meas)))
+    diff = np.subtract(pred, meas, dtype=float)
+    return float(np.add.reduce(np.abs(diff), axis=None) / diff.size)
 
 
 # -- surrogate adapters -------------------------------------------------------
@@ -163,14 +162,14 @@ class KnowledgeSurrogateModel:
         summed (the same objects, in order) add terms, each by fold_terms,
         one at a time, the order in which fit_weights sums, so the weights
         match it bit for bit. Any other dataset starts the sums over."""
-        k, sums = len(self._summed), self._sums
+        k = len(self._summed)
         if not (0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
-            k, sums = len(dataset), fit_terms(self.priors, dataset)
-        for sample in dataset[k:]:
-            gram, rhs = fold_terms(self.priors, self.terms, sample)
-            sums = (sums[0] + gram, sums[1] + rhs)
-        self._summed, self._sums = list(dataset), sums
-        self.weights = solve_fit(*sums, len(dataset), self.penalty.kappa)
+            k, self._sums = len(dataset), fit_terms(self.priors, dataset)
+        for sample in dataset[k:]:  # the sums are this model's own arrays: add in place
+            for total, term in zip(self._sums, fold_terms(self.priors, self.terms, sample)):
+                total += term
+        self._summed = list(dataset)
+        self.weights = solve_fit(*self._sums, len(dataset), self.penalty.kappa)
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         return forward_at(self.weights, self.priors, self.terms, alpha)
@@ -273,7 +272,10 @@ class IterationTrace:
     final_l2: Optional[float] = None  # the loss where the search ended
     solver_calls: int
     dataset_size: int
-    wall_time_s: float
+    wall_time_s: float  # this and the fields after it: seconds, for timings.csv alone
+    t_fit: Optional[float] = None
+    t_search: Optional[float] = None
+    t_solve: Optional[float] = None  # a step the method lacks is None
 
 
 @dataclass
@@ -289,10 +291,10 @@ class CalibrationResult:
 class _RunRecord:
     """What every calibration method keeps of its solves: the earliest best
     MAE with its flow rates (the box midpoint until a solve validates) and
-    temperatures, and one trace row per solve. A toolkit error raised under
-    `aborting` ends the run as a CalibrationAbortedError with this result.
-    Before its first solve, the run binds `solver` to its state
-    (ThermalSolver.at) under `aborting`."""
+    temperatures, and one trace row per solve. A toolkit error raised in a
+    solve or under `aborting` ends the run as the CalibrationAbortedError
+    `abort` gives, with this result. Before its first solve, the run binds
+    `solver` to its state (ThermalSolver.at) under `aborting`."""
 
     def __init__(self, solver: ThermalSolver, measurements: np.ndarray,
                  layout: HallLayout, bounds: Bounds):
@@ -310,37 +312,43 @@ class _RunRecord:
                                  best_solver_temps=self.best_temps, traces=self.traces,
                                  n_solver_calls=self.solver.n_calls)
 
+    def abort(self, reason: str, exc: HallcalError) -> CalibrationAbortedError:
+        return CalibrationAbortedError(f"{reason}: {exc}", result=self.result())
+
     @contextlib.contextmanager
     def aborting(self, reason: str):
         try:
             yield
         except HallcalError as exc:
-            raise CalibrationAbortedError(f"{reason}: {exc}", result=self.result()) from exc
+            raise self.abort(reason, exc) from exc
 
     def solve(self, alpha: np.ndarray, search: Optional[SearchResult] = None,
-              dataset: Optional[list[TrainingSample]] = None,
-              t0: Optional[float] = None) -> float:
+              dataset: Optional[list[TrainingSample]] = None, t0: Optional[float] = None,
+              t_fit: Optional[float] = None, t_search: Optional[float] = None) -> float:
         """Solve at alpha, keep it if it is the earliest best, append it to
-        dataset if given, trace it (search columns from search, time from t0)
-        and return its validation MAE."""
-        t0 = time.perf_counter() if t0 is None else t0
-        it = len(self.traces) + 1
-        with self.aborting(f"solver failed at iteration {it}"):
+        dataset if given, trace it (search columns from search, time from t0,
+        t_fit and t_search as given) and return its validation MAE."""
+        start = time.perf_counter()
+        try:
             temps = self.solver.solve(alpha)
+        except HallcalError as exc:
+            raise self.abort(f"solver failed at iteration {len(self.traces) + 1}", exc) from exc
+        t_solve = time.perf_counter() - start
         val = mae(temps, self.measurements)
         if val < self.best_mae:
             self.best_mae, self.alpha_star, self.best_temps = val, alpha.copy(), temps
         if dataset is not None:
-            dataset.append(TrainingSample(input=self.solver.state.to_input(alpha), target=temps))
+            dataset.append(TrainingSample(self.solver.state.to_input(alpha), temps))
         columns = {} if search is None else dict(
             mean_l2=None if search.losses is None else float(np.mean(search.losses)),
             mean_grad_mag=None if search.grad_norms is None else float(np.mean(search.grad_norms)),
             de_l2=search.de_fun, search_residual=search.residual,
             search_evals=search.n_evals, final_l2=search.fun)
         self.traces.append(IterationTrace(
-            iteration=it, validation_mae=val, solver_calls=self.solver.n_calls,
+            iteration=len(self.traces) + 1, validation_mae=val, solver_calls=self.solver.n_calls,
             dataset_size=0 if dataset is None else len(dataset),
-            wall_time_s=time.perf_counter() - t0, **columns))
+            wall_time_s=time.perf_counter() - (start if t0 is None else t0),
+            t_fit=t_fit, t_search=t_search, t_solve=t_solve, **columns))
         return val
 
 
@@ -365,8 +373,9 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.perf_counter()
-        with run.aborting(f"surrogate failed at iteration {it}"):
+        try:
             model.fit(dataset)
+            t1 = time.perf_counter()
             if exact is not None:
                 res = exact(alpha, run.measurements, cfg.bounds)
             elif cfg.use_de is False:
@@ -376,7 +385,9 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
                 res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
                                     int(child.generate_state(1)[0]),
                                     init_bounds=_penalty_feasible_band(cfg))
+        except HallcalError as exc:
+            raise run.abort(f"surrogate failed at iteration {it}", exc) from exc
         alpha = res.x
-        run.solve(alpha, res, dataset, t0)
+        run.solve(alpha, res, dataset, t0, t_fit=t1 - t0, t_search=time.perf_counter() - t1)
 
     return run.result()

@@ -59,7 +59,8 @@ class Sensor:
 
 @dataclass(frozen=True)
 class HallLayout:
-    """Facility inventory of one data hall."""
+    """Facility inventory of one data hall. It is immutable, so its position
+    arrays and its validity are derived once and kept."""
 
     cracs: tuple[Crac, ...]
     servers: tuple[Server, ...]
@@ -78,14 +79,22 @@ class HallLayout:
     def n_sensors(self) -> int:
         return len(self.sensors)
 
+    def _positions(self, facilities: str) -> np.ndarray:  # read-only: every caller shares it
+        name = f"_{facilities}_positions"
+        if name not in self.__dict__:
+            positions = np.array([f.position for f in getattr(self, facilities)], dtype=float)
+            positions.flags.writeable = False
+            object.__setattr__(self, name, positions)
+        return self.__dict__[name]
+
     def crac_positions(self) -> np.ndarray:
-        return np.array([c.position for c in self.cracs], dtype=float)
+        return self._positions("cracs")
 
     def server_positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.servers], dtype=float)
+        return self._positions("servers")
 
     def sensor_positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.sensors], dtype=float)
+        return self._positions("sensors")
 
     def rated_powers(self) -> np.ndarray:
         return np.array([s.rated_power for s in self.servers], dtype=float)
@@ -103,16 +112,18 @@ class OperatingState:
         "count": "n_servers", "rule": (">= 0", lambda a: a < 0)})
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        for name in self.__dataclass_fields__:  # fields(self), without its filtering
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def to_input(self, alpha: np.ndarray) -> "SystemInput":
         """This state with the flow rates alpha, as one solver input."""
-        return SystemInput(*[getattr(self, f.name) for f in fields(OperatingState)], alpha)
+        return SystemInput(*[getattr(self, name) for name in OperatingState.__dataclass_fields__],
+                           alpha)
 
     def copy(self) -> "OperatingState":
         """This state, flow rates aside, in arrays of its own."""
-        return OperatingState(*[getattr(self, f.name).copy() for f in fields(OperatingState)])
+        return OperatingState(*[getattr(self, name).copy()
+                                for name in OperatingState.__dataclass_fields__])
 
     def check(self, layout: HallLayout) -> None:
         """Raise DimensionMismatchError, naming the field, unless every field
@@ -193,7 +204,10 @@ def _check_positions(positions: np.ndarray, cls: str) -> None:
 
 
 def validate_layout(layout: HallLayout) -> HallLayout:
-    """Check all layout invariants; return the layout unchanged if valid."""
+    """Check all layout invariants (not again once they passed); return the
+    layout unchanged if valid."""
+    if "_valid" in layout.__dict__:
+        return layout
     if layout.n_cracs < 1:
         raise EmptyFacilityClassError("layout has no CRACs")
     if layout.n_servers < 1:
@@ -215,6 +229,7 @@ def validate_layout(layout: HallLayout) -> HallLayout:
         raise MissingAisleCoverageError(f"unknown aisle tags {sorted(bad)}")
     if COLD not in aisles or HOT not in aisles:
         raise MissingAisleCoverageError("need at least one cold and one hot sensor")
+    object.__setattr__(layout, "_valid", True)
     return layout
 
 
@@ -229,11 +244,6 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
-def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between two position sets, (len a, len b)."""
-    return np.sqrt(squared_distances(a, b))
-
-
 def _reciprocal_distance_columns(
     facility_pos: np.ndarray, sensor_pos: np.ndarray, cut_threshold: float, cls: str,
 ) -> np.ndarray:
@@ -242,7 +252,7 @@ def _reciprocal_distance_columns(
     Normalized weights below cut_threshold are zeroed, survivors are
     renormalized so every column sums to 1 again.
     """
-    dist = euclidean_distances(facility_pos, sensor_pos)
+    dist = np.sqrt(squared_distances(facility_pos, sensor_pos))
     if np.any(dist == 0.0):
         f, s = np.argwhere(dist == 0.0)[0]
         raise ZeroDistanceError(f"{cls} {f} coincides with sensor {s}")

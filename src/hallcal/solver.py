@@ -226,9 +226,9 @@ class ZonalSolver(ThermalSolver):
             alpha = np.asarray(alpha, dtype=float)
             if alpha.shape != load.shape:
                 raise DimensionMismatchError("powers and flow rates differ in length")
-            if not np.all(np.isfinite(alpha)):
+            if not np.isfinite(alpha).all():
                 raise InvalidInputError("non-finite entries in solver input")
-            if np.any(alpha <= 0):
+            if (alpha <= 0).any():
                 raise InvalidInputError("flow rates must be positive")
             h0 = np.where(mixed, (self.exhaust.T @ (load / alpha)) / hot_total, 0.0)
             t_cold = c0 if lhs is None else np.linalg.solve(lhs, c0 + B @ h0)
@@ -275,20 +275,27 @@ class ExternalSolverSpec:
     timeout_s: float = 60.0
 
 
-def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequence[str],
+def _write_sidecar(spec: ExternalSolverSpec, state: OperatingState) -> None:
+    from . import fileio  # fileio imports this module
+    Path(spec.workdir).mkdir(parents=True, exist_ok=True)
+    fileio.save_state(state, Path(spec.workdir) / "state.json")
+
+
+def external_solve(spec: ExternalSolverSpec, x, server_ids: Sequence[str],
                    sensor_ids: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Round-trip one solve through the external command."""
+    """Round-trip one solve through the external command: x is a SystemInput, whose
+    state goes to the sidecar first, or the flow rates of a solver `at` a state."""
+    if isinstance(x, SystemInput):
+        _write_sidecar(spec, x)
+        x = x.flow_rates
     workdir = Path(spec.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     config_path = workdir / CONFIG_FILENAME
     output_path = workdir / OUTPUT_FILENAME
     if output_path.exists():
         output_path.unlink()
 
-    lines = [f"{sid}, {float(alpha)!r}" for sid, alpha in zip(server_ids, x.flow_rates)]
+    lines = [f"{sid}, {float(alpha)!r}" for sid, alpha in zip(server_ids, x)]
     config_path.write_text("\n".join(lines) + "\n")
-    from . import fileio  # fileio imports this module
-    fileio.save_state(x, workdir / "state.json")
 
     # The child leads its own process group, so a timeout or an interrupt
     # also kills what it started (an mpirun or a shell wrapper's solver).
@@ -308,6 +315,7 @@ def external_solve(spec: ExternalSolverSpec, x: SystemInput, server_ids: Sequenc
 
     if not output_path.exists():
         raise ParseError(f"external solver produced no {OUTPUT_FILENAME}")
+    from . import fileio
     return fileio.read_keyed_records(output_path, sensor_ids)
 
 
@@ -322,3 +330,9 @@ class ExternalSolver(ThermalSolver):
 
     def _solve(self, x: SystemInput) -> np.ndarray:
         return external_solve(self.spec, x, self.server_ids, self.sensor_ids)
+
+    def _bind(self, state: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve at `state`, whose sidecar is written here, once."""
+        _write_sidecar(self.spec, state)
+        return lambda alpha: external_solve(self.spec, state.to_input(alpha).flow_rates,
+                                            self.server_ids, self.sensor_ids)

@@ -50,6 +50,8 @@ KAPPA_CFM_PER_W = 1.0 / (AIR_DENSITY * AIR_HEAT_CAPACITY * CFM_TO_M3S)
 FIT_RIDGE = 1e-6  # fit_weights' pull toward the physics prior, per sample
 SEARCH_TOL = 1e-9  # convex_search stops below this stationarity residual
 SEARCH_MAX_STEPS = 2000  # and after this many FISTA steps in any case
+_EYE3 = np.eye(3)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class TrainingSample:
 def _check_alpha(alpha: np.ndarray, powers: np.ndarray) -> None:
     if alpha.shape != powers.shape:
         raise DimensionMismatchError("powers and flow rates differ in length")
-    if np.any(alpha <= 0.0):
+    if (alpha <= 0.0).any():
         raise NonPositiveFlowRateError("all flow rates must be > 0")
 
 
@@ -158,17 +160,6 @@ def _state_features(w_cs: np.ndarray, w_ss: np.ndarray, x: OperatingState,
     return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2)
 
 
-def _hot_features(w_ss: np.ndarray, powers: np.ndarray, alpha: np.ndarray,
-                  dense: bool = False) -> np.ndarray:
-    """X_hot under the adjacency w_ss (m, n), of server powers whose count
-    _state_features has checked, at flow rates of their shape. The two
-    variants sum over the servers in different orders, and each order is
-    part of its variant's reproducible output."""
-    _check_alpha(alpha, powers)
-    pw = powers / alpha
-    return pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
-
-
 def _check_targets(targets: np.ndarray, w_cs: np.ndarray) -> None:
     if targets.shape[-1:] != w_cs.shape[1:]:
         raise DimensionMismatchError("target width does not match the sensor count")
@@ -176,28 +167,33 @@ def _check_targets(targets: np.ndarray, w_cs: np.ndarray) -> None:
 
 def _features(w_cs: np.ndarray, w_ss: np.ndarray, x: SystemInput,
               targets: Optional[np.ndarray] = None, dense: bool = False):
-    """Softmax coefficients, X_cold and X_hot of one input or a batch (see
-    _state_features and _hot_features); a given target width is checked
-    against the sensor count too."""
+    """Softmax coefficients, X_cold (see _state_features) and X_hot under
+    w_ss (m, n) of one input or a batch; a given target width is checked
+    too. The variants sum X_hot over the servers in different orders, and
+    each order is part of its variant's reproducible output."""
     coeff, x_cold = _state_features(w_cs, w_ss, x, dense)
     if targets is not None:
         _check_targets(targets, w_cs)
-    return coeff, x_cold, _hot_features(w_ss, x.server_powers, x.flow_rates, dense)
+    _check_alpha(x.flow_rates, x.server_powers)
+    pw = x.server_powers / x.flow_rates
+    return coeff, x_cold, pw @ w_ss if dense else (pw[..., :, None] * w_ss).sum(axis=-2)
 
 
 @dataclass(frozen=True)
 class StateTerms:
     """The fixed-prior surrogate's terms that depend on the operating state
     alone, so every flow rate of a calibration shares them: the server
-    powers, X_cold, the hot-sensor indices, and for convex_search's A the
-    heating factor H_h[j, k] = P_j w_ss[j, k] over the hot sensors k and
-    its Gram matrix G_h = H_h^T H_h. The `_at` functions take them in
-    place of the state; KnowledgeSurrogateModel.at computes them once per
-    run."""
+    powers, X_cold, the hot-sensor indices and w_ss's hot columns, the
+    fit's columns at X_hot = 0, and for convex_search's A the heating factor
+    H_h[j, k] = P_j w_ss[j, k] over the hot sensors k and its Gram matrix
+    G_h = H_h^T H_h. The `_at` functions take them in place of the state;
+    KnowledgeSurrogateModel.at computes them once per run."""
 
     powers: np.ndarray  # (m,)
     x_cold: np.ndarray  # (n,)
     hot: np.ndarray  # (n_hot,) indices of the hot sensors, where hot_mask is 1
+    w_hot: np.ndarray  # (m, n_hot) the hot columns of w_ss
+    columns: np.ndarray  # (n, 3) _fit_columns at X_hot = 0
     heat_hot: np.ndarray  # (m, n_hot)
     gram_hot: np.ndarray  # (n_hot, n_hot)
 
@@ -205,8 +201,14 @@ class StateTerms:
     def of(cls, priors: AdjacencyPriors, x: OperatingState) -> "StateTerms":
         _, x_cold = _state_features(priors.w_cs, priors.w_ss, x)
         hot = np.flatnonzero(priors.hot_mask)
-        heat_hot = x.server_powers[:, None] * priors.w_ss[:, hot]
-        return cls(x.server_powers, x_cold, hot, heat_hot, heat_hot.T @ heat_hot)
+        w_hot = priors.w_ss[:, hot]
+        columns = _fit_columns(priors.hot_mask, x_cold, np.zeros_like(x_cold))
+        heat_hot = x.server_powers[:, None] * w_hot
+        return cls(x.server_powers, x_cold, hot, w_hot, columns, heat_hot, heat_hot.T @ heat_hot)
+
+    def x_hot(self, alpha: np.ndarray) -> np.ndarray:
+        """The hot sensors' X_hot at checked alpha, in _features' (sequential) order."""
+        return np.add.accumulate((self.powers / alpha)[:, None] * self.w_hot, axis=0)[-1]
 
 
 def _predict(w: SurrogateWeights, hot_mask: np.ndarray, x_cold: np.ndarray,
@@ -224,9 +226,13 @@ def forward(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput) -> np.
 
 def forward_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
                alpha: np.ndarray) -> np.ndarray:
-    """forward at the state of `terms` and the flow rates alpha."""
-    return _predict(w, priors.hot_mask, terms.x_cold,
-                    _hot_features(priors.w_ss, terms.powers, alpha))
+    """forward at the state of `terms` and the flow rates alpha (it adds 0 where hot_mask is 0)."""
+    _check_alpha(alpha, terms.powers)
+    if w.n_sensors != priors.hot_mask.size:
+        raise DimensionMismatchError("weight count does not match the sensor count")
+    pred = w.a * terms.x_cold + w.b
+    pred[terms.hot] += w.c[terms.hot] * terms.x_hot(alpha) + w.d[terms.hot]
+    return pred
 
 
 def _stack_batch(batch: list[TrainingSample]):
@@ -288,6 +294,11 @@ def penalty_h(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> f
     alpha = np.asarray(alpha, dtype=float)
     powers = np.asarray(powers, dtype=float)
     _check_alpha(alpha, powers)
+    return _penalty(alpha, powers, params)
+
+
+def _penalty(alpha: np.ndarray, powers: np.ndarray, params: PenaltyParams) -> float:
+    """penalty_h of checked flow rates."""
     dt = params.kappa / alpha
     low = np.maximum(0.0, params.dt_low - dt)
     high = np.maximum(0.0, dt - params.dt_high)
@@ -313,8 +324,14 @@ def search_loss(pred: np.ndarray, alpha: np.ndarray, powers: np.ndarray,
     """The flow-rate search objective of any surrogate, from its prediction
     at the flow rates alpha and server powers: mean squared sensor error
     plus the scaled hinge penalty, MSE + (lam / n) * h."""
-    mse = float(np.mean(_search_residual(pred, t_meas) ** 2))
-    return mse + params.lam / pred.size * penalty_h(alpha, powers, params)
+    residual = _search_residual(pred, t_meas)
+    return _loss(residual, penalty_h(alpha, powers, params), params)
+
+
+def _loss(residual: np.ndarray, penalty: float, params: PenaltyParams) -> float:
+    """search_loss of the residual and h; the MSE is np.mean's sum and division."""
+    return float(np.add.reduce(residual * residual) / residual.size) \
+        + params.lam / residual.size * penalty
 
 
 def search_grad(pred: np.ndarray, alpha: np.ndarray, powers: np.ndarray, t_meas: np.ndarray,
@@ -333,8 +350,9 @@ def loss_l2(w: SurrogateWeights, priors: AdjacencyPriors, x: SystemInput,
 
 def loss_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
             alpha: np.ndarray, t_meas: np.ndarray, params: PenaltyParams) -> float:
-    """loss_l2 at the state of `terms` and the flow rates alpha."""
-    return search_loss(forward_at(w, priors, terms, alpha), alpha, terms.powers, t_meas, params)
+    """loss_l2 at the state of `terms` and the flow rates alpha (checked once)."""
+    residual = _search_residual(forward_at(w, priors, terms, alpha), t_meas)
+    return _loss(residual, _penalty(alpha, terms.powers, params), params)
 
 
 def _grad(w: SurrogateWeights, priors: AdjacencyPriors, pred: np.ndarray, alpha: np.ndarray,
@@ -367,11 +385,9 @@ def grad_at(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerms,
                  t_meas, params)
 
 
-def _normal_terms(hot_mask: np.ndarray, x_cold: np.ndarray, x_hot: np.ndarray,
-                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fit_terms of feature rows X_cold, X_hot and targets, each (B, n)."""
-    cols = np.stack([x_cold, np.ones_like(x_cold), hot_mask * x_hot], axis=-1)  # (B, n, 3)
-    return np.einsum("bkq,bkr->kqr", cols, cols), np.einsum("bkq,bk->kq", cols, targets)
+def _fit_columns(hot_mask: np.ndarray, x_cold: np.ndarray, x_hot: np.ndarray) -> np.ndarray:
+    """fit_weights' columns X_cold, 1 and hot_mask * X_hot of rows (..., n), as (..., n, 3)."""
+    return np.stack([x_cold, np.ones_like(x_cold), hot_mask * x_hot], axis=-1)
 
 
 def fit_terms(priors: AdjacencyPriors,
@@ -382,16 +398,21 @@ def fit_terms(priors: AdjacencyPriors,
     the samples, so the terms of a dataset are those of its parts added."""
     if not batch:
         raise EmptyDatasetError("training dataset is empty")
-    return _normal_terms(priors.hot_mask, *_batch_features(priors, batch))
+    x_cold, x_hot, targets = _batch_features(priors, batch)
+    cols = _fit_columns(priors.hot_mask, x_cold, x_hot)  # (B, n, 3)
+    return np.einsum("bkq,bkr->kqr", cols, cols), np.einsum("bkq,bk->kq", cols, targets)
 
 
 def fold_terms(priors: AdjacencyPriors, terms: StateTerms,
                sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
     """fit_terms(priors, [sample]), bit for bit, for a sample at the state
-    of `terms`: only its X_hot is computed."""
+    of `terms`: only the hot sensors' X_hot is set into the state's columns;
+    a cold sensor's hot_mask * X_hot is 0 either way."""
     _check_targets(sample.target, priors.w_cs)
-    x_hot = _hot_features(priors.w_ss, terms.powers, sample.input.flow_rates)
-    return _normal_terms(priors.hot_mask, terms.x_cold[None], x_hot[None], sample.target[None])
+    _check_alpha(sample.input.flow_rates, terms.powers)
+    cols = terms.columns.copy()  # (n, 3)
+    cols[terms.hot, 2] = terms.x_hot(sample.input.flow_rates)
+    return cols[:, :, None] * cols[:, None, :], cols * sample.target[:, None]
 
 
 def solve_fit(gram: np.ndarray, rhs: np.ndarray, count: int,
@@ -399,7 +420,7 @@ def solve_fit(gram: np.ndarray, rhs: np.ndarray, count: int,
     """fit_weights from the fit_terms summed over `count` samples."""
     lam = FIT_RIDGE * count
     prior = np.array([1.0, 0.0, kappa])
-    a, b, c = np.linalg.solve(gram + lam * np.eye(3), (rhs + lam * prior)[..., None])[..., 0].T
+    a, b, c = np.linalg.solve(gram + lam * _EYE3, (rhs + lam * prior)[..., None])[..., 0].T
     return SurrogateWeights(a=a, b=b, c=c, d=np.zeros_like(a))
 
 
@@ -489,7 +510,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
     c_hot = w.c[terms.hot]
     A = (terms.heat_hot * c_hot).T  # (n_hot, m)
     AAt = c_hot[:, None] * terms.gram_hot * c_hot
-    if not np.all(np.isfinite(AAt)):  # the eigensolver below would fail on it
+    if not np.isfinite(AAt).all():  # the eigensolver below would fail on it
         raise ObjectiveNonFiniteError("search objective is not finite: non-finite heating term")
     eig, vec = np.linalg.eigh(AAt)
     top = eig[-1] if eig.size else 0.0  # a hall without hot sensors has no rows of A
@@ -504,7 +525,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
     # the pseudo-inverse's range: a hot sensor whose c or server support is
     # zero makes A A^T singular. The tolerance is that of the n x n matrix
     # over all sensors, whose other eigenvalues are the cold rows' zeros.
-    rank = eig > n * np.finfo(float).eps * top
+    rank = eig > n * _EPS * top
     eig, vec = eig[rank], vec[:, rank]
 
     def step(y: np.ndarray) -> np.ndarray:
@@ -523,7 +544,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
         gap2 = gap.dot(gap)
         return (q, gap2) if gap2 < stop else None
 
-    u = np.clip(1.0 / alpha0, u_lo, u_hi)
+    u = np.minimum(np.maximum(1.0 / alpha0, u_lo), u_hi)
     n_evals = 1  # the points visited: start, FISTA iterates, accepted projection
     found = projection(u)
     y, theta = u.copy(), 1.0
@@ -554,7 +575,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
 
     alpha = bounds.clip(1.0 / u)
     fun = loss_at(w, priors, terms, alpha, t_meas, params)
-    if not np.isfinite(fun):
+    if not math.isfinite(fun):
         raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
     return SearchResult(x=alpha, fun=fun, n_evals=n_evals, residual=residual)
 

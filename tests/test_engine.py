@@ -267,26 +267,29 @@ class TestKnowledgeModelFit:
 
     def test_each_fit_sums_only_the_new_samples(self, small_case, monkeypatch):
         # the first fit sums its three seed solves in one batch; every later
-        # fit folds in its one new solve, and both reach the one _normal_terms
+        # fit folds in its one new solve, and the weights are fit_weights' bit
+        # for bit
         scenario, state, priors = small_case
-        rows, folds = [], []
-        normal_terms, fold_terms = surrogate._normal_terms, engine.fold_terms
+        batches, folds = [], []
+        fit_terms, fold_terms = engine.fit_terms, engine.fold_terms
 
-        def counted_rows(hot_mask, x_cold, *rest):
-            rows.append(len(x_cold))
-            return normal_terms(hot_mask, x_cold, *rest)
+        def counted_batch(priors, batch):
+            batches.append(list(batch))
+            return fit_terms(priors, batch)
 
         def counted_fold(*args):
             folds.append(args[2])
             return fold_terms(*args)
 
-        monkeypatch.setattr(surrogate, "_normal_terms", counted_rows)
+        monkeypatch.setattr(engine, "fit_terms", counted_batch)
         monkeypatch.setattr(engine, "fold_terms", counted_fold)
         cfg = small_config(max_iterations=5)
-        calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
-                  synthesize_measurements(scenario, state), state, scenario.layout, cfg)
-        assert rows == [3, 1, 1, 1, 1]
-        assert len(folds) == 4
+        model = KnowledgeSurrogateModel(priors, cfg.penalty)
+        calibrate(ZonalSolver(scenario), model, synthesize_measurements(scenario, state), state,
+                  scenario.layout, cfg)
+        assert [len(b) for b in batches] == [3]
+        assert len(folds) == 4 and len({id(s) for s in batches[0] + folds}) == 7
+        assert_same_weights(model.weights, fit_weights(priors, batches[0] + folds))
 
     def test_folds_match_the_full_fit_across_a_state_switch(self, two_states):
         # a model bound anew folds each later sample at the state it is bound to

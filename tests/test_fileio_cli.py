@@ -354,6 +354,30 @@ class TestCalibrateCommand:
         lines = (run / "traces.csv").read_text().splitlines()
         assert len(lines) == 1 + 2  # header + one row per iteration
 
+    @pytest.mark.parametrize("method, steps", [("kalibre", ("t_fit", "t_search", "t_solve")),
+                                               ("heuristic", ("t_solve",))])
+    def test_timings_split_each_iteration(self, generated, tmp_path, method, steps):
+        # timings.csv gives each row's fit, search and solve seconds (empty
+        # where the method has no such step), inside its wall time; traces.csv
+        # keeps its columns
+        out, paths = generated
+        run = tmp_path / "run"
+        cmd_calibrate(paths["layout"], paths["scenario"], paths["state"], paths["measurements"],
+                      run, max_iterations=3, seed=1, method=method)
+        with open(run / "timings.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["iteration", "wall_time_s", "t_fit", "t_search", "t_solve"]
+        assert len(rows) == (3 if method == "kalibre" else 6)
+        for row in rows:
+            times = [float(row[name]) for name in steps]
+            assert all(t >= 0.0 for t in times)
+            assert sum(times) <= float(row["wall_time_s"])
+            assert all(row[name] == "" for name in ("t_fit", "t_search", "t_solve")
+                       if name not in steps)
+        header = (run / "traces.csv").read_text().splitlines()[0]
+        assert header == ("iteration,validation_mae_c,mean_l2,mean_grad_mag,de_l2,search_residual,"
+                          "search_evals,final_l2,solver_calls,dataset_size")
+
     def test_reports_reproduce_byte_for_byte(self, generated, tmp_path):
         out, paths = generated
         runs = []
@@ -1027,3 +1051,40 @@ class TestBadNumbersAreUsageErrors:
                      "--pool-size", "20", "--fractions", "1", "--out-dir", str(study)]) == 0
         rows = (study / "study.csv").read_text().splitlines()[1:]
         assert {row.split(",")[2] for row in rows} == {"16"}  # 80% of the pool
+
+
+class TestOneCommandParser:
+    """main builds the options of the command it runs alone; that parser
+    must read each command line as the full parser does."""
+
+    ARGVS = [
+        ["generate", "--out-dir", "g", "--seed", "3", "--servers", "12", "--no-containment"],
+        ["solve", "--layout", "l", "--scenario", "s", "--state", "t", "--alpha", "a", "--out", "o"],
+        CALIBRATE_ARGS + ["--method", "heuristic", "--iters", "4", "--seed", "2",
+                          "--solver", "external", "--external-command", "x y", "--workdir", "w"],
+        STUDY_ARGS + ["--fractions", "0.1,0.5", "--pool-size", "20", "--seed", "1"],
+    ]
+
+    @staticmethod
+    def help_text(parser, argv, capsys) -> str:
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_same_namespace_and_help(self, argv, capsys):
+        command = argv[0]
+        full, one = cli.build_parser(), cli.build_parser(command)
+        assert one.parse_args(argv) == full.parse_args(argv)
+        assert one.format_help() == full.format_help()
+        assert self.help_text(one, [command, "--help"], capsys) == \
+            self.help_text(full, [command, "--help"], capsys)
+
+    @pytest.mark.parametrize("argv", [ARGVS[2][:-1], ARGVS[2] + ["--bogus"], ["calibrate"]])
+    def test_same_usage_error(self, argv, capsys):
+        errors = []
+        for parser in (cli.build_parser(), cli.build_parser("calibrate")):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1] and errors[0][0] == 1

@@ -72,6 +72,45 @@ class TestValidateLayout:
             validate_layout(HallLayout(cracs, tiny_layout.servers, tiny_layout.sensors))
 
 
+class TestLayoutDerivedOnce:
+    def test_each_layout_is_validated_once(self, tmp_path, monkeypatch):
+        # loading a layout, solving on it and deriving its priors check it once
+        from hallcal import fileio, hall
+        from hallcal.scenarios import make_reference_scenario
+        from hallcal.solver import ZonalSolver
+        scenario, _ = make_reference_scenario(n_servers=12, n_cold=4, n_hot=2)
+        fileio.save_layout(scenario.layout, tmp_path / "layout.json")
+        fileio.save_scenario(scenario, tmp_path / "scenario.json")
+        checks = []
+        check_positions = hall._check_positions
+        monkeypatch.setattr(hall, "_check_positions",
+                            lambda positions, cls: (checks.append(cls),
+                                                    check_positions(positions, cls)))
+        layout = fileio.load_layout(tmp_path / "layout.json")
+        ZonalSolver(fileio.load_scenario(tmp_path / "scenario.json", layout))
+        build_adjacency(layout)
+        assert checks == ["CRAC", "server", "sensor"]
+
+    def test_position_arrays_are_read_only_and_shared(self, tiny_layout):
+        for positions in (tiny_layout.crac_positions, tiny_layout.server_positions,
+                          tiny_layout.sensor_positions):
+            values = positions()
+            assert values is positions()
+            assert values.shape[1:] == (3,)
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+
+    def test_an_invalid_layout_raises_on_every_check(self, tiny_layout):
+        cracs = tiny_layout.cracs + (Crac(id="c3", position=(0.0, 0.0, 1.0)),)
+        bad = HallLayout(cracs, tiny_layout.servers, tiny_layout.sensors)
+        messages = []
+        for check in (validate_layout, build_adjacency, validate_layout):
+            with pytest.raises(DuplicatePositionError) as exc:
+                check(bad)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+
+
 class TestBuildAdjacency:
     def two_crac_layout(self, d1, d2):
         """One cold sensor at given distances from two CRACs, plus a far hot

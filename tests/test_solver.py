@@ -524,6 +524,52 @@ class TestExternalSolve:
         assert np.array_equal(out, [20.5, 31.5])
         assert solver.n_calls == 1
 
+    @pytest.mark.parametrize("method", ["heuristic", "kalibre"])
+    def test_bound_run_writes_the_sidecar_once(self, tmp_path, monkeypatch, method):
+        # binding writes state.json; each of the 3 + k bound solves writes only
+        # its flow rates, and an unbound solve still writes both
+        from hallcal import cli, fileio
+        from hallcal.engine import CalibConfig
+        layout = one_server_layout()
+        writer = ("import sys, pathlib; "
+                  "pathlib.Path(sys.argv[1], 'sensor_output.txt')"
+                  ".write_text('n-hot, 31.5\\nn-cold, 20.5\\n')")
+        solver = ExternalSolver(ExternalSolverSpec(command=(sys.executable, "-c", writer),
+                                                   workdir=tmp_path / "work"), layout)
+        writes = []
+        save_state = fileio.save_state
+        monkeypatch.setattr(fileio, "save_state",
+                            lambda state, path: (writes.append(path), save_state(state, path)))
+        state = one_server_state()
+        result = cli.run_calibration(method, solver, np.array([20.0, 31.0]), state, layout,
+                                     CalibConfig(max_iterations=2))
+        assert result.n_solver_calls == 5
+        assert writes == [tmp_path / "work" / "state.json"]
+        save_state(state, tmp_path / "expected.json")
+        assert (tmp_path / "work" / "state.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
+        other = replace(state, crac_setpoints=np.array([18.5]))
+        solver.solve(other.to_input(np.array([0.2])))
+        assert len(writes) == 2
+        save_state(other, tmp_path / "expected.json")
+        assert (tmp_path / "work" / "state.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
+
+    @pytest.mark.parametrize("method, reason", [("heuristic", "solver failed at iteration 1"),
+                                                ("kalibre", "solver failed during seeding")])
+    def test_sidecar_that_cannot_be_written_aborts_at_binding(self, tmp_path, method, reason):
+        from hallcal import cli
+        from hallcal.engine import CalibConfig
+        from hallcal.errors import CalibrationAbortedError
+        (tmp_path / "state.json").mkdir()
+        solver = ExternalSolver(ExternalSolverSpec(command=(sys.executable, "-c", "pass"),
+                                                   workdir=tmp_path), one_server_layout())
+        with pytest.raises(CalibrationAbortedError, match=f"^{reason}: cannot write ") as exc:
+            cli.run_calibration(method, solver, np.array([20.0, 31.0]), one_server_state(),
+                                one_server_layout(), CalibConfig(max_iterations=2))
+        assert exc.value.result.n_solver_calls == 0
+        assert not (tmp_path / "flow_config.txt").exists()
+
     def test_missing_sensor_id(self, tmp_path):
         layout = one_server_layout()
         writer = ("import sys, pathlib; "

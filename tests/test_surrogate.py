@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hallcal.errors import (
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
-from hallcal.hall import AdjacencyPriors, SystemInput, build_adjacency
+from hallcal.hall import AdjacencyPriors, OperatingState, SystemInput, build_adjacency
 from hallcal.optim import Bounds, SearchResult, TrainConfig, hybrid_search
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
@@ -37,16 +39,21 @@ from hallcal.surrogate import (
     TrainingSample,
     _batch_features,
     convex_search,
+    fit_terms,
     fit_weights,
+    fold_terms,
     forward,
+    forward_at,
     forward_trainable,
     grad_alpha,
+    grad_at,
     grad_trainable,
     grad_weights,
     hinge_box_prox,
     init_weights,
     loss_l1,
     loss_l1_trainable,
+    loss_at,
     loss_l2,
     penalty_h,
     train_trainable,
@@ -701,6 +708,97 @@ BATCH_FUNCTIONS = {
     "loss_l1_trainable": lambda priors, batch: loss_l1_trainable(reference_trainable(priors),
                                                                  priors.hot_mask, batch),
 }
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        return got == want
+    if isinstance(want, tuple):  # fit_terms' (gram, rhs)
+        return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return got == want
+
+
+@st.composite
+def bound_halls(draw):
+    """A generated hall with contained aisles or not, 1-3 hot sensors and,
+    if drawn, a server rated 0 W and drawing 0 W; with surrogate weights, a
+    flow-rate vector and measurements at its state."""
+    seed = draw(st.integers(0, 10_000))
+    scenario, state = make_reference_scenario(
+        seed=seed % 97, n_cracs=draw(st.integers(1, 4)), n_servers=draw(st.integers(2, 24)),
+        n_cold=draw(st.integers(1, 6)), n_hot=draw(st.integers(1, 3)),
+        containment=draw(st.booleans()))
+    layout = scenario.layout
+    if draw(st.booleans()):
+        idle = draw(st.integers(0, layout.n_servers - 1))
+        servers = list(layout.servers)
+        servers[idle] = replace(servers[idle], rated_power=0.0)
+        layout = replace(layout, servers=tuple(servers))
+        powers = state.server_powers.copy()
+        powers[idle] = 0.0
+        state = replace(state, server_powers=powers)
+    rng = np.random.default_rng(seed)
+    n, m = layout.n_sensors, layout.n_servers
+    w = SurrogateWeights.unpack(init_weights(n).pack() + rng.normal(0.0, 0.3, 4 * n), n)
+    return (build_adjacency(layout), state, w, rng.uniform(0.01, 3.0, m),
+            rng.normal(25.0, 3.0, n))
+
+
+class TestBoundFunctionsEqualThePlainOnes:
+    """The `_at` functions sum X_hot over the hot sensors alone and check
+    the flow rates once; they must still give the plain functions' bits
+    and the plain functions' errors."""
+
+    params = PenaltyParams()
+
+    def pairs(self, priors, state, w, t_meas):
+        terms = StateTerms.of(priors, state)
+        return [
+            (lambda a: forward_at(w, priors, terms, a),
+             lambda a: forward(w, priors, state.to_input(a))),
+            (lambda a: loss_at(w, priors, terms, a, t_meas, self.params),
+             lambda a: loss_l2(w, priors, state.to_input(a), t_meas, self.params)),
+            (lambda a: grad_at(w, priors, terms, a, t_meas, self.params),
+             lambda a: grad_alpha(w, priors, state.to_input(a), t_meas, self.params)),
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(bound_halls())
+    def test_values_bit_for_bit(self, hall):
+        priors, state, w, alpha, t_meas = hall
+        for bound, plain in self.pairs(priors, state, w, t_meas):
+            want = plain(alpha)
+            assert not isinstance(want, tuple)
+            assert same_outcome(bound(alpha), want)
+        sample = TrainingSample(input=state.to_input(alpha), target=t_meas)
+        got = fold_terms(priors, StateTerms.of(priors, state), sample)
+        assert same_outcome(got, fit_terms(priors, [sample]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bound_halls(), st.sampled_from(["short", "long", "zero", "negative"]))
+    def test_bad_flow_rates_raise_the_same_errors(self, hall, kind):
+        priors, state, w, alpha, t_meas = hall
+        bad = {"short": alpha[:-1], "long": np.append(alpha, 0.2),
+               "zero": np.where(np.arange(alpha.size) == 0, 0.0, alpha),
+               "negative": -alpha}[kind]
+        for bound, plain in self.pairs(priors, state, w, t_meas):
+            want = outcome(plain, bad)
+            assert isinstance(want, tuple) and isinstance(want[0], type)
+            assert outcome(bound, bad) == want
+        if kind in ("zero", "negative"):  # a sample of the wrong width cannot be made
+            sample = TrainingSample(input=state.to_input(bad), target=t_meas)
+            terms = StateTerms.of(priors, state)
+            assert outcome(fold_terms, priors, terms, sample) == outcome(fit_terms, priors, [sample])
 
 
 class TestWidthChecks:
