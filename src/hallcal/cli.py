@@ -9,7 +9,9 @@ the DE and ES seeds derive from it.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
+import shutil
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -246,6 +248,13 @@ def cmd_study_datavolume(layout_file, scenario_file, state_file, out_dir,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # HelpFormatter's default width, the terminal's less 2, found once per
+        # parser and not by each of the formatters add_argument makes
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+                         **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -309,28 +318,50 @@ _COMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """Each option's dest is its command function's keyword. An option left
-    off the command line is not passed, so the function's default applies.
-    Given `only`, the others get no options: a command line of `only` reads none."""
+def _add_options(parser: argparse.ArgumentParser, inputs, options) -> argparse.ArgumentParser:
+    for kind in inputs:
+        parser.add_argument(f"--{kind}", dest=f"{kind}_file", required=True)
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the command `name` alone: it reads the arguments after
+    the command word as build_parser's subparser of that name does."""
+    _, inputs, options = _COMMANDS[name]
+    return _add_options(_Parser(prog=f"hallcal {name}", argument_default=argparse.SUPPRESS),
+                        inputs, options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser under one `hallcal`. Each option's dest is its
+    command function's keyword. An option left off the command line is not
+    passed, so the function's default applies."""
     parser = _Parser(prog="hallcal",
                      description="Surrogate-assisted flow-rate calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help, inputs, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        if only in (None, name):
-            for kind in inputs:
-                p.add_argument(f"--{kind}", dest=f"{kind}_file", required=True)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
+        _add_options(sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS),
+                     inputs, options)
     return parser
 
 
+def _parse(argv) -> tuple[str, dict]:
+    """The command and its options. A command's line is read by that command's
+    parser alone; the full tree reads anything else (a bare `hallcal`, --help,
+    an unknown command) and reports an argument the command does not know,
+    under the top-level usage line."""
+    if argv and argv[0] in _COMMANDS:
+        options, unknown = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return argv[0], vars(options)
+    options = vars(build_parser().parse_args(argv))
+    return options.pop("command"), options
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    options = vars(build_parser(only).parse_args(argv))
-    command = options.pop("command")
+    command, options = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if command == "generate":
             for name, path in cmd_generate(**options).items():

@@ -26,10 +26,10 @@ from .solver import Scenario
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write an output file; one that cannot be written raises
+    """Write an output file in UTF-8; one that cannot be written raises
     OutputDirectoryError naming it."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OutputDirectoryError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -103,20 +103,35 @@ def from_json(cls, doc, path, **given):
         raise ParseError(f"{path}: {exc.text(name)}") from exc.__cause__
 
 
+def _wrong_kind(kind: str, value) -> _Invalid:
+    return _Invalid(lambda name: f"{name} must be {kind}, got {json.dumps(value)}")
+
+
+def _read_float(value) -> float:
+    """A finite JSON number, an integer widened."""
+    if (type(value) is float or type(value) is int) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise _wrong_kind(_KINDS[float], value)
+
+
+def _exact_reader(tp):
+    """The reader of a bool, an int or a str: a JSON value of exactly that type."""
+    def read(value):
+        if type(value) is tp:
+            return value
+        raise _wrong_kind(_KINDS[tp], value)
+    return read
+
+
 @functools.cache
 def _reader(tp):
     """The function that checks one JSON value against the type `tp` and
     returns it as a `tp`, raising _Invalid if it does not fit; built once
     per type."""
+    if tp is float:
+        return _read_float
     if tp in _KINDS:
-        def read(value):
-            if tp is float:
-                if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-                    return float(value)
-            elif type(value) is tp:
-                return value
-            raise _Invalid(lambda name: f"{name} must be {_KINDS[tp]}, got {json.dumps(value)}")
-        return read
+        return _exact_reader(tp)
     if tp is np.ndarray:
         items = _reader(tuple[float, ...])
         return lambda value: np.array(items(value), dtype=float)
@@ -131,65 +146,71 @@ def _reader(tp):
         def read(value):
             if not (isinstance(value, list) and len(value) == 2):
                 raise _Invalid(lambda name: f"{name} must be [lower, upper]")
-            return pair(dict(zip(("lower", "upper"), value)))
+            return pair({"lower": value[0], "upper": value[1]})
         return read
     return _object_reader(tp)
 
 
 def _tuple_reader(args: tuple):
     """A tuple's reader: a list of len(args) values, or of any length for
-    tuple[X, ...]; an item that does not fit is named by its index."""
-    items = [_reader(t) for t in args if t is not Ellipsis]
+    tuple[X, ...], all of one type; an item that does not fit is named by
+    its index."""
+    kinds = set(args) - {Ellipsis}
+    if len(kinds) != 1:
+        raise TypeError(f"no reader for tuple{list(args)}: its items differ in type")
+    item = _reader(kinds.pop())
+    length = None if args[-1] is Ellipsis else len(args)
 
     def read(value):
         if not isinstance(value, list):
             raise _Invalid(lambda name: f"{name} must be a list, got {json.dumps(value)}")
-        if args[-1] is Ellipsis:
-            readers = items * len(value)
-        elif len(value) == len(items):
-            readers = items
-        else:
-            raise _Invalid(lambda name: f"{name} must be a list of {len(items)} values, "
+        if length is not None and len(value) != length:
+            raise _Invalid(lambda name: f"{name} must be a list of {length} values, "
                                         f"got {json.dumps(value)}")
-        out = []
         try:
-            for item, v in zip(readers, value):
-                out.append(item(v))
-        except _Invalid as exc:
-            exc.keys.append(len(out))
+            return tuple(map(item, value))
+        except _Invalid as exc:  # named by the first item that does not fit
+            exc.keys.append(next(i for i, v in enumerate(value) if not _fits(item, v)))
             raise
-        return tuple(out)
 
     return read
 
 
+def _fits(read, value) -> bool:
+    try:
+        read(value)
+    except _Invalid:
+        return False
+    return True
+
+
 def _object_reader(cls):
-    """A dataclass's reader: an object keyed by its field names."""
+    """A dataclass's reader: an object keyed by its field names, checked in
+    one pass over the fields."""
     schema = [(f.name, _reader(tp), f.default is MISSING and f.default_factory is MISSING)
               for f, tp in _schema(cls)]
 
     def read(doc, **given):
         if not isinstance(doc, dict):
             raise _Invalid(lambda name: f"{name or 'document'} must be a JSON object")
-        rest, kwargs = dict(doc), dict(given)
+        kwargs = {}
         for key, read_field, required in schema:
-            if key in given:
-                continue
-            elif key in rest:
+            if key in doc and key not in given:
                 try:
-                    kwargs[key] = read_field(rest.pop(key))
+                    kwargs[key] = read_field(doc[key])
                 except _Invalid as exc:
                     exc.keys.append(key)
                     raise
-            elif required:
+            elif required and key not in given:
                 raise _Invalid(lambda name: f"{name}: missing field", key)
         try:
-            obj = cls(**kwargs)
+            obj = cls(**kwargs, **given)
         except (ValueError, InvalidInputError) as exc:
             reason = str(exc)
             raise _Invalid(lambda name: f"{name}: {reason}" if name else reason) from exc
-        if rest:
-            raise _Invalid(lambda name: f"{name}: unknown field", min(rest))
+        if len(kwargs) != len(doc):  # a key that names no field, or a given one
+            raise _Invalid(lambda name: f"{name}: unknown field",
+                           min(key for key in doc if key not in kwargs))
         return obj
 
     return read

@@ -138,10 +138,10 @@ class OperatingState:
             if "rule" in f.metadata:
                 rule, bad = f.metadata["rule"]
                 values = getattr(self, f.name)
-                if np.any(bad(values)):
+                if bad(values).any():
                     i = int(np.argmax(bad(values)))
                     raise InvalidInputError(f"{f.name}.{i}: {float(values[i])!r} is not {rule}")
-        if not np.any(self.crac_fan_speeds > 0):
+        if not (self.crac_fan_speeds > 0).any():
             raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
 
 
@@ -189,7 +189,7 @@ def _check_unique(ids: Sequence[str], cls: str) -> None:
 
 
 def _check_positions(positions: np.ndarray, cls: str) -> None:
-    if not np.all(np.isfinite(positions)):
+    if not np.isfinite(positions).all():
         raise NonFinitePositionError(f"non-finite {cls} position")
     # same-class facilities may not coincide. A stable sort puts equal rows
     # next to each other in index order, so the smallest index with a later
@@ -239,9 +239,11 @@ def hot_aisle_mask(layout: HallLayout) -> np.ndarray:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between two position sets, (len a, len b)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """Pairwise squared Euclidean distances between two 3-D position sets,
+    (len a, len b): the squared differences summed over x, y, z in that
+    order, as np.sum over the coordinate axis adds them, to the bit."""
+    dx, dy, dz = (a[:, k, None] - b[:, k] for k in range(3))
+    return dx * dx + dy * dy + dz * dz
 
 
 def _reciprocal_distance_columns(
@@ -253,14 +255,14 @@ def _reciprocal_distance_columns(
     renormalized so every column sums to 1 again.
     """
     dist = np.sqrt(squared_distances(facility_pos, sensor_pos))
-    if np.any(dist == 0.0):
+    if (dist == 0.0).any():
         f, s = np.argwhere(dist == 0.0)[0]
         raise ZeroDistanceError(f"{cls} {f} coincides with sensor {s}")
     raw = 1.0 / dist
     w = raw / raw.sum(axis=0, keepdims=True)
     w[w < cut_threshold] = 0.0
     col_sums = w.sum(axis=0)
-    if np.any(col_sums == 0.0):
+    if (col_sums == 0.0).any():
         k = int(np.argmax(col_sums == 0.0))
         raise AllWeightsCutError(f"threshold {cut_threshold} removed all {cls} weights of sensor {k}")
     return w / col_sums

@@ -68,7 +68,7 @@ class Scenario:
         object.__setattr__(self, "alpha_true", np.asarray(self.alpha_true, dtype=float))
         if self.alpha_true.size != self.layout.n_servers:
             raise InvalidInputError("alpha_true length does not match the layout")
-        if np.any(self.alpha_true <= 0):
+        if (self.alpha_true <= 0).any():
             raise InvalidInputError("alpha_true must be positive")
         if not 0.0 <= self.recirculation_fraction < 1.0:
             raise InvalidInputError("recirculation_fraction must be in [0, 1)")
@@ -122,7 +122,7 @@ def _inverse_square_weights(src: np.ndarray, dst: np.ndarray, normalize_axis: in
                             what: str) -> np.ndarray:
     """1/d^2 weights between position sets, normalized along the given axis."""
     d2 = squared_distances(src, dst)
-    if np.any(d2 == 0.0):
+    if (d2 == 0.0).any():
         raise ZeroDistanceError(f"coincident positions in {what}")
     w = 1.0 / d2
     return w / w.sum(axis=normalize_axis, keepdims=True)
@@ -134,10 +134,8 @@ def _aisle_mixing(positions: np.ndarray, mixing: float) -> np.ndarray:
     g = len(positions)
     if g == 1 or mixing == 0.0:
         return np.eye(g)
-    d2 = squared_distances(positions, positions)
-    off = np.zeros((g, g))
-    idx = ~np.eye(g, dtype=bool)
-    off[idx] = 1.0 / d2[idx]
+    off = np.divide(1.0, squared_distances(positions, positions), out=np.zeros((g, g)),
+                    where=~np.eye(g, dtype=bool))
     off = off / off.sum(axis=1, keepdims=True)
     return (1.0 - mixing) * np.eye(g) + mixing * off
 
@@ -183,7 +181,7 @@ class ZonalSolver(ThermalSolver):
         balance but the servers' rise is derived here, so the solve checks its
         flow rates (count, finiteness, then sign) and computes only the rest."""
         x.check(self.layout)
-        if not all(np.all(np.isfinite(getattr(x, f.name))) for f in fields(x)):
+        if not all(np.isfinite(getattr(x, f.name)).all() for f in fields(x)):
             raise InvalidInputError("non-finite entries in solver input")
         sc = self.scenario
         r, leak = sc.recirculation_fraction, sc.ambient_leakage

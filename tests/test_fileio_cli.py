@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import json
+import os
 import re
 import shlex
 import sys
 import tempfile
+import threading
+import typing
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -30,10 +35,12 @@ from hallcal.errors import (
     PoolTooSmallError,
     UnknownMethodError,
 )
+from hallcal.hall import HallLayout, OperatingState
 from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
-from hallcal.solver import ThermalSolver, ZonalSolver, external_solve, synthesize_measurements
+from hallcal.solver import (Scenario, ThermalSolver, ZonalSolver, external_solve,
+                            synthesize_measurements)
 from hallcal.study import FRACTIONS, POOL_SIZE
 
 ECHO_SOLVER = Path(__file__).parents[1] / "scripts" / "echo_solver.py"
@@ -339,6 +346,134 @@ class TestInputSchema:
         assert re.search("^error: .*" + message, capsys.readouterr().err)
 
 
+def json_sites(tp, value, names=(), keys=(), required=True):
+    """Every value in `value`, the JSON form of a `tp`, as (keys, names, type,
+    required): the keys that reach it in the document, the dotted field that
+    names it, its field type, and whether its object must hold it."""
+    yield keys, names, tp, required
+    if value is None:
+        return
+    args = typing.get_args(tp)
+    if type(None) in args:  # Optional[X]: a wrong type for X is wrong for it too
+        (tp,) = [t for t in args if t is not type(None)]
+    if tp is Bounds:
+        for i, name in enumerate(("lower", "upper")):
+            yield from json_sites(float, value[i], names + (name,), keys + (i,), False)
+    elif tp is np.ndarray or typing.get_origin(tp) is tuple:
+        item = float if tp is np.ndarray else args[0]
+        for i, v in enumerate(value):
+            yield from json_sites(item, v, names + (i,), keys + (i,), False)
+    elif dataclasses.is_dataclass(tp):
+        for f, ftp in fileio._schema(tp):
+            if f.name in value:
+                needed = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+                yield from json_sites(ftp, value[f.name], names + (f.name,), keys + (f.name,),
+                                      needed)
+
+
+def wrong_kinds(tp) -> list:
+    """JSON values of a type other than the field type `tp` (true for a number)."""
+    if tp in (float, int):
+        return [True, "1"] + ([2.5] if tp is int else [])
+    if tp is str:
+        return [7, None]
+    if tp in (bool, Optional[bool]):
+        return [1, "true"]
+    if dataclasses.is_dataclass(tp) and tp is not Bounds:
+        return [[], "x"]
+    return [{"x": 1}, 3.0]  # a tuple, an array or Bounds
+
+
+@st.composite
+def json_inputs(draw):
+    """A generated layout, scenario, state or config document, the object it
+    was written from and the layout it is read against, with at most one
+    mutation: (what, object, layout, document, the dotted field the mutation
+    names or None, a part of its message)."""
+    what = draw(st.sampled_from(["layout", "scenario", "state", "config"]))
+    scenario, state = make_reference_scenario(
+        seed=draw(st.integers(0, 2 ** 16)), n_cracs=draw(st.integers(1, 3)),
+        n_servers=draw(st.integers(1, 5)), n_cold=draw(st.integers(1, 3)),
+        n_hot=draw(st.integers(1, 3)), containment=draw(st.booleans()))
+    cls, obj = {"layout": (HallLayout, scenario.layout), "scenario": (Scenario, scenario),
+                "state": (OperatingState, state), "config": (CalibConfig, None)}[what]
+    if what == "config":
+        obj = draw(run_settings())
+    doc = fileio.to_json(obj, omit=("layout",) if what == "scenario" else ())
+    sites = list(json_sites(cls, doc))
+    kinds = ["none", "type", "added key"]
+    kinds += ["dropped key"] * any(keys and required for keys, _, _, required in sites)
+    kinds += ["non-finite"] * any(tp is float for _, _, tp, _ in sites)
+    kinds += ["position length"] * (what == "layout")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return what, obj, scenario.layout, doc, None, None
+    if kind == "added key":
+        keys, names, _, _ = draw(st.sampled_from(
+            [s for s in sites if isinstance(_at(doc, s[0]), dict)]))
+        _at(doc, keys)["zz_extra"] = 1
+        return what, obj, scenario.layout, doc, names + ("zz_extra",), "unknown field"
+    if kind == "dropped key":
+        keys, names, _, _ = draw(st.sampled_from([s for s in sites if s[0] and s[3]]))
+        del _at(doc, keys[:-1])[keys[-1]]
+        return what, obj, scenario.layout, doc, names, "missing field"
+    if kind == "position length":
+        keys, names, _, _ = draw(st.sampled_from([s for s in sites if s[1][-1:] == ("position",)]))
+        position = _at(doc, keys)
+        _at(doc, keys[:-1])[keys[-1]] = draw(st.sampled_from([position[:2], position + [0.0]]))
+        return what, obj, scenario.layout, doc, names, "must be a list of 3 values"
+    candidates = [s for s in sites if s[0] and (kind == "type" or s[2] is float)]
+    keys, names, tp, _ = draw(st.sampled_from(candidates))
+    bad = draw(st.sampled_from(wrong_kinds(tp) if kind == "type"
+                               else [float("nan"), float("inf"), -float("inf")]))
+    _at(doc, keys[:-1])[keys[-1]] = bad
+    return what, obj, scenario.layout, doc, names, "must be"
+
+
+def _at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _read_back(what, path, layout):
+    if what == "layout":
+        return fileio.load_layout(path)
+    if what == "scenario":
+        return fileio.load_scenario(path, layout)
+    if what == "state":
+        return fileio.load_state(path, layout)
+    return load_settings(path)
+
+
+def _same(a, b) -> bool:
+    if dataclasses.is_dataclass(a) and not isinstance(a, (HallLayout, CalibConfig)):
+        return type(a) is type(b) and all(
+            np.array_equal(getattr(a, f.name), getattr(b, f.name))
+            if isinstance(getattr(a, f.name), np.ndarray) else getattr(a, f.name) == getattr(b, f.name)
+            for f in dataclasses.fields(a))
+    return a == b
+
+
+class TestReadersOverGeneratedDocuments:
+    @given(case=json_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_mutation_names_its_field(self, case):
+        what, obj, layout, doc, names, expected = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{what}.json"
+            path.write_text(json.dumps(doc))
+            if names is None:
+                assert _same(_read_back(what, path, layout), obj)
+                return
+            dotted = ".".join(map(str, names))
+            with pytest.raises(ParseError) as err:
+                _read_back(what, path, layout)
+        message = str(err.value)
+        assert re.match(re.escape(f"{path}: {dotted}") + "[: ]", message), message
+        assert expected in message
+
+
 class TestCalibrateCommand:
     def test_kalibre_report_files(self, generated, tmp_path):
         out, paths = generated
@@ -388,6 +523,30 @@ class TestCalibrateCommand:
             runs.append(run)
         for f in ("report.json", "traces.csv", "sensors.csv", "alpha_star.csv"):
             assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes()
+
+    @pytest.mark.parametrize("command", ["calibrate", "generate"])
+    def test_rerun_into_a_used_out_dir_matches_a_fresh_run(self, generated, tmp_path, command):
+        # each output overwrites a longer stale file, and then the run's own files
+        out, paths = generated
+        argv = (["generate", "--seed", "3", "--servers", "6"] if command == "generate" else
+                ["calibrate", *[f"--{k}={v}" for k, v in paths.items()], "--iters", "3"])
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert main(argv + ["--out-dir", str(fresh)]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        reused.mkdir()
+        stale = "stale,1.0\n" * 5000
+        for name in names:
+            (reused / name).write_text(stale)
+        for _ in range(2):
+            assert main(argv + ["--out-dir", str(reused)]) == 0
+            assert sorted(p.name for p in reused.iterdir()) == names
+            for name in names:
+                if name == "timings.csv":  # wall-clock values: compare its shape
+                    lines = [(reused / name).read_text().splitlines(),
+                             (fresh / name).read_text().splitlines()]
+                    assert lines[0][0] == lines[1][0] and len(lines[0]) == len(lines[1])
+                else:
+                    assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_echoed_config_replays_the_run(self, generated, tmp_path):
         # the config block inside report.json is itself a valid --config
@@ -678,6 +837,23 @@ class TestSolveCommand:
                      "--state", str(paths["state"]), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_out_that_is_a_fifo_is_written_through(self, generated, tmp_path):
+        # an --out that exists and is not a regular file (a FIFO, a device)
+        # is opened and written, not replaced
+        out, paths = generated
+        inputs = ["solve", "--layout", str(paths["layout"]), "--scenario", str(paths["scenario"]),
+                  "--state", str(paths["state"]), "--out"]
+        assert main(inputs + [str(tmp_path / "solved.csv")]) == 0
+        fifo = tmp_path / "solved.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(inputs + [str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got == [(tmp_path / "solved.csv").read_bytes()]
+        assert fifo.is_fifo()
 
 
 class TestStudyCommand:
@@ -1054,8 +1230,9 @@ class TestBadNumbersAreUsageErrors:
 
 
 class TestOneCommandParser:
-    """main builds the options of the command it runs alone; that parser
-    must read each command line as the full parser does."""
+    """main reads a command's line with that command's parser alone
+    (cli.command_parser); it must read each line as the full parser does,
+    and every text main prints while parsing must be the full parser's."""
 
     ARGVS = [
         ["generate", "--out-dir", "g", "--seed", "3", "--servers", "12", "--no-containment"],
@@ -1066,25 +1243,55 @@ class TestOneCommandParser:
     ]
 
     @staticmethod
-    def help_text(parser, argv, capsys) -> str:
-        with pytest.raises(SystemExit):
-            parser.parse_args(argv)
-        return capsys.readouterr().out
+    def outcome(parse, argv, capsys) -> tuple:
+        """The exit code, stdout and stderr of parse(argv), which must exit."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
     def test_same_namespace_and_help(self, argv, capsys):
         command = argv[0]
-        full, one = cli.build_parser(), cli.build_parser(command)
-        assert one.parse_args(argv) == full.parse_args(argv)
-        assert one.format_help() == full.format_help()
-        assert self.help_text(one, [command, "--help"], capsys) == \
-            self.help_text(full, [command, "--help"], capsys)
+        full, one = cli.build_parser(), cli.command_parser(command)
+        options, unknown = one.parse_known_args(argv[1:])
+        assert unknown == []
+        expected = vars(full.parse_args(argv))
+        assert expected.pop("command") == command and vars(options) == expected
+        help_text = self.outcome(full.parse_args, [command, "--help"], capsys)
+        assert self.outcome(one.parse_args, ["--help"], capsys) == help_text
+        assert one.format_help() == help_text[1]
 
     @pytest.mark.parametrize("argv", [ARGVS[2][:-1], ARGVS[2] + ["--bogus"], ["calibrate"]])
     def test_same_usage_error(self, argv, capsys):
-        errors = []
-        for parser in (cli.build_parser(), cli.build_parser("calibrate")):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            errors.append((exc.value.code, capsys.readouterr().err))
+        errors = [self.outcome(parse, argv, capsys) for parse in (cli.build_parser().parse_args,
+                                                                   main)]
         assert errors[0] == errors[1] and errors[0][0] == 1
+
+    # command lines main must answer with the full parser's text and exit code
+    TEXT_CASES = {
+        "bare": [],
+        "help": ["--help"],
+        "unknown-command": ["frobnicate", "--out-dir", "x"],
+        "command-first-option": ["--out-dir", "x", "generate"],
+        **{f"{argv[0]}-help": [argv[0], "--help"] for argv in ARGVS},
+        **{f"{argv[0]}-h-among-options": argv[:3] + ["-h"] for argv in ARGVS},
+        **{f"{argv[0]}-missing-option": [argv[0]] for argv in ARGVS},
+        **{f"{argv[0]}-missing-value": argv + ["--out-dir"] for argv in ARGVS},
+        **{f"{argv[0]}-unrecognized": argv + ["--bogus", "1"] for argv in ARGVS},
+        **{f"{argv[0]}-stray-positional": argv[:1] + ["stray"] + argv[1:] for argv in ARGVS},
+        "calibrate-iters-0": ARGVS[2] + ["--iters", "0"],
+        "calibrate-bad-method": ARGVS[2] + ["--method", "annealing"],
+        "calibrate-abbreviation-without-value": ARGVS[2] + ["--it"],
+        "study-fraction-above-one": ARGVS[3] + ["--fractions", "0.1,2"],
+        "generate-seed-negative": ARGVS[0] + ["--seed", "-1"],
+    }
+
+    @pytest.mark.parametrize("case", TEXT_CASES)
+    def test_main_prints_the_full_parsers_text(self, case, capsys):
+        argv = self.TEXT_CASES[case]
+        expected = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == expected
+        if case.endswith(("unrecognized", "stray-positional")):
+            assert expected[0] == 1
+            assert expected[2].startswith("usage: hallcal [-h] {generate,")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hallcal.errors import (
     AllWeightsCutError,
@@ -26,6 +27,7 @@ from hallcal.hall import (
     SystemInput,
     build_adjacency,
     hot_aisle_mask,
+    squared_distances,
     validate_layout,
 )
 from conftest import random_layout
@@ -265,3 +267,18 @@ class TestOperatingState:
         with pytest.raises(DimensionMismatchError) as exc:
             OperatingState(**values).check(scenario.layout)
         assert str(exc.value) == f"{name}: expected {expected} entries, got 1"
+
+
+positions = st.integers(1, 40).flatmap(lambda n: arrays(
+    float, (n, 3), elements=st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 0.5, 1.5])))
+
+
+@given(a=positions, b=positions)
+@settings(max_examples=200, deadline=None)
+def test_squared_distances_are_the_summed_squares_bit_for_bit(a, b):
+    # one coordinate at a time, in order: the sum over the coordinate axis
+    diff = a[:, None, :] - b[None, :, :]
+    expected = np.sum(diff * diff, axis=2)
+    got = squared_distances(a, b)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
