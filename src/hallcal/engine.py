@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -196,7 +196,7 @@ class VanillaSurrogateModel:
 
     def __init__(self, layout: HallLayout, penalty: PenaltyParams,
                  train_cfg: TrainConfig, seed: int = 0):
-        in_dim = 2 * layout.n_cracs + 2 * layout.n_servers
+        in_dim = sum(getattr(layout, f.metadata["count"]) for f in fields(SystemInput))
         self.penalty = penalty
         self.train_cfg = train_cfg
         self.weights: MlpWeights = init_mlp(in_dim, layout.n_sensors, seed)

@@ -53,6 +53,10 @@ class EmptyDatasetError(HallcalError):
     """Training was requested on an empty dataset."""
 
 
+class MixedStateError(HallcalError):
+    """A training dataset's samples do not all share one operating state."""
+
+
 # -- search -----------------------------------------------------------------
 
 class ObjectiveNonFiniteError(HallcalError):

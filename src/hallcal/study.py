@@ -7,7 +7,11 @@ closed form), the knowledge surrogate with trainable adjacency, and the
 vanilla MLP (both trained by Adam) are each fitted on growing fractions of
 the train set and scored by test MAE against the solver outputs. Each fit
 starts cold. The MLP trains in float32 and the trainable-adjacency model
-in float64; all three are scored in float64.
+in float64; all three are scored in float64. Every sample is at the one
+operating state, so each model computes that state's terms once per fit
+and once per scored cell: the fixed-adjacency and vanilla models through
+`at`, the trainable-adjacency model through train_trainable and
+trainable_at.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .surrogate import (
     PenaltyParams,
     TrainableAdjacencyWeights,
     TrainingSample,
-    forward_trainable,
     init_weights,
     train_trainable,
+    trainable_at,
 )
 
 KNOWLEDGE_FIXED = "knowledge-fixed"
@@ -111,8 +115,8 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
             tw0 = TrainableAdjacencyWeights(linear=init_weights(n),
                                             w_cs=priors.w_cs.copy(), w_ss=priors.w_ss.copy())
             tw = train_trainable(tw0, priors.hot_mask, subset, TrainConfig())
-            return StudyCell(fraction, surrogate, k, test_mae(
-                lambda alpha: forward_trainable(tw, priors.hot_mask, state.to_input(alpha))))
+            return StudyCell(fraction, surrogate, k,
+                             test_mae(trainable_at(tw, priors.hot_mask, state)))
         vanilla = VanillaSurrogateModel(layout, PenaltyParams(), MLP_TRAIN, seed=seed).at(state)
         vanilla.fit(subset)
         return StudyCell(fraction, surrogate, k, test_mae(vanilla.predict))

@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyBatchError,
     EmptyDatasetError,
+    MixedStateError,
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
@@ -138,7 +139,7 @@ def _cooling_coefficients(w_cs: np.ndarray, fan_speeds: np.ndarray,
     z = fan_speeds[..., :, None] * w_cs
     if not dense:
         z = np.where(w_cs > 0.0, z, -np.inf)  # exp(-inf) = 0 off the support
-    ez = np.exp(z - np.max(z, axis=-2, keepdims=True))
+    ez = np.exp(z - z.max(axis=-2, keepdims=True))
     return ez / ez.sum(axis=-2, keepdims=True)
 
 
@@ -152,12 +153,16 @@ def _state_features(w_cs: np.ndarray, w_ss: np.ndarray, x: OperatingState,
     has no fixed zero pattern, so it is dense. Raises DimensionMismatchError
     when the CRAC or server count does not match the adjacency.
     """
+    _check_counts(w_cs, w_ss, x)
+    coeff = _cooling_coefficients(w_cs, x.crac_fan_speeds, dense)
+    return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2)
+
+
+def _check_counts(w_cs: np.ndarray, w_ss: np.ndarray, x: OperatingState) -> None:
     if x.crac_setpoints.shape[-1:] != w_cs.shape[:1]:
         raise DimensionMismatchError("CRAC count does not match the adjacency")
     if x.server_powers.shape[-1:] != w_ss.shape[:1]:
         raise DimensionMismatchError("server count does not match the adjacency")
-    coeff = _cooling_coefficients(w_cs, x.crac_fan_speeds, dense)
-    return coeff, (x.crac_setpoints[..., :, None] * coeff).sum(axis=-2)
 
 
 def _check_targets(targets: np.ndarray, w_cs: np.ndarray) -> None:
@@ -584,7 +589,11 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
 #
 # Promoting w_cs / w_ss to trainables changes the softmax support: with the
 # matrices free to move there is no fixed zero pattern, so the softmax runs
-# over all CRACs.
+# over all CRACs. The per-row functions (forward_trainable, loss_l1_trainable,
+# grad_trainable) take any batch. train_trainable and trainable_at take one
+# operating state, as the study's samples share one: the softmax, X_cold and
+# the softmax Jacobian are then computed once on (l, n) and only X_hot per
+# sample, with the per-row functions' bits.
 
 
 @dataclass(frozen=True)
@@ -601,17 +610,38 @@ class TrainableAdjacencyWeights:
         return np.concatenate([self.linear.pack(), self.w_cs.ravel(), self.w_ss.ravel()])
 
     @classmethod
+    def view(cls, flat: np.ndarray, n: int, l: int, m: int) -> "TrainableAdjacencyWeights":
+        """Weights of n sensors, l CRACs and m servers as views into a
+        contiguous flat vector laid out as pack() lays it out; writes to
+        flat show through."""
+        linear = SurrogateWeights(a=flat[:n], b=flat[n:2 * n], c=flat[2 * n:3 * n],
+                                  d=flat[3 * n:4 * n])
+        return cls(linear=linear, w_cs=flat[4 * n:4 * n + l * n].reshape(l, n),
+                   w_ss=flat[4 * n + l * n:].reshape(m, n))
+
+    @classmethod
     def unpack(cls, flat: np.ndarray, n: int, l: int, m: int) -> "TrainableAdjacencyWeights":
-        linear = SurrogateWeights.unpack(flat[:4 * n], n)
-        w_cs = flat[4 * n:4 * n + l * n].reshape(l, n).copy()
-        w_ss = flat[4 * n + l * n:].reshape(m, n).copy()
-        return cls(linear=linear, w_cs=w_cs, w_ss=w_ss)
+        return cls.view(np.array(flat, dtype=float), n, l, m)
 
 
 def forward_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                       x: SystemInput) -> np.ndarray:
     _, x_cold, x_hot = _features(tw.w_cs, tw.w_ss, x, dense=True)
     return _predict(tw.linear, hot_mask, x_cold, x_hot)
+
+
+def trainable_at(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
+                 state: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
+    """forward_trainable at `state`, as a function of the flow rates alone:
+    X_cold is computed here, once, so each call computes only X_hot."""
+    _, x_cold = _state_features(tw.w_cs, tw.w_ss, state, dense=True)
+    powers = state.server_powers
+
+    def predict(alpha: np.ndarray) -> np.ndarray:
+        _check_alpha(alpha, powers)
+        return _predict(tw.linear, hot_mask, x_cold, (powers / alpha) @ tw.w_ss)
+
+    return predict
 
 
 def _trainable_residual(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray, data):
@@ -654,20 +684,62 @@ def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     return _trainable_grad(tw, hot_mask, data, *_trainable_residual(tw, hot_mask, data))
 
 
+def _shared_state(x: SystemInput) -> OperatingState:
+    """The operating state of a stacked batch's first row. Raises
+    MixedStateError, naming the first other row and field, unless every
+    row has the same values (NaN matching NaN)."""
+    names = OperatingState.__dataclass_fields__
+    state = OperatingState(*[getattr(x, name)[0] for name in names])
+    for name in names:
+        rows, first = getattr(x, name), getattr(state, name)
+        same = ((rows == first) | (np.isnan(rows) & np.isnan(first))).all(axis=1)
+        if not same.all():
+            raise MixedStateError(f"sample {int(np.argmin(same))} is not at the first sample's "
+                                  f"operating state: its {name} differ")
+    return state
+
+
 def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                     dataset: list[TrainingSample], hyper: TrainConfig) -> TrainableAdjacencyWeights:
-    """Full-batch Adam on loss_l1_trainable with hyper's staged decay; the
-    batch is stacked once and each epoch's loss and gradient share one
-    residual. Returns the weights with the lowest observed loss."""
+    """Full-batch Adam on loss_l1_trainable with hyper's staged decay;
+    returns the weights with the lowest observed loss.
+
+    The samples must share one operating state (MixedStateError
+    otherwise). The batch is stacked, checked as loss_l1_trainable checks
+    it, and its P / alpha formed once per fit. Each epoch then computes
+    the softmax coefficients, X_cold and the softmax Jacobian once on
+    (l, n), reads the layers as views into Adam's parameter vector and
+    writes the gradient into one flat buffer. Every epoch's loss and
+    gradient are loss_l1_trainable's and grad_trainable's, bit for bit.
+    """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     n = tw0.linear.n_sensors
     l, m = tw0.w_cs.shape[0], tw0.w_ss.shape[0]
-    data = _stack_batch(dataset)
+    x, targets = _stack_batch(dataset)
+    _check_counts(tw0.w_cs, tw0.w_ss, x)
+    _check_targets(targets, tw0.w_cs)
+    _check_alpha(x.flow_rates, x.server_powers)
+    state = _shared_state(x)
+    setpoints, fans = state.crac_setpoints[:, None], state.crac_fan_speeds[:, None]  # (l, 1)
+    pw = x.server_powers / x.flow_rates  # (B, m)
+    scale = 2.0 / targets.size
+    grad_flat = np.empty(tw0.n_trainable)
+    grad = TrainableAdjacencyWeights.view(grad_flat, n, l, m)
 
     def loss_and_grad(params: np.ndarray):
-        tw = TrainableAdjacencyWeights.unpack(params, n, l, m)
-        parts = _trainable_residual(tw, hot_mask, data)
-        return float(np.mean(parts[2] ** 2)), _trainable_grad(tw, hot_mask, data, *parts).pack()
+        # _trainable_residual and _trainable_grad, with the state's terms on (l, n)
+        tw = TrainableAdjacencyWeights.view(params, n, l, m)
+        coeff = _cooling_coefficients(tw.w_cs, state.crac_fan_speeds, dense=True)
+        x_cold = (setpoints * coeff).sum(axis=0)  # (n,)
+        features = (x_cold, pw @ tw.w_ss, targets)
+        residual = _batch_residual(tw.linear, hot_mask, features)
+        grad_flat[:4 * n] = _weight_grad(hot_mask, features, residual).pack()
+        scaled = scale * residual
+        dz = coeff * (setpoints - x_cold)
+        np.sum((scaled * tw.linear.a)[:, None, :] * dz * fans, axis=0, out=grad.w_cs)
+        np.einsum("bm,bn->mn", pw, scaled * hot_mask * tw.linear.c, out=grad.w_ss)
+        residual *= residual
+        return float(np.add.reduce(residual, axis=None) / residual.size), grad_flat  # np.mean's bits
 
-    return TrainableAdjacencyWeights.unpack(adam_fit(tw0.pack(), loss_and_grad, hyper), n, l, m)
+    return TrainableAdjacencyWeights.view(adam_fit(tw0.pack(), loss_and_grad, hyper), n, l, m)

@@ -32,6 +32,25 @@ def test_compare_methods_matches_calibrate(tmp_path, capsys):
         assert calls == 5
 
 
+def test_compare_methods_takes_generate_hall_sizes(tmp_path, capsys):
+    # a small non-default hall: each method still pays 3 + k solver calls, on
+    # the hall `hallcal generate` makes of the same options
+    hall = dict(n_cracs=2, n_servers=20, n_cold=5, n_hot=3)
+    load_script("compare_methods").main(["--cracs", "2", "--servers", "20", "--sensors-cold", "5",
+                                         "--sensors-hot", "3", "--iters", "2", "--seed", "4"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    printed = {method: (best, int(calls)) for method, best, calls in map(str.split, rows)}
+
+    paths = cmd_generate(tmp_path / "case", seed=4, **hall)
+    assert list(printed) == ["kalibre", "vanilla", "heuristic"]
+    for method, (best, calls) in printed.items():
+        report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
+                               paths["measurements"], tmp_path / method, method=method,
+                               max_iterations=2, seed=4)["result"]
+        assert (f"{report['best_mae_c']:.4f}", report["n_solver_calls"]) == (best, calls)
+        assert calls == 3 + 2
+
+
 def test_reference_calibration_prints_each_iteration(capsys):
     # one row per iteration, then the best-MAE line, on the exact search's columns
     load_script("run_reference_calibration").main(["--iters", "2"])
@@ -56,6 +75,8 @@ BAD_NUMBERS = [
     ("run_reference_calibration", ["--seed", "-1"]),
     ("compare_methods", ["--iters", "0"]),
     ("compare_methods", ["--seed", "1.5"]),
+    ("compare_methods", ["--servers", "0"]),
+    ("compare_methods", ["--sensors-hot", "two"]),
     ("run_datavolume_study", ["--pool-size", "5"]),
     ("run_datavolume_study", ["--seed", "-1"]),
     ("run_datavolume_study", ["--fractions", "0.5,2"]),

@@ -18,11 +18,12 @@ from hallcal.errors import (
     DimensionMismatchError,
     EmptyBatchError,
     EmptyDatasetError,
+    MixedStateError,
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
 from hallcal.hall import AdjacencyPriors, OperatingState, SystemInput, build_adjacency
-from hallcal.optim import Bounds, SearchResult, TrainConfig, hybrid_search
+from hallcal.optim import Bounds, SearchResult, TrainConfig, adam_fit, hybrid_search
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
@@ -57,6 +58,7 @@ from hallcal.surrogate import (
     loss_l2,
     penalty_h,
     train_trainable,
+    trainable_at,
 )
 from conftest import reference_adam_trajectory
 
@@ -707,6 +709,9 @@ BATCH_FUNCTIONS = {
     "grad_weights": lambda priors, batch: grad_weights(init_weights(priors.n_sensors), priors, batch),
     "loss_l1_trainable": lambda priors, batch: loss_l1_trainable(reference_trainable(priors),
                                                                  priors.hot_mask, batch),
+    "train_trainable": lambda priors, batch: train_trainable(reference_trainable(priors),
+                                                             priors.hot_mask, batch,
+                                                             TrainConfig(epochs=1)),
 }
 
 
@@ -894,7 +899,9 @@ class TestStructuralProperties:
 
 
 class TestTrainableAdjacency:
-    def small_setup(self):
+    def small_setup(self, one_state=False):
+        """Weights, hot mask and a 3-sample batch; with one_state, every
+        sample is at the first sample's state, as train_trainable requires."""
         rng = np.random.default_rng(9)
         l, m, n = 2, 3, 4
         w_cs = rng.uniform(0.1, 1.0, (l, n))
@@ -905,6 +912,8 @@ class TestTrainableAdjacency:
         for _ in range(3):
             x = SystemInput(rng.uniform(18, 24, l), rng.uniform(0.2, 1, l),
                             rng.uniform(50, 300, m), rng.uniform(0.1, 0.6, m))
+            if one_state and batch:
+                x = batch[0].input.with_flow_rates(x.flow_rates)
             # targets near the model output keep the loss O(1), so the
             # difference quotients below stay numerically meaningful
             target = forward_trainable(tw, hot, x) + rng.normal(0, 1, n)
@@ -933,14 +942,18 @@ class TestTrainableAdjacency:
         assert loss_l1_trainable(tw, hot, batch) == pytest.approx(per_sample, rel=1e-12)
 
     def test_training_reduces_loss(self):
-        tw, hot, batch = self.small_setup()
+        # at one state a cold sensor's target noise is not fittable: the
+        # targets are another model's outputs
+        tw, hot, batch = self.small_setup(one_state=True)
+        noise = np.random.default_rng(3).normal(0.0, 0.1, tw.n_trainable)
+        other = TrainableAdjacencyWeights.unpack(tw.pack() + noise, 4, 2, 3)
+        batch = [TrainingSample(s.input, forward_trainable(other, hot, s.input)) for s in batch]
         initial = loss_l1_trainable(tw, hot, batch)
-        trained = __import__("hallcal.surrogate", fromlist=["train_trainable"]).train_trainable(
-            tw, hot, batch, TrainConfig())
+        trained = train_trainable(tw, hot, batch, TrainConfig())
         assert loss_l1_trainable(trained, hot, batch) < 0.1 * initial
 
     def test_train_equals_plain_adam_loop(self):
-        tw0, hot, batch = self.small_setup()
+        tw0, hot, batch = self.small_setup(one_state=True)
         n, l, m = 4, 2, 3
         hyper = TrainConfig(epochs=60, decay_every=20)
 
@@ -955,7 +968,7 @@ class TestTrainableAdjacency:
         assert np.array_equal(train_trainable(tw0, hot, batch, hyper).pack(), best_params)
 
     def test_train_leaves_w0_unchanged_and_results_independent(self):
-        tw0, hot, batch = self.small_setup()
+        tw0, hot, batch = self.small_setup(one_state=True)
         before = tw0.pack()
         hyper = TrainConfig(epochs=8)
         first = train_trainable(tw0, hot, batch, hyper)
@@ -974,3 +987,98 @@ class TestTrainableAdjacency:
     def test_parameter_count(self):
         tw, _, _ = self.small_setup()
         assert tw.n_trainable == 4 * 4 + 2 * 4 + 3 * 4
+
+
+@st.composite
+def trainable_halls(draw):
+    """A bound_halls hall with trainable weights off its priors and a batch
+    of 1-6 samples at its state, at drawn flow rates and targets."""
+    priors, state, w, alpha, t_meas = draw(bound_halls())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    tw = TrainableAdjacencyWeights(linear=w,
+                                   w_cs=priors.w_cs + rng.uniform(0.0, 0.5, priors.w_cs.shape),
+                                   w_ss=priors.w_ss + rng.uniform(0.0, 0.1, priors.w_ss.shape))
+    batch = [TrainingSample(input=state.to_input(alpha), target=t_meas)]
+    for _ in range(draw(st.integers(0, 5))):
+        batch.append(TrainingSample(input=state.to_input(rng.uniform(0.01, 3.0, alpha.size)),
+                                    target=t_meas + rng.normal(0.0, 1.0, t_meas.size)))
+    return priors.hot_mask, state, tw, batch
+
+
+class TestBoundTrainableEqualsThePerRowFunctions:
+    """train_trainable and trainable_at compute the state's terms once; on
+    one-state data they must give the per-row functions' bits and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trainable_halls())
+    def test_training_bit_for_bit(self, hall):
+        hot, _, tw0, batch = hall
+        n, (l, m) = hot.size, (tw0.w_cs.shape[0], tw0.w_ss.shape[0])
+        hyper = TrainConfig(epochs=12, decay_every=4)
+
+        def unpack(params):
+            return TrainableAdjacencyWeights.unpack(params, n, l, m)
+
+        path = [tw0.pack()] + reference_adam_trajectory(
+            tw0.pack(), lambda p: grad_trainable(unpack(p), hot, batch).pack(),
+            [hyper.lr_at(epoch) for epoch in range(hyper.epochs)])
+        losses = [loss_l1_trainable(unpack(p), hot, batch) for p in path]
+        best_params = path[int(np.argmin(losses))]  # the first of equal lowest losses
+        handed = []  # every point, loss and gradient the fit hands Adam
+
+        def recording_adam_fit(params, loss_and_grad, hyper):
+            def recorded(p):
+                loss, grad = loss_and_grad(p)
+                handed.append((p.copy(), loss, grad.copy()))
+                return loss, grad
+            return adam_fit(params, recorded, hyper)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surrogate, "adam_fit", recording_adam_fit)
+            trained = train_trainable(tw0, hot, batch, hyper)
+        assert np.array_equal(trained.pack(), best_params)
+        assert len(handed) == hyper.epochs + 1
+        for p, loss, grad in handed:
+            assert loss == loss_l1_trainable(unpack(p), hot, batch)
+            assert np.array_equal(grad, grad_trainable(unpack(p), hot, batch).pack())
+
+    @settings(max_examples=60, deadline=None)
+    @given(trainable_halls())
+    def test_scorer_bit_for_bit(self, hall):
+        hot, state, tw, batch = hall
+        predict = trainable_at(tw, hot, state)
+        for sample in batch:
+            alpha = sample.input.flow_rates
+            assert np.array_equal(predict(alpha), forward_trainable(tw, hot, state.to_input(alpha)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(trainable_halls(), st.sampled_from(["zero", "negative", "targets_1_wide"]))
+    def test_bad_samples_raise_the_same_errors(self, hall, kind):
+        hot, state, tw, batch = hall
+        alpha, target = batch[-1].input.flow_rates, batch[-1].target
+        if kind == "targets_1_wide":
+            target = target[:1]
+        else:
+            alpha = np.where(np.arange(alpha.size) == 0, 0.0 if kind == "zero" else -alpha, alpha)
+        bad = batch[:-1] + [TrainingSample(input=state.to_input(alpha), target=target)]
+        want = outcome(loss_l1_trainable, tw, hot, bad)
+        assert isinstance(want, tuple) and isinstance(want[0], type)
+        assert outcome(train_trainable, tw, hot, bad, TrainConfig(epochs=1)) == want
+        if kind != "targets_1_wide":
+            assert outcome(trainable_at(tw, hot, state), alpha) == \
+                outcome(forward_trainable, tw, hot, state.to_input(alpha))
+
+    @settings(max_examples=40, deadline=None)
+    @given(trainable_halls(), st.sampled_from(["crac_setpoints", "crac_fan_speeds",
+                                               "server_powers"]), st.data())
+    def test_mixed_states_raise(self, hall, field, data):
+        hot, state, tw, batch = hall
+        other = data.draw(st.integers(0, len(batch)))  # a new sample at another state
+        values = getattr(state, field).copy()
+        values[data.draw(st.integers(0, values.size - 1))] += 0.5
+        moved = replace(state, **{field: values})
+        sample = TrainingSample(input=moved.to_input(batch[0].input.flow_rates),
+                                target=batch[0].target)
+        mixed = batch[:other] + [sample] + batch[other:]
+        with pytest.raises(MixedStateError, match=f"^sample {max(other, 1)} .*its {field} differ$"):
+            train_trainable(tw, hot, mixed, TrainConfig(epochs=1))
