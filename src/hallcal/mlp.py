@@ -184,7 +184,8 @@ def _loss_into(w: MlpWeights, h: np.ndarray, targets: np.ndarray, grad: MlpWeigh
     activations = _forward_cached(w, h)
     residual = activations[-1] - targets
     _backprop(w, activations, 2.0 / residual.size * residual, grad)
-    return float(np.mean(residual ** 2))
+    residual *= residual
+    return float(np.add.reduce(residual, axis=None) / residual.size)  # np.mean's bits
 
 
 def mlp_grad_weights(w: MlpWeights, batch: list[TrainingSample]) -> MlpWeights:
@@ -230,9 +231,10 @@ def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig)
     is exact, so every other function here reads them in double precision,
     and a warm-started refit casts them back down without loss.
 
-    The features are standardized once. Each epoch reads the layers as
-    views into Adam's parameter vector and writes the gradient into one
-    flat buffer, so no epoch copies, packs or unpacks a parameter.
+    The features are standardized once. The layers are read as views into
+    Adam's parameter vector, built on the first epoch (adam_fit passes the
+    same vector every time), and the gradient is written into one flat
+    buffer, so no epoch copies, packs or unpacks a parameter.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
@@ -241,8 +243,11 @@ def mlp_train(w0: MlpWeights, dataset: list[TrainingSample], hyper: TrainConfig)
     targets = targets.astype(np.float32)
     grad_flat = np.empty(w0.n_trainable, dtype=np.float32)
     grad = w0.view(grad_flat)
+    bound: list = [None, None]  # the parameter vector last passed, and w0's views into it
 
     def loss_and_grad(params: np.ndarray):
-        return _loss_into(w0.view(params), h, targets, grad), grad_flat
+        if params is not bound[0]:
+            bound[:] = params, w0.view(params)
+        return _loss_into(bound[1], h, targets, grad), grad_flat
 
     return w0.view(adam_fit(w0.pack().astype(np.float32), loss_and_grad, hyper).astype(float))

@@ -11,6 +11,7 @@ step starts at a fixed fraction of the box span, so it follows the box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -104,26 +105,29 @@ class TrainConfig:
 
 
 def _adam_update(m: np.ndarray, v: np.ndarray, params: np.ndarray, grad: np.ndarray,
-                 step: int, learning_rate: float, scratch: np.ndarray, step_buf: np.ndarray) -> None:
+                 step: int, learning_rate: float, scratch: np.ndarray) -> None:
     """Adam update number `step` (1-based), in place on m, v and params.
 
-    The operation order is fixed, so every caller gets the same bits;
-    scratch and step_buf are work vectors of params' shape.
+    m and v hold Adam's moments divided by (1 - beta1) and (1 - beta2):
+    the moving sums m = beta1 m + g and v = beta2 v + g^2. With
+    c1 = 1 - beta1^step and k = sqrt((1 - beta2) / (1 - beta2^step)),
+    Adam's step lr m_hat / (sqrt(v_hat) + eps) is then
+    [lr (1 - beta1) / (c1 k)] m / (sqrt(v) + eps / k): the bias corrections
+    fold into two scalars, so the step makes 10 array passes and one
+    divide. The operation order is fixed, so every caller gets the same
+    bits; scratch is a work vector of params' shape.
     """
+    k = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2 ** step))
     m *= ADAM_BETA1
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
-    m += scratch
+    m += grad
     v *= ADAM_BETA2
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
-    scratch *= grad
+    np.multiply(grad, grad, out=scratch)
     v += scratch
-    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=step_buf)
-    step_buf *= learning_rate
-    np.divide(v, 1.0 - ADAM_BETA2 ** step, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += ADAM_EPS
-    step_buf /= scratch
-    params -= step_buf
+    np.sqrt(v, out=scratch)
+    scratch += ADAM_EPS / k
+    np.divide(m, scratch, out=scratch)
+    scratch *= learning_rate * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1 ** step) * k)
+    params -= scratch
 
 
 def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -135,16 +139,16 @@ def adam_fit(params: np.ndarray, loss_and_grad: Callable[[np.ndarray], tuple[flo
     may return the same gradient buffer every time: each gradient is used
     up before the next call. Returns a new array holding the parameters
     with the lowest observed loss, equal to `params` when no epoch improves
-    on it; `params` itself is left unchanged. The work vectors, moments and
-    result keep `params`' dtype, so float32 parameters train in float32.
+    on it; `params` itself is left unchanged. The parameters, moments,
+    Adam's one work vector and the result keep `params`' dtype, so float32
+    parameters train in float32.
     """
     params = np.array(params)
     best_params = params.copy()
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    scratch, step_buf = np.empty_like(params), np.empty_like(params)
+    m, v, scratch = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     best_loss, grad = loss_and_grad(params)
     for epoch in range(hyper.epochs):
-        _adam_update(m, v, params, grad, epoch + 1, hyper.lr_at(epoch), scratch, step_buf)
+        _adam_update(m, v, params, grad, epoch + 1, hyper.lr_at(epoch), scratch)
         loss, grad = loss_and_grad(params)
         if loss < best_loss:
             best_loss = loss
@@ -246,8 +250,7 @@ def adam_search(objective: Callable[[np.ndarray], float],
     """
     obj = _Counted(objective)
     params = bounds.clip(np.asarray(x0, dtype=float))
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    scratch, step_buf = np.empty_like(params), np.empty_like(params)
+    m, v, scratch = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     losses: list[float] = []
     grad_norms: list[float] = []
     for step in range(1, cfg.steps + 1):
@@ -256,7 +259,7 @@ def adam_search(objective: Callable[[np.ndarray], float],
         if g.shape != params.shape:
             raise DimensionMismatchError(f"gradient shape {g.shape} is not x0's {params.shape}")
         grad_norms.append(float(np.mean(np.abs(g))))
-        _adam_update(m, v, params, g, step, cfg.learning_rate, scratch, step_buf)
+        _adam_update(m, v, params, g, step, cfg.learning_rate, scratch)
         np.clip(params, bounds.lower, bounds.upper, out=params)
     losses.append(obj(params))
     return SearchResult(x=obj.best_x, fun=obj.best_f, n_evals=obj.n_evals,

@@ -726,6 +726,16 @@ def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     scale = 2.0 / targets.size
     grad_flat = np.empty(tw0.n_trainable)
     grad = TrainableAdjacencyWeights.view(grad_flat, n, l, m)
+    # A cold column of the w_ss gradient is hot_mask's 0 times the residual:
+    # it is zeroed once and the einsum sums the hot columns only. einsum sums
+    # a 1-by-1 product, or with one server columns that are not C-ordered
+    # (as scaled[:, hot] would be; take keeps them so), in another order, so
+    # one server with one hot sensor sums every column.
+    hot = np.flatnonzero(hot_mask)
+    if m == 1 and hot.size == 1:
+        hot = np.arange(n)
+    hot_weights = hot_mask[hot]
+    grad.w_ss[...] = 0.0
 
     def loss_and_grad(params: np.ndarray):
         # _trainable_residual and _trainable_grad, with the state's terms on (l, n)
@@ -738,7 +748,8 @@ def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
         scaled = scale * residual
         dz = coeff * (setpoints - x_cold)
         np.sum((scaled * tw.linear.a)[:, None, :] * dz * fans, axis=0, out=grad.w_cs)
-        np.einsum("bm,bn->mn", pw, scaled * hot_mask * tw.linear.c, out=grad.w_ss)
+        grad.w_ss[:, hot] = np.einsum("bm,bn->mn", pw,
+                                      scaled.take(hot, axis=1) * hot_weights * tw.linear.c[hot])
         residual *= residual
         return float(np.add.reduce(residual, axis=None) / residual.size), grad_flat  # np.mean's bits
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,16 +62,22 @@ def reference_adam_trajectory(params, grad, lrs, project=lambda p: p):
     """Parameters after each update of the out-of-place Adam expression, with
     grad(p) the gradient at the current parameters p and each update passed
     through `project`; written out here so the in-place kernel is pinned to
-    it bit for bit."""
+    it bit for bit.
+
+    The moments are kept as the moving sums m = 0.9 m + g and
+    v = 0.999 v + g^2 (Adam's moments over 1 - 0.9 and 1 - 0.999), and the
+    bias corrections fold into the scalars c1 = 1 - 0.9^t and
+    k = sqrt((1 - 0.999) / (1 - 0.999^t)); test_optim.py checks this form
+    against the textbook one."""
     m, v = np.zeros_like(params), np.zeros_like(params)
     out = []
     for t, lr in enumerate(lrs, start=1):
         g = grad(params)
-        m = 0.9 * m + (1.0 - 0.9) * g
-        v = 0.999 * v + (1.0 - 0.999) * g * g
-        m_hat = m / (1.0 - 0.9 ** t)
-        v_hat = v / (1.0 - 0.999 ** t)
-        params = project(params - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+        m = 0.9 * m + g
+        v = 0.999 * v + g * g
+        k = math.sqrt((1.0 - 0.999) / (1.0 - 0.999 ** t))
+        step = lr * (1.0 - 0.9) / ((1.0 - 0.9 ** t) * k) * (m / (np.sqrt(v) + 1e-8 / k))
+        params = project(params - step)
         out.append(params)
     return out
 

@@ -140,6 +140,23 @@ def float32_loss_and_grad(w: MlpWeights, batch):
     return loss, grad.pack()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("size", [1, 7, 80])
+def test_training_loss_has_np_means_bits(size, dtype):
+    """_loss_into's loss is the mean squared residual of the forward pass,
+    bit for bit, at either width mlp_train may run in."""
+    rng = np.random.default_rng(size)
+    batch = [TrainingSample(input=make_input(rng), target=rng.uniform(18, 30, N))
+             for _ in range(size)]
+    w0 = fit_standardizer(init_mlp(IN_DIM, N, seed=size), batch)
+    w = w0.view(w0.pack().astype(dtype))
+    feats, targets = mlp._stack_batch(w, batch)
+    h, targets = mlp._standardize(w, feats).astype(dtype), targets.astype(dtype)
+    residual = mlp._forward_cached(w, h)[-1] - targets
+    grad = w.view(np.empty(w.n_trainable, dtype=dtype))
+    assert mlp._loss_into(w, h, targets, grad) == float(np.mean(residual ** 2))
+
+
 def test_train_equals_plain_adam_loop():
     """mlp_train against a float32 loss and gradient evaluated afresh each
     epoch and an out-of-place float32 Adam update, with a decay stage
@@ -155,8 +172,7 @@ def test_train_equals_plain_adam_loop():
     best_params = params.copy()
     for epoch in range(hyper.epochs):
         m, v, params = m.copy(), v.copy(), params.copy()
-        _adam_update(m, v, params, g, epoch + 1, hyper.lr_at(epoch),
-                     np.empty_like(params), np.empty_like(params))
+        _adam_update(m, v, params, g, epoch + 1, hyper.lr_at(epoch), np.empty_like(params))
         loss, g = float32_loss_and_grad(w0.view(params.copy()), batch)
         if loss < best_loss:
             best_loss, best_params = loss, params.copy()

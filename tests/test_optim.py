@@ -49,6 +49,33 @@ def random_gradients(rng, count, size):
     return grads
 
 
+def textbook_adam_trajectory(params, grads, lrs):
+    """Parameters after each step of Adam as Kingma & Ba (2015) print it:
+    moment estimates, bias-corrected, then the step."""
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    out = []
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        out.append(params)
+    return out
+
+
+def adam_fit_path(params0, grads, hyper):
+    """Every point adam_fit visits when handed the rows of `grads` in turn."""
+    seen = []
+
+    def loss_and_grad(p):
+        seen.append(p.copy())
+        return 0.0, grads[len(seen) - 1]
+
+    adam_fit(params0, loss_and_grad, hyper)
+    return seen
+
+
 class TestAdamStep:
     """One call of _adam_update, the Adam step shared by adam_fit and adam_search."""
 
@@ -59,7 +86,7 @@ class TestAdamStep:
         outs = []
         for fill in (0.0, np.nan):
             m, v, params = m0.copy(), v0.copy(), params0.copy()
-            _adam_update(m, v, params, grad, 4, 0.01, np.full(2, fill), np.full(2, fill))
+            _adam_update(m, v, params, grad, 4, 0.01, np.full(2, fill))
             outs.append((m, v, params))
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
@@ -75,11 +102,11 @@ class TestAdamKernel:
         grads = random_gradients(rng, self.HYPER.epochs, params0.size)
         lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
         m, v, params = np.zeros_like(params0), np.zeros_like(params0), params0.copy()
-        scratch, step_buf = np.empty_like(params0), np.empty_like(params0)
+        scratch = np.empty_like(params0)
         expected = reference_adam_trajectory(params0, replay(grads), lrs)
         for step, (g, lr, want) in enumerate(zip(grads, lrs, expected), start=1):
             g_before = g.copy()
-            _adam_update(m, v, params, g, step, lr, scratch, step_buf)
+            _adam_update(m, v, params, g, step, lr, scratch)
             assert np.array_equal(params, want)
             # the step reads its gradient and leaves it as it was
             assert np.array_equal(g, g_before)
@@ -134,12 +161,44 @@ class TestAdamKernel:
         expected = [params0.copy()]
         for epoch in range(self.HYPER.epochs):
             _adam_update(m, v, params, grads[epoch], epoch + 1, self.HYPER.lr_at(epoch),
-                         np.empty_like(params), np.empty_like(params))
+                         np.empty_like(params))
             expected.append(params.copy())
         assert len(seen) == len(expected)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)
         assert np.array_equal(best, expected[int(np.argmin(losses))])
+
+    def test_adam_fit_tracks_textbook_adam(self):
+        """The kernel keeps the moments as moving sums and folds the bias
+        corrections into two scalars; that is Adam rearranged, so float64
+        adam_fit follows the textbook expression to rounding, and a
+        coordinate whose gradient is always zero never moves."""
+        rng = np.random.default_rng(4)
+        params0 = rng.standard_normal(257)
+        grads = random_gradients(rng, self.HYPER.epochs + 1, params0.size)
+        lrs = [self.HYPER.lr_at(e) for e in range(self.HYPER.epochs)]
+        seen = adam_fit_path(params0, grads, self.HYPER)
+        expected = [params0] + textbook_adam_trajectory(params0, grads, lrs)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+            assert np.array_equal(got[:3], params0[:3])
+
+    def test_float32_adam_fit_tracks_float64(self):
+        """On the same float32 start and gradients, each float32 step adds
+        at most a couple of float32 roundings of the parameter and of a step
+        of about the learning rate to the float64 path's value."""
+        rng = np.random.default_rng(5)
+        params0 = rng.standard_normal(257).astype(np.float32)
+        grads = random_gradients(rng, self.HYPER.epochs + 1, params0.size).astype(np.float32)
+        single = adam_fit_path(params0, grads, self.HYPER)
+        double = adam_fit_path(params0.astype(float), grads.astype(float), self.HYPER)
+        eps = np.finfo(np.float32).eps
+        for t, (p32, p64) in enumerate(zip(single, double)):
+            assert p32.dtype == np.float32 and p64.dtype == np.float64
+            bound = 2 * t * eps * (np.abs(p64) + self.HYPER.learning_rate)
+            assert np.all(np.abs(p32 - p64) <= bound)
+            assert np.array_equal(p32[:3], params0[:3])
 
     def test_adam_fit_returns_input_values_when_no_epoch_improves(self):
         rng = np.random.default_rng(2)

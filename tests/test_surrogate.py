@@ -1012,6 +1012,26 @@ class TestBoundTrainableEqualsThePerRowFunctions:
     @settings(max_examples=60, deadline=None)
     @given(trainable_halls())
     def test_training_bit_for_bit(self, hall):
+        self.check_training_bit_for_bit(hall)
+
+    @pytest.mark.parametrize("n_hot", [1, 2])
+    def test_training_bit_for_bit_on_one_server(self, n_hot):
+        """With one server, einsum sums a 1-by-1 product, or columns that
+        are not C-ordered, in another order than the full-width product, so
+        the hot-column w_ss gradient must avoid both."""
+        scenario, state = make_reference_scenario(seed=3, n_cracs=1, n_servers=1,
+                                                  n_cold=2, n_hot=n_hot)
+        priors = build_adjacency(scenario.layout)
+        n = scenario.layout.n_sensors
+        rng = np.random.default_rng(3)
+        tw0 = TrainableAdjacencyWeights(linear=init_weights(n), w_cs=priors.w_cs + 0.2,
+                                        w_ss=priors.w_ss + 0.1)
+        batch = [TrainingSample(state.to_input(rng.uniform(0.01, 3.0, 1)), rng.normal(25, 3, n))
+                 for _ in range(16)]
+        self.check_training_bit_for_bit((priors.hot_mask, state, tw0, batch))
+
+    @staticmethod
+    def check_training_bit_for_bit(hall):
         hot, _, tw0, batch = hall
         n, (l, m) = hot.size, (tw0.w_cs.shape[0], tw0.w_ss.shape[0])
         hyper = TrainConfig(epochs=12, decay_every=4)
