@@ -38,6 +38,7 @@ from .errors import (
     UnknownMethodError,
 )
 from .hall import build_adjacency
+from .mlp import MLP_TRAIN
 from .optim import cmaes_1p1
 from .scenarios import make_reference_scenario
 from .solver import ExternalSolver, ExternalSolverSpec, ZonalSolver, synthesize_measurements
@@ -180,7 +181,7 @@ def make_surrogate(method, layout, cfg: CalibConfig):
     if method == METHOD_KALIBRE:
         return KnowledgeSurrogateModel(build_adjacency(layout, cfg.cut_threshold), cfg.penalty)
     if method == METHOD_VANILLA:
-        return VanillaSurrogateModel(layout, cfg.penalty, cfg.train, seed=cfg.seed)
+        return VanillaSurrogateModel(layout, cfg.penalty, MLP_TRAIN, seed=cfg.seed)
     if method != METHOD_HEURISTIC:
         raise UnknownMethodError(f"unknown method {method!r}")
     return None

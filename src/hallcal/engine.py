@@ -25,7 +25,6 @@ import numpy as np
 from .errors import CalibrationAbortedError, DimensionMismatchError, HallcalError
 from .hall import DEFAULT_CUT_THRESHOLD, AdjacencyPriors, HallLayout, OperatingState, SystemInput
 from .mlp import (
-    MLP_TRAIN,
     MlpWeights,
     fit_standardizer,
     init_mlp,
@@ -239,14 +238,13 @@ def _penalty_feasible_band(cfg: "CalibConfig") -> Optional[Bounds]:
 @dataclass(frozen=True)
 class CalibConfig:
     """Everything a calibration run needs beyond its input files. The config
-    file is this dataclass as JSON, and report.json echoes it in that form."""
+    file is this dataclass as JSON, and report.json echoes it in that form.
+    The DE and Adam budgets (DeConfig() and AdamConfig()) and the MLP's
+    schedule (mlp.MLP_TRAIN) are part of each method, not settings."""
 
     bounds: Bounds = SEARCH_BOUNDS
     max_iterations: int = 15
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
-    train: TrainConfig = MLP_TRAIN  # the vanilla MLP's schedule; the knowledge fit has none
-    de: DeConfig = field(default_factory=DeConfig)
-    adam: AdamConfig = field(default_factory=AdamConfig)
     use_de: Optional[bool] = None  # None: the model's exact search if it has one, else DE+Adam
     seed: int = 0
     cut_threshold: float = DEFAULT_CUT_THRESHOLD  # the knowledge surrogate's adjacency cut
@@ -379,11 +377,11 @@ def calibrate(solver: ThermalSolver, model, measurements: np.ndarray,
             if exact is not None:
                 res = exact(alpha, run.measurements, cfg.bounds)
             elif cfg.use_de is False:
-                res = adam_search(objective, gradient, cfg.bounds, cfg.adam, alpha)
+                res = adam_search(objective, gradient, cfg.bounds, AdamConfig(), alpha)
             else:  # DE's seed: child it - 1 of cfg.seed, as SeedSequence.spawn numbers them
                 child = np.random.SeedSequence(cfg.seed, spawn_key=(it - 1,))
-                res = hybrid_search(objective, gradient, cfg.bounds, cfg.de, cfg.adam, alpha,
-                                    int(child.generate_state(1)[0]),
+                res = hybrid_search(objective, gradient, cfg.bounds, DeConfig(), AdamConfig(),
+                                    alpha, int(child.generate_state(1)[0]),
                                     init_bounds=_penalty_feasible_band(cfg))
         except HallcalError as exc:
             raise run.abort(f"surrogate failed at iteration {it}", exc) from exc

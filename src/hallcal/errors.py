@@ -70,7 +70,7 @@ class InvalidInputError(HallcalError):
 
 
 class CommandFailedError(HallcalError):
-    """External solver command exited with a nonzero status."""
+    """External solver command could not start or exited with a nonzero status."""
 
 
 class SolverTimeoutError(HallcalError):
@@ -93,8 +93,8 @@ class CalibrationAbortedError(HallcalError):
 
 
 class OutputDirectoryError(HallcalError):
-    """A command's output directory cannot be created, or its output file
-    cannot be written."""
+    """A command's output directory or the external solver's workdir cannot
+    be created, or a file in it cannot be written or removed."""
 
 
 class PoolTooSmallError(HallcalError):

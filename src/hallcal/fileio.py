@@ -290,8 +290,9 @@ def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
 
     A given header must be the first line; blank lines are skipped. A line
     without exactly two fields, a value that is not a finite number (or,
-    with `positive`, not above 0), and a repeated id each raise ParseError
-    naming the file and the line, as does an id of `ids` with no record.
+    with `positive`, not above 0), a repeated id and an id not in a given
+    `ids` each raise ParseError naming the file and the line; an id of
+    `ids` with no record raises ParseError naming the file.
     """
     lines = _read_text(path).splitlines()
     first = 1
@@ -299,6 +300,7 @@ def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
         if not lines or lines[0].strip() != header:
             raise ParseError(f"{path} line 1: expected header {header!r}")
         first = 2
+    known = None if ids is None else set(ids)
     values: dict[str, float] = {}
     for lineno, line in enumerate(lines[first - 1:], start=first):
         if not line.strip():
@@ -317,6 +319,8 @@ def read_keyed_records(path: Path, ids: Optional[Sequence[str]] = None,
             raise ParseError(f"{path} line {lineno}: non-positive value {text!r}")
         if key in values:
             raise ParseError(f"{path} line {lineno}: duplicate id {key!r}")
+        if known is not None and key not in known:
+            raise ParseError(f"{path} line {lineno}: unknown id {key!r}")
         values[key] = value
     if ids is None:
         return np.array(list(values.values()))

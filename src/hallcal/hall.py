@@ -33,27 +33,38 @@ DEFAULT_CUT_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
-class Crac:
+class Facility:
+    """A CRAC, server or sensor. Its id is one field of a CSV line as the
+    readers split and strip it: non-empty, with no ',' or line break, and
+    no leading or trailing whitespace."""
+
     id: str
     position: tuple[float, float, float]
+
+    def __post_init__(self):
+        if self.id != self.id.strip() or "," in self.id or len(self.id.splitlines()) != 1:
+            raise InvalidInputError(f"id {self.id!r} must be non-empty, with no ',', line "
+                                    "break, or leading or trailing whitespace")
 
 
 @dataclass(frozen=True)
-class Server:
-    id: str
-    position: tuple[float, float, float]
+class Crac(Facility):
+    pass
+
+
+@dataclass(frozen=True)
+class Server(Facility):
     type_tag: str
     rated_power: float  # W
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rated_power < 0:
             raise InvalidInputError("rated_power must be >= 0")
 
 
 @dataclass(frozen=True)
-class Sensor:
-    id: str
-    position: tuple[float, float, float]
+class Sensor(Facility):
     aisle: str  # COLD or HOT
 
 

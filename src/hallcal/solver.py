@@ -26,6 +26,7 @@ power) would violate.
 from __future__ import annotations
 
 import os
+import shlex
 import signal
 import subprocess
 from dataclasses import dataclass, fields
@@ -38,6 +39,7 @@ from .errors import (
     CommandFailedError,
     DimensionMismatchError,
     InvalidInputError,
+    OutputDirectoryError,
     ParseError,
     SolverTimeoutError,
     ZeroDistanceError,
@@ -274,31 +276,47 @@ class ExternalSolverSpec:
 
 
 def _write_sidecar(spec: ExternalSolverSpec, state: OperatingState) -> None:
+    """Make the workdir and write the state.json sidecar into it; a path that
+    cannot hold either raises OutputDirectoryError naming it."""
     from . import fileio  # fileio imports this module
-    Path(spec.workdir).mkdir(parents=True, exist_ok=True)
-    fileio.save_state(state, Path(spec.workdir) / "state.json")
+    workdir = Path(spec.workdir)
+    try:
+        workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirectoryError(f"cannot create solver workdir {workdir}: {exc.strerror}") from exc
+    fileio.save_state(state, workdir / "state.json")
 
 
 def external_solve(spec: ExternalSolverSpec, x, server_ids: Sequence[str],
                    sensor_ids: Optional[Sequence[str]] = None) -> np.ndarray:
     """Round-trip one solve through the external command: x is a SystemInput, whose
-    state goes to the sidecar first, or the flow rates of a solver `at` a state."""
+    state goes to the sidecar first, or the flow rates of a solver `at` a state.
+    A workdir file that cannot be removed or written raises OutputDirectoryError,
+    and a command that cannot be started CommandFailedError, each naming it."""
+    from . import fileio  # fileio imports this module
     if isinstance(x, SystemInput):
         _write_sidecar(spec, x)
         x = x.flow_rates
     workdir = Path(spec.workdir)
-    config_path = workdir / CONFIG_FILENAME
     output_path = workdir / OUTPUT_FILENAME
     if output_path.exists():
-        output_path.unlink()
+        try:
+            output_path.unlink()
+        except OSError as exc:
+            raise OutputDirectoryError(f"cannot remove {output_path}: {exc.strerror}") from exc
 
     lines = [f"{sid}, {float(alpha)!r}" for sid, alpha in zip(server_ids, x)]
-    config_path.write_text("\n".join(lines) + "\n")
+    fileio._write_text(workdir / CONFIG_FILENAME, "\n".join(lines) + "\n")
 
     # The child leads its own process group, so a timeout or an interrupt
     # also kills what it started (an mpirun or a shell wrapper's solver).
-    with subprocess.Popen([*spec.command, str(workdir)], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+    try:
+        proc = subprocess.Popen([*spec.command, str(workdir)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+    except OSError as exc:
+        raise CommandFailedError(f"cannot start external solver "
+                                 f"{shlex.join(spec.command)}: {exc.strerror}") from exc
+    with proc:
         try:
             _, stderr = proc.communicate(timeout=spec.timeout_s)
         except BaseException as exc:
@@ -313,7 +331,6 @@ def external_solve(spec: ExternalSolverSpec, x, server_ids: Sequence[str],
 
     if not output_path.exists():
         raise ParseError(f"external solver produced no {OUTPUT_FILENAME}")
-    from . import fileio
     return fileio.read_keyed_records(output_path, sensor_ids)
 
 

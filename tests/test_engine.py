@@ -25,7 +25,7 @@ from hallcal.errors import (
 )
 from hallcal.hall import build_adjacency
 from hallcal.mlp import mlp_forward, mlp_grad_alpha, mlp_loss_l2
-from hallcal.optim import Bounds, DeConfig, TrainConfig
+from hallcal.optim import Bounds, TrainConfig
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import OperatingState, ThermalSolver, ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
@@ -50,7 +50,7 @@ def small_case():
 
 
 def small_config(**overrides):
-    base = dict(max_iterations=4, de=DeConfig(max_iterations=30), seed=0)
+    base = dict(max_iterations=4, seed=0)
     base.update(overrides)
     return CalibConfig(**base)
 
@@ -579,8 +579,9 @@ class TestCalibrate:
         scenario, state, _ = small_case
         solver = ZonalSolver(scenario)
         meas = synthesize_measurements(scenario, state)
-        cfg = small_config(max_iterations=2, train=TrainConfig(epochs=40, learning_rate=0.01))
-        model = VanillaSurrogateModel(scenario.layout, cfg.penalty, cfg.train, seed=0)
+        cfg = small_config(max_iterations=2)
+        model = VanillaSurrogateModel(scenario.layout, cfg.penalty,
+                                      TrainConfig(epochs=40, learning_rate=0.01), seed=0)
         res = calibrate(solver, model, meas, state, scenario.layout, cfg)
         assert res.n_solver_calls == 5
         assert np.isfinite(res.best_mae)

@@ -36,7 +36,7 @@ from hallcal.errors import (
     UnknownMethodError,
 )
 from hallcal.hall import HallLayout, OperatingState
-from hallcal.optim import AdamConfig, Bounds, DeConfig, TrainConfig
+from hallcal.optim import Bounds
 from hallcal.surrogate import PenaltyParams
 from hallcal.scenarios import make_identifiable_scenario, make_reference_scenario
 from hallcal.solver import (Scenario, ThermalSolver, ZonalSolver, external_solve,
@@ -134,6 +134,7 @@ class TestParseErrors:
         ("a,nan\nb,20.0\n", 2),
         ("a,20.0\nb,inf\n", 3),
         ("a,20.0\nb,21.0\na,3\n", 4),
+        ("a,20.0\nb,21.0\nsen-zz-99,21.5\n", 4),  # a sensor the layout lacks
     ])
     def test_measurements_reject_non_finite_and_duplicate(self, tmp_path, body, line):
         path = tmp_path / "meas.csv"
@@ -144,6 +145,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("body, line", [
         ("s1,-inf\ns2,0.2\n", 2),
         ("s1,0.1\ns2,0.2\ns2,0.3\n", 4),
+        ("s1,0.1\nsrv-zz-99,0.3\ns2,0.2\n", 3),  # a server the layout lacks
     ])
     def test_alpha_rejects_non_finite_and_duplicate(self, tmp_path, body, line):
         path = tmp_path / "alpha.csv"
@@ -178,7 +180,6 @@ def run_settings(draw):
     seeds = st.integers(0, 2 ** 63)
     positive = st.floats(1e-9, 1e9)
     unit = st.floats(0.0, 1.0)
-    decay = st.floats(0.0, 1.0, exclude_min=True)
     lower = draw(st.floats(1e-4, 1.0))
     dt_low = draw(st.floats(1e-3, 50.0))
     return CalibConfig(
@@ -186,16 +187,15 @@ def run_settings(draw):
         max_iterations=draw(counts),
         penalty=PenaltyParams(dt_low, dt_low + draw(st.floats(1e-3, 50.0)),
                               draw(unit), draw(positive)),
-        train=TrainConfig(draw(counts), draw(positive), draw(decay), draw(counts)),
-        de=DeConfig(draw(st.integers(4, 10 ** 6)), draw(counts)),
-        adam=AdamConfig(draw(positive), draw(counts)),
         use_de=draw(st.sampled_from([None, True, False])),
         seed=draw(seeds),
         cut_threshold=draw(unit),
     )
 
 
-# config files the loader must refuse, each with the field its error names
+# config files the loader must refuse, each with the field its error names. The
+# search budgets and the MLP schedule are constants: an old config's train, de or
+# adam block is an unknown field, as es is
 BAD_CONFIGS = [
     ('{"use_de": "false"}', "use_de"),
     ('{"augment_batch": true}', "augment_batch"),
@@ -205,8 +205,8 @@ BAD_CONFIGS = [
     ('{"bounds": [0.01, NaN]}', "bounds.upper"),
     ('{"es": {"sigma0": -1}}', "es: unknown field"),
     ('{"max_iterations": 0}', "max_iterations"),
-    ('{"train": {"epochs": "3"}}', "train.epochs"),
-    ('{"de": {"population_size": 10.0}}', "de.population_size"),
+    ('{"train": {"epochs": "3"}}', "train: unknown field"),
+    ('{"de": {"population_size": 10.0}}', "de: unknown field"),
     ('{"max_iterations": 1e400}', "max_iterations"),
     ('{"penalty": {"lam": NaN}}', "penalty.lam"),
     ('{"penalty": {"dt_lo": 5.0}}', "penalty.dt_lo"),
@@ -214,9 +214,9 @@ BAD_CONFIGS = [
     ('{"bounds": [1.0]}', "bounds"),
     ('{"bounds": [2.0, 1.0]}', "bounds"),
     ('{"seed": -1}', "seed"),
-    ('{"de": {"seed": 1}}', "de.seed: unknown field"),
+    ('{"de": {"seed": 1}}', "de: unknown field"),
     ('{"es": {"seed": 1}}', "es: unknown field"),
-    ('{"train": {"decay_every": 0}}', "train: decay_every"),
+    ('{"train": {"decay_every": 0}}', "train: unknown field"),
     ('{"input_noise_frac": -0.1}', "input_noise_frac"),
     ('{"cut_threshold": -1}', "cut_threshold"),
     ('{"es": {"adapt_factor": 0}}', "es: unknown field"),
@@ -224,15 +224,15 @@ BAD_CONFIGS = [
     ('{"augment_batch": 16}', "augment_batch: unknown field"),
     ('{"mlp_learning_rate": 0.01}', "mlp_learning_rate: unknown field"),
     ('{"es": {}}', "es: unknown field"),
-    ('{"de": {"crossover_rate": 0.6}}', "de.crossover_rate: unknown field"),
-    ('{"adam": {"beta1": 0.9}}', "adam.beta1: unknown field"),
-    ('{"adam": {"learning_rate": -0.01}}', "adam: learning_rate"),
-    ('{"adam": {"steps": -3}}', "adam: steps"),
-    ('{"de": {"max_iterations": -1}}', "de: max_iterations"),
-    ('{"train": {"epochs": 0}}', "train: epochs"),
-    ('{"train": {"learning_rate": -1}}', "train: learning_rate"),
-    ('{"train": {"decay": -1}}', "train: decay"),
-    ('{"train": {"decay": 0}}', "train: decay"),
+    ('{"de": {"crossover_rate": 0.6}}', "de: unknown field"),
+    ('{"adam": {"beta1": 0.9}}', "adam: unknown field"),
+    ('{"adam": {"learning_rate": -0.01}}', "adam: unknown field"),
+    ('{"adam": {"steps": -3}}', "adam: unknown field"),
+    ('{"de": {"max_iterations": -1}}', "de: unknown field"),
+    ('{"train": {"epochs": 0}}', "train: unknown field"),
+    ('{"train": {"learning_rate": -1}}', "train: unknown field"),
+    ('{"train": {"decay": -1}}', "train: unknown field"),
+    ('{"train": {"decay": 0}}', "train: unknown field"),
 ]
 
 BAD_CONFIG_IDS = [re.sub(r"\W+", "_", doc).strip("_") for doc, _ in BAD_CONFIGS]
@@ -293,6 +293,13 @@ BAD_INPUTS = {
     "scenario_unknown_key": ("scenario", lambda d: d.update(recirculation=0.4), "recirculation"),
     "rated_power_negative": ("layout", lambda d: d["servers"][3].update(rated_power=-400.0),
                              "servers.3: rated_power must be >= 0"),
+    "server_id_comma": ("layout", lambda d: d["servers"][0].update(id="srv,001"),
+                        "servers.0: id 'srv,001' must be non-empty, with no ','"),
+    "sensor_id_empty": ("layout", lambda d: d["sensors"][1].update(id=""), "sensors.1: id ''"),
+    "sensor_id_line_break": ("layout", lambda d: d["sensors"][2].update(id="sen\nc-03"),
+                             "sensors.2: id 'sen\\nc-03'"),
+    "crac_id_padded": ("layout", lambda d: d["cracs"][0].update(id=" crac-1"),
+                       "cracs.0: id ' crac-1'"),
     "seed_string": ("scenario", lambda d: d.update(seed="500"), "seed"),
     "seed_fraction": ("scenario", lambda d: d.update(seed=2.5), "seed"),
     "sensor_mixing_string": ("scenario", lambda d: d.update(sensor_mixing="0.5"), "sensor_mixing"),
@@ -585,8 +592,7 @@ class TestCalibrateCommand:
     def test_seed_flag_equals_config_seed(self, generated, tmp_path, method):
         # the config's seed is the run's only seed, as --seed sets it
         out, paths = generated
-        base = {"train": {"epochs": 20}}
-        for name, doc, flags in (("flag", base, {"seed": 3}), ("file", dict(base, seed=3), {})):
+        for name, doc, flags in (("flag", {}, {"seed": 3}), ("file", {"seed": 3}, {})):
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(doc))
             cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
@@ -600,7 +606,7 @@ class TestCalibrateCommand:
         out, paths = generated
         for name, use_de in (("default", None), ("de", True)):
             cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps({"train": {"epochs": 20}, "use_de": use_de}))
+            cfg.write_text(json.dumps({"use_de": use_de}))
             cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
                           paths["measurements"], tmp_path / name, config_file=cfg,
                           max_iterations=2, seed=1, method="vanilla")
@@ -694,12 +700,10 @@ class TestCalibrateCommand:
 
     def test_vanilla_method_runs(self, generated, tmp_path):
         out, paths = generated
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train": {"epochs": 30, "learning_rate": 0.01}}))
         run = tmp_path / "run_v"
         report = cmd_calibrate(paths["layout"], paths["scenario"], paths["state"],
-                               paths["measurements"], run, config_file=cfg,
-                               max_iterations=1, seed=1, method="vanilla")
+                               paths["measurements"], run, max_iterations=1, seed=1,
+                               method="vanilla")
         assert report["method"] == "vanilla"
 
     def test_unknown_method_raises(self, generated, tmp_path):
@@ -997,6 +1001,55 @@ class TestMainExitCodes:
         assert (tmp_path / "r" / "traces.csv").read_text().count("\n") == 1
         assert (tmp_path / "r" / "alpha_star.csv").exists()
         assert not (tmp_path / "r" / "sensors.csv").exists()
+
+    @pytest.mark.parametrize("method, aborted", [
+        ("kalibre", "solver failed during seeding"),
+        ("heuristic", "solver failed at iteration 1"),
+    ], ids=["kalibre", "heuristic"])
+    @pytest.mark.parametrize("case", ["missing-command", "workdir-is-a-file"])
+    def test_bridge_that_cannot_run_is_3_naming_what_failed(self, generated, tmp_path, capsys,
+                                                          method, aborted, case):
+        # a command that cannot start, or a workdir that cannot be made, aborts the
+        # run as a failing solve does: a partial report names the command or the path
+        out, paths = generated
+        workdir, command = tmp_path / "work", "no-such-solver-binary"
+        if case == "missing-command":
+            reason, calls = ("cannot start external solver no-such-solver-binary: "
+                             "No such file or directory"), 1
+        else:
+            workdir.write_text("")
+            command = f"{shlex.quote(sys.executable)} -c pass"
+            reason, calls = f"cannot create solver workdir {workdir}: File exists", 0
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--method", method,
+                     "--solver", "external", "--external-command", command,
+                     "--workdir", str(workdir), "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == f"calibration aborted: {aborted}: {reason}\n"
+        result = json.loads((tmp_path / "r" / "report.json").read_text())["result"]
+        assert result["aborted"] == f"{aborted}: {reason}"
+        assert result["iterations"] == 0 and result["n_solver_calls"] == calls
+        assert (tmp_path / "r" / "traces.csv").read_text().count("\n") == 1
+        assert (tmp_path / "r" / "alpha_star.csv").exists()
+
+    def test_bridge_output_with_an_unknown_id_is_3(self, generated, tmp_path, capsys):
+        # the solver's readings are keyed by the layout's sensors, and one more fails the solve
+        out, paths = generated
+        layout = fileio.load_layout(paths["layout"])
+        script = tmp_path / "extra_solver.py"
+        rows = "".join(f"{s.id}, 21.0\n" for s in layout.sensors) + "sen-zz-99, 21.5\n"
+        script.write_text("import sys\nfrom pathlib import Path\n"
+                          f"(Path(sys.argv[1]) / 'sensor_output.txt').write_text({rows!r})\n")
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), "--solver", "external",
+                     "--external-command", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+                     "--workdir", str(tmp_path / "work"), "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        output = tmp_path / "work" / "sensor_output.txt"
+        assert capsys.readouterr().err == ("calibration aborted: solver failed during seeding: "
+                                           f"{output} line 7: unknown id 'sen-zz-99'\n")
 
     def test_abort_whose_partial_report_cannot_be_written_is_3(self, generated, tmp_path,
                                                               capsys):

@@ -381,10 +381,31 @@ def test_budget_accounting_and_monotone_best(runner):
     assert all(b2 <= b1 for b1, b2 in zip(res.best_trace, res.best_trace[1:]))
 
 
-def test_bounds_validation():
-    with pytest.raises(ValueError):
-        Bounds(0.0, 1.0)
-    with pytest.raises(ValueError):
-        Bounds(2.0, 1.0)
-    with pytest.raises(ValueError):
-        DeConfig(population_size=3)
+@pytest.mark.parametrize("make, rule", [
+    (lambda: Bounds(0.0, 1.0), "need 0 < lower < upper"),
+    (lambda: Bounds(2.0, 1.0), "need 0 < lower < upper"),
+    (lambda: DeConfig(population_size=3), "population_size must be >= 4"),
+    (lambda: DeConfig(max_iterations=0), "max_iterations must be >= 1"),
+    (lambda: AdamConfig(learning_rate=0.0), "learning_rate must be > 0"),
+    (lambda: AdamConfig(learning_rate=-0.01), "learning_rate must be > 0"),
+    (lambda: AdamConfig(steps=0), "steps must be >= 1"),
+    (lambda: TrainConfig(epochs=0), "epochs must be >= 1"),
+    (lambda: TrainConfig(learning_rate=0.0), "learning_rate must be > 0"),
+    (lambda: TrainConfig(learning_rate=-1.0), "learning_rate must be > 0"),
+    (lambda: TrainConfig(decay=0.0), r"decay must be in \(0, 1\]"),
+    (lambda: TrainConfig(decay=-1.0), r"decay must be in \(0, 1\]"),
+    (lambda: TrainConfig(decay=1.5), r"decay must be in \(0, 1\]"),
+    (lambda: TrainConfig(decay_every=0), "decay_every must be >= 1"),
+], ids=["lower-0", "lower-above-upper", "de-population-3", "de-iterations-0", "adam-lr-0",
+        "adam-lr-negative", "adam-steps-0", "train-epochs-0", "train-lr-0", "train-lr-negative",
+        "train-decay-0", "train-decay-negative", "train-decay-above-1", "train-decay-every-0"])
+def test_bounds_validation(make, rule):
+    with pytest.raises(ValueError, match=rule):
+        make()
+
+
+def test_settings_at_the_edge_of_each_rule_are_accepted():
+    Bounds(1e-9, 2e-9)
+    DeConfig(population_size=4, max_iterations=1)
+    AdamConfig(learning_rate=1e-12, steps=1)
+    TrainConfig(epochs=1, learning_rate=1e-12, decay=1.0, decay_every=1)

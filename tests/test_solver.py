@@ -15,6 +15,7 @@ from hallcal.errors import (
     CommandFailedError,
     DimensionMismatchError,
     InvalidInputError,
+    OutputDirectoryError,
     ParseError,
     SolverTimeoutError,
 )
@@ -439,6 +440,31 @@ class TestExternalSolve:
         with pytest.raises(CommandFailedError) as exc:
             external_solve(spec, self.make_input([0.2]), ["s1"])
         assert str(exc.value) == message
+
+    def test_command_that_cannot_start_names_it(self, tmp_path):
+        spec = ExternalSolverSpec(command=("no-such-solver-binary", "--flag"), workdir=tmp_path)
+        with pytest.raises(CommandFailedError) as exc:
+            external_solve(spec, self.make_input([0.2]), ["s1"])
+        assert str(exc.value) == ("cannot start external solver no-such-solver-binary --flag: "
+                                  "No such file or directory")
+
+    @pytest.mark.parametrize("blocked, message", [
+        ("", "cannot create solver workdir {path}: File exists"),
+        ("flow_config.txt", "cannot write {path}: Is a directory"),
+        ("sensor_output.txt", "cannot remove {path}: Is a directory"),
+    ], ids=["workdir", "flow-config", "stale-output"])
+    def test_workdir_file_that_cannot_be_made_names_it(self, tmp_path, blocked, message):
+        # a regular file where the workdir goes, or a directory where a file goes
+        path = tmp_path / "work" / blocked
+        if blocked:
+            path.mkdir(parents=True)
+        else:
+            path.write_text("")
+        spec = ExternalSolverSpec(command=(sys.executable, str(ECHO_SOLVER)),
+                                  workdir=tmp_path / "work")
+        with pytest.raises(OutputDirectoryError) as exc:
+            external_solve(spec, self.make_input([0.2]), ["s1"])
+        assert str(exc.value) == message.format(path=path)
 
     def test_missing_output_is_parse_error(self, tmp_path):
         spec = ExternalSolverSpec(command=(sys.executable, "-c", "pass"), workdir=tmp_path)

@@ -23,7 +23,15 @@ from hallcal.errors import (
     ObjectiveNonFiniteError,
 )
 from hallcal.hall import AdjacencyPriors, OperatingState, SystemInput, build_adjacency
-from hallcal.optim import Bounds, SearchResult, TrainConfig, adam_fit, hybrid_search
+from hallcal.optim import (
+    AdamConfig,
+    Bounds,
+    DeConfig,
+    SearchResult,
+    TrainConfig,
+    adam_fit,
+    hybrid_search,
+)
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 from hallcal.surrogate import (
@@ -447,7 +455,8 @@ class TestConvexSearch:
             hybrid = hybrid_search(
                 lambda a: loss_l2(w, priors, state.to_input(a), meas, self.params),
                 lambda a: grad_alpha(w, priors, state.to_input(a), meas, self.params),
-                SEARCH_BOUNDS, cfg.de, cfg.adam, x0, seed, init_bounds=_penalty_feasible_band(cfg))
+                SEARCH_BOUNDS, DeConfig(), AdamConfig(), x0, seed,
+                init_bounds=_penalty_feasible_band(cfg))
             assert self.search(case, x0).fun <= hybrid.fun * (1.0 + 1e-12)
 
     def test_agrees_with_a_3000_step_run(self, frozen_cases, monkeypatch):
