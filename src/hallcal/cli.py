@@ -93,12 +93,20 @@ def cmd_generate(out_dir, **hall) -> dict:
 
 def _make_solver(kind, layout, scenario, external_command=None, workdir=None):
     if kind == "zonal":
+        stray = [flag for flag, value in (("--external-command", external_command),
+                                          ("--workdir", workdir)) if value is not None]
+        if stray:
+            verb = "requires" if len(stray) == 1 else "require"
+            raise ParseError(f"{' and '.join(stray)} {verb} --solver external")
         return ZonalSolver(scenario)
     if kind == "external":
         if not external_command:
             raise ParseError("--solver external requires --external-command")
-        spec = ExternalSolverSpec(command=tuple(shlex.split(external_command)),
-                                  workdir=Path(workdir or "external_work"))
+        try:
+            command = tuple(shlex.split(external_command))
+        except ValueError as exc:  # unbalanced quotes or a trailing backslash
+            raise ParseError(f"--external-command {external_command!r}: {exc}") from None
+        spec = ExternalSolverSpec(command=command, workdir=Path(workdir or "external_work"))
         return ExternalSolver(spec, layout)
     raise ParseError(f"unknown solver kind {kind!r}")
 

@@ -17,6 +17,7 @@ trainable_at.
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -129,84 +130,53 @@ def run_datavolume_study(scenario: Scenario, state: OperatingState,
     return _fit_on_every_cpu(lambda i: fit_cell(*keys[i]), handout)
 
 
+_fit = None  # the running study's fit, for its workers to inherit; set only with no other thread
+
+
+def _fit_in_worker(index: int):
+    return _fit(index)
+
+
 def _fit_on_every_cpu(fit, handout: list[int]) -> list:
-    """[fit(i) for i in range(len(handout))], computed by this process and
-    W - 1 forked workers, W = min(CPUs in its affinity mask, len(handout)).
+    """[fit(i) for i in range(len(handout))], computed by W forked workers
+    that take the indices in `handout` order, W = min(CPUs in this
+    process's affinity mask, len(handout)); by this process alone when W
+    is 1. A worker inherits `fit` and everything it reads: only the index
+    goes in and only fit(index) comes back. The first error, raised by a
+    fit or here (an interrupt), ends the study at once: the indices not
+    yet taken are cancelled and every worker is killed and reaped before
+    it is raised. Nothing is forked while this process runs other threads,
+    usually a multithreaded BLAS's: fork is unsafe then, and each worker
+    would inherit them to contend for the same CPUs (up to 13 times slower
+    on a 2-vCPU machine with OpenBLAS's default 2 threads)."""
+    global _fit
+    cpus = 1 if _other_threads_run() else len(os.sched_getaffinity(0))
+    if min(cpus, len(handout)) == 1:
+        return [fit(i) for i in range(len(handout))]
 
-    The processes take the indices in `handout` order from one shared
-    counter, so one that finishes early takes the next. A worker inherits
-    everything `fit` reads; only the index it takes goes in and only
-    (index, fit(index)) comes back. The first error raised in any process
-    stops the handout and is raised here once every worker has ended and
-    been reaped. With one CPU nothing is forked, and neither is it while
-    this process runs other threads. Fork is unsafe then, and the usual
-    ones are a multithreaded BLAS's, which every worker would inherit to
-    contend for the same CPUs: on a 2-vCPU machine with OpenBLAS's default
-    2 threads, forking made the default study up to 13 times slower."""
     import multiprocessing
-    from multiprocessing.connection import wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    ctx = multiprocessing.get_context("fork")
-    taken = ctx.Value("i", 0)  # how many of handout have been taken
-    reader, writer = ctx.Pipe(duplex=False)  # worker -> this process: (index, result or error)
-    write_lock = ctx.Lock()
-    results: dict[int, object] = {}
-
-    def take_and_fit(put) -> None:
-        while True:
-            with taken.get_lock():
-                position = taken.value
-                taken.value += 1
-            if position >= len(handout):
-                return
-            try:
-                put(handout[position], fit(handout[position]))
-            except Exception:
-                with taken.get_lock():  # no process takes another index
-                    taken.value = len(handout)
-                raise
-
-    def work() -> None:
-        def put(index, result) -> None:
-            with write_lock:
-                writer.send((index, result))
-        try:
-            take_and_fit(put)
-        except Exception as exc:
-            put(None, exc)
-
-    workers = []
+    _fit = fit
+    # with fork, the executor (Python 3.11 on) starts every worker at the
+    # first submit, before any thread of its own
+    pool = ProcessPoolExecutor(min(cpus, len(handout)),
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        cpus = 1 if _other_threads_run() else len(os.sched_getaffinity(0))
-        for _ in range(min(cpus, len(handout)) - 1):
-            worker = ctx.Process(target=work)
-            worker.start()
-            workers.append(worker)
-        take_and_fit(results.__setitem__)
-        running = {worker.sentinel: worker for worker in workers}
-        while len(results) < len(handout):
-            ready = wait([reader, *running])
-            if reader in ready:
-                index, result = reader.recv()
-                if index is None:
-                    raise result
-                results[index] = result
-                continue
-            for sentinel in ready:
-                worker = running.pop(sentinel)
-                worker.join()
-                if worker.exitcode != 0:
-                    raise ChildProcessError(f"study worker {worker.pid} ended with exit code "
-                                            f"{worker.exitcode} before returning its fits")
+        cells = {pool.submit(_fit_in_worker, i): i for i in handout}
+        results = {cells[cell]: cell.result() for cell in as_completed(cells)}
     except BaseException:
-        for worker in workers:
+        # shutdown alone would wait for the running fits, and the executor has no public kill
+        for worker in list(pool._processes.values()):
             worker.kill()
         raise
     finally:
-        for worker in workers:
-            worker.join()
-        reader.close()
-        writer.close()
+        pool.shutdown(cancel_futures=True)  # reaps the workers and joins the executor's threads
+        _fit = None
+    # joined threads can stay listed for some ms; wait them out so a study run next forks too
+    deadline = time.monotonic() + 1.0
+    while _other_threads_run() and time.monotonic() < deadline:
+        time.sleep(0.0005)
     return [results[i] for i in range(len(handout))]
 
 

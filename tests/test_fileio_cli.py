@@ -948,6 +948,29 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: {out}: cannot read: Is a directory\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--external-command", "no-such-binary"], "--external-command requires --solver external"),
+        (["--solver", "zonal", "--workdir", "wd"], "--workdir requires --solver external"),
+        (["--external-command", "no-such-binary", "--workdir", "wd"],
+         "--external-command and --workdir require --solver external"),
+        (["--solver", "external", "--external-command", "python -c 'print(1)"],
+         "--external-command \"python -c 'print(1)\": No closing quotation"),
+    ], ids=["command-on-zonal", "workdir-on-zonal", "both-on-zonal", "unsplittable-command"])
+    def test_solver_options_that_cannot_apply_are_2_before_any_solve(
+            self, generated, tmp_path, capsys, monkeypatch, options, message):
+        """An external-solver option without `--solver external` would be
+        ignored, and a command shlex cannot split cannot be run: each exits
+        2 naming the options, with no solve and no run directory."""
+        out, paths = generated
+        monkeypatch.setattr(cli, "_run_method", lambda *args: pytest.fail("a solve ran"))
+        code = main(["calibrate", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--measurements", str(paths["measurements"]), *options,
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_non_utf8_layout_is_2(self, generated, tmp_path, capsys):
         out, paths = generated
         layout = tmp_path / "layout.json"
