@@ -343,6 +343,20 @@ def command_parser(name: str) -> argparse.ArgumentParser:
                         inputs, options)
 
 
+def parse_script_options(description: str, flags: dict, argv=None) -> dict[str, dict]:
+    """A script's options by command. `flags` names each command's flags, added in
+    that order as _COMMANDS declares them; a flag named under two commands is added
+    once and passed to both. An option left off the command line is not passed."""
+    parser = _Parser(description=description, argument_default=argparse.SUPPRESS)
+    dests = {}
+    for name, names in flags.items():
+        spec = dict(_COMMANDS[name][2])
+        dests.update({f: parser.add_argument(f, **spec[f]).dest for f in names if f not in dests})
+    options = vars(parser.parse_args(argv))
+    return {name: {dests[f]: options[dests[f]] for f in names if dests[f] in options}
+            for name, names in flags.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every command's parser under one `hallcal`. Each option's dest is its
     command function's keyword. An option left off the command line is not

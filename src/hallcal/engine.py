@@ -22,7 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CalibrationAbortedError, DimensionMismatchError, HallcalError
+from .errors import (
+    CalibrationAbortedError,
+    DimensionMismatchError,
+    HallcalError,
+    MixedStateError,
+)
 from .hall import DEFAULT_CUT_THRESHOLD, AdjacencyPriors, HallLayout, OperatingState, SystemInput
 from .mlp import (
     MlpWeights,
@@ -149,10 +154,13 @@ class KnowledgeSurrogateModel:
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
         self._summed: list[TrainingSample] = []  # the samples _sums sums, in order
         self._sums = None  # their fit_terms, summed
+        self._bound = {}  # once bound, per state field: its values and their bytes
 
     def at(self, state: OperatingState) -> "KnowledgeSurrogateModel":
         """This model, bound to a copy of `state`."""
-        self.terms: StateTerms = StateTerms.of(self.priors, state.copy())
+        state = state.copy()
+        self.terms: StateTerms = StateTerms.of(self.priors, state)
+        self._bound = {name: (values, values.tobytes()) for name, values in vars(state).items()}
         return self
 
     def fit(self, dataset: list[TrainingSample]) -> None:
@@ -160,15 +168,30 @@ class KnowledgeSurrogateModel:
         running sums of fit_terms: only the samples past the prefix already
         summed (the same objects, in order) add terms, each by fold_terms,
         one at a time, the order in which fit_weights sums, so the weights
-        match it bit for bit. Any other dataset starts the sums over."""
+        match it bit for bit. Any other dataset starts the sums over. A
+        bound model raises MixedStateError, before it sums any, unless every
+        sample it is to sum is at the bound state."""
         k = len(self._summed)
-        if not (0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
+        extends = 0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))
+        for i in range(k if extends else 0, len(dataset)):
+            self._check_state(i, dataset[i].input)
+        if not extends:
             k, self._sums = len(dataset), fit_terms(self.priors, dataset)
         for sample in dataset[k:]:  # the sums are this model's own arrays: add in place
             for total, term in zip(self._sums, fold_terms(self.priors, self.terms, sample)):
                 total += term
         self._summed = list(dataset)
         self.weights = solve_fit(*self._sums, len(dataset), self.penalty.kappa)
+
+    def _check_state(self, i: int, x: SystemInput) -> None:
+        """Raise MixedStateError, naming sample i and the field, unless x is at
+        the bound state (NaN matching NaN); an unbound model checks nothing.
+        Equal bytes pass without the value comparison."""
+        for name, (values, raw) in self._bound.items():
+            rows = getattr(x, name)
+            if rows.tobytes() != raw and not np.array_equal(rows, values, equal_nan=True):
+                raise MixedStateError(f"sample {i} is not at the model's bound operating "
+                                      f"state: its {name} differ")
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         return forward_at(self.weights, self.priors, self.terms, alpha)

@@ -58,12 +58,16 @@ class StudyCell:
 
 
 def check_shape(fractions: list[float], pool_size: int) -> None:
-    """Reject, before any solve, a pool too small to split or a fraction outside (0, 1] or empty."""
+    """Reject, before any solve, a pool too small to split or a fraction
+    outside (0, 1], repeated or empty."""
     if pool_size < MIN_POOL_SIZE:
         raise PoolTooSmallError(f"pool of {pool_size} is too small to split")
     bad = [f for f in fractions if not 0.0 < f <= 1.0]
     if bad:
         raise PoolTooSmallError(f"fractions {bad} are not in (0, 1]")
+    repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
+    if repeated:
+        raise PoolTooSmallError(f"fraction {repeated[0]} is repeated")
     n_train = round(TRAIN_SHARE * pool_size)
     for fraction in fractions:
         if round(fraction * n_train) < 1:

@@ -20,6 +20,7 @@ from hallcal.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidInputError,
+    MixedStateError,
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
@@ -302,6 +303,27 @@ class TestKnowledgeModelFit:
         for k in range(3, len(dataset) + 1):
             model.at(states[k - 1]).fit(dataset[:k])
             assert_same_weights(model.weights, fit_weights(priors, dataset[:k]))
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(OperatingState)])
+    @pytest.mark.parametrize("kind", ["folded", "restarted"])
+    def test_a_sample_at_another_state_raises(self, two_states, field, kind):
+        # a bound model names the first sample it would sum off its state, and
+        # its sums are left as they were: the next fit of its own samples
+        # matches fit_weights
+        scenario, priors, first, second = two_states
+        solver, rng = ZonalSolver(scenario), np.random.default_rng(8)
+        moved = replace(first, **{field: getattr(second, field)})
+        dataset = solved(solver, first, rng, 3)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams()).at(first)
+        model.fit(dataset)
+        stray = solved(solver, moved, rng, 1) + solved(solver, first, rng, 1)
+        mixed = dataset + stray if kind == "folded" else dataset[:1] + stray
+        with pytest.raises(MixedStateError,
+                           match=f"^sample {len(mixed) - 2} is not .*: its {field} differ$"):
+            model.fit(mixed)
+        dataset += solved(solver, first, rng, 1)
+        model.fit(dataset)
+        assert_same_weights(model.weights, fit_weights(priors, dataset))
 
     def test_a_state_written_in_place_is_told_by_its_values(self, two_states):
         # the model binds a copy of the state: after the caller overwrites the

@@ -896,6 +896,23 @@ class TestStudyCommand:
         assert solves == []
         assert not (tmp_path / "study").exists()
 
+    def test_repeated_fraction_is_2_before_any_solve(self, generated, tmp_path, capsys,
+                                                     monkeypatch):
+        # a repeated fraction would fit its cells twice and write each row twice
+        out, paths = generated
+        solves = []
+        solve = ThermalSolver.solve
+        monkeypatch.setattr(ThermalSolver, "solve",
+                            lambda self, x: solves.append(x) or solve(self, x))
+        code = main(["study-datavolume", "--layout", str(paths["layout"]),
+                     "--scenario", str(paths["scenario"]), "--state", str(paths["state"]),
+                     "--pool-size", "20", "--fractions", "0.25,0.5,0.5",
+                     "--out-dir", str(tmp_path / "study")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: fraction 0.5 is repeated\n"
+        assert solves == []
+        assert not (tmp_path / "study").exists()
+
     def test_default_shape_comes_from_the_study_module(self, generated, tmp_path, monkeypatch):
         out, paths = generated
         calls = []

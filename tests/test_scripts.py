@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -91,3 +92,13 @@ def test_bad_number_is_a_usage_error(capsys, name, argv):
         load_script(name).main(argv)
     assert exc.value.code == 1
     assert f"error: argument {argv[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.stem)
+def test_script_imports_no_private_hallcal_name(path):
+    # a script takes hallcal's public names only; its options come from
+    # parse_script_options, not from cli's private argument types
+    imported = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "hallcal"
+                for alias in node.names]
+    assert [name for name in imported if "._" in name] == []
