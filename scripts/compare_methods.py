@@ -5,10 +5,13 @@ solver-call budget: knowledge surrogate, vanilla MLP surrogate, and the
 through `hallcal calibrate`'s own path with default settings. The hall-size
 options are `hallcal generate`'s and default to the reference hall."""
 
+import sys
+
 from hallcal.cli import (
     METHOD_HEURISTIC,
     METHOD_KALIBRE,
     METHOD_VANILLA,
+    exit_code,
     load_settings,
     parse_script_options,
     run_calibration,
@@ -33,4 +36,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

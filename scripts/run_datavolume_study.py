@@ -2,7 +2,9 @@
 """Train the three surrogate designs on growing fractions of a solver
 sample pool and print the resulting test-MAE table."""
 
-from hallcal.cli import parse_script_options
+import sys
+
+from hallcal.cli import exit_code, parse_script_options
 from hallcal.scenarios import make_reference_scenario
 from hallcal.study import run_datavolume_study
 
@@ -23,4 +25,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

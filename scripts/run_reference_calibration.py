@@ -3,7 +3,10 @@
 per-iteration convergence trace. The run takes `hallcal calibrate`'s own
 path with default settings."""
 
-from hallcal.cli import METHOD_KALIBRE, load_settings, parse_script_options, run_calibration
+import sys
+
+from hallcal.cli import (METHOD_KALIBRE, exit_code, load_settings, parse_script_options,
+                         run_calibration)
 from hallcal.scenarios import make_reference_scenario
 from hallcal.solver import ZonalSolver, synthesize_measurements
 
@@ -25,4 +28,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -383,24 +383,29 @@ def _parse(argv) -> tuple[str, dict]:
     return options.pop("command"), options
 
 
-def main(argv=None) -> int:
-    command, options = _parse(sys.argv[1:] if argv is None else argv)
+def _run(command: str, options: dict) -> None:
+    if command == "generate":
+        for name, path in cmd_generate(**options).items():
+            print(f"{name}: {path}")
+    elif command == "solve":
+        temps = cmd_solve(**options)
+        if not options.get("out"):
+            for value in temps:
+                print(repr(float(value)))
+    elif command == "calibrate":
+        report = cmd_calibrate(**options)
+        print(f"best MAE {report['result']['best_mae_c']:.4f} degC "
+              f"in {report['result']['n_solver_calls']} solver calls")
+    elif command == "study-datavolume":
+        for c in cmd_study_datavolume(**options):
+            print(f"{c.surrogate:20s} frac {c.fraction:.2f} test MAE {c.test_mae:.3f}")
+
+
+def exit_code(run, *args) -> int:
+    """run(*args)'s exit code: 0, or for a toolkit error, printed to stderr, 1 (an
+    unknown method), 3 (an aborted calibration or a solver input error) or 2."""
     try:
-        if command == "generate":
-            for name, path in cmd_generate(**options).items():
-                print(f"{name}: {path}")
-        elif command == "solve":
-            temps = cmd_solve(**options)
-            if not options.get("out"):
-                for value in temps:
-                    print(repr(float(value)))
-        elif command == "calibrate":
-            report = cmd_calibrate(**options)
-            print(f"best MAE {report['result']['best_mae_c']:.4f} degC "
-                  f"in {report['result']['n_solver_calls']} solver calls")
-        elif command == "study-datavolume":
-            for c in cmd_study_datavolume(**options):
-                print(f"{c.surrogate:20s} frac {c.fraction:.2f} test MAE {c.test_mae:.3f}")
+        run(*args)
     except UnknownMethodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -414,6 +419,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv=None) -> int:
+    return exit_code(_run, *_parse(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

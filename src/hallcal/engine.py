@@ -22,12 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CalibrationAbortedError,
-    DimensionMismatchError,
-    HallcalError,
-    MixedStateError,
-)
+from .errors import CalibrationAbortedError, DimensionMismatchError, EmptyDatasetError, HallcalError
 from .hall import DEFAULT_CUT_THRESHOLD, AdjacencyPriors, HallLayout, OperatingState, SystemInput
 from .mlp import (
     MlpWeights,
@@ -54,7 +49,6 @@ from .surrogate import (
     SurrogateWeights,
     TrainingSample,
     convex_search,
-    fit_terms,
     fold_terms,
     forward_at,
     grad_at,
@@ -153,45 +147,36 @@ class KnowledgeSurrogateModel:
         self.penalty = penalty
         self.weights: SurrogateWeights = init_weights(priors.n_sensors, penalty.kappa)
         self._summed: list[TrainingSample] = []  # the samples _sums sums, in order
-        self._sums = None  # their fit_terms, summed
-        self._bound = {}  # once bound, per state field: its values and their bytes
+        self._sums = None  # their fold_terms, summed
+        self.state: Optional[OperatingState] = None  # the state `at` bound
 
     def at(self, state: OperatingState) -> "KnowledgeSurrogateModel":
         """This model, bound to a copy of `state`."""
-        state = state.copy()
-        self.terms: StateTerms = StateTerms.of(self.priors, state)
-        self._bound = {name: (values, values.tobytes()) for name, values in vars(state).items()}
+        self.state = state.copy()
+        self.terms: StateTerms = StateTerms.of(self.priors, self.state)
         return self
 
     def fit(self, dataset: list[TrainingSample]) -> None:
         """fit_weights on the dataset, samples at the bound state, from
-        running sums of fit_terms: only the samples past the prefix already
-        summed (the same objects, in order) add terms, each by fold_terms,
-        one at a time, the order in which fit_weights sums, so the weights
-        match it bit for bit. Any other dataset starts the sums over. A
-        bound model raises MixedStateError, before it sums any, unless every
-        sample it is to sum is at the bound state."""
+        running sums of fold_terms: only the samples past the prefix already
+        summed (the same objects, in order) add terms, one at a time, the
+        order in which fit_weights sums, so the weights match it bit for bit.
+        Any other dataset is summed from zero. An empty dataset, an unbound
+        model and a sample to sum off the bound state (OperatingState.require)
+        each raise before any sum."""
+        if not dataset:
+            raise EmptyDatasetError("training dataset is empty")
+        if self.state is None:
+            raise HallcalError("an unbound knowledge model cannot fit: bind it with at(state)")
         k = len(self._summed)
-        extends = 0 < k <= len(dataset) and all(map(operator.is_, self._summed, dataset))
-        for i in range(k if extends else 0, len(dataset)):
-            self._check_state(i, dataset[i].input)
-        if not extends:
-            k, self._sums = len(dataset), fit_terms(self.priors, dataset)
-        for sample in dataset[k:]:  # the sums are this model's own arrays: add in place
-            for total, term in zip(self._sums, fold_terms(self.priors, self.terms, sample)):
-                total += term
-        self._summed = list(dataset)
-        self.weights = solve_fit(*self._sums, len(dataset), self.penalty.kappa)
-
-    def _check_state(self, i: int, x: SystemInput) -> None:
-        """Raise MixedStateError, naming sample i and the field, unless x is at
-        the bound state (NaN matching NaN); an unbound model checks nothing.
-        Equal bytes pass without the value comparison."""
-        for name, (values, raw) in self._bound.items():
-            rows = getattr(x, name)
-            if rows.tobytes() != raw and not np.array_equal(rows, values, equal_nan=True):
-                raise MixedStateError(f"sample {i} is not at the model's bound operating "
-                                      f"state: its {name} differ")
+        if not (k <= len(dataset) and all(map(operator.is_, self._summed, dataset))):
+            k = 0
+        self.state.require([s.input for s in dataset[k:]], "the model's bound", first=k)
+        sums = self._sums if k else (0.0, 0.0)
+        for sample in dataset[k:]:
+            sums = list(map(operator.add, sums, fold_terms(self.priors, self.terms, sample)))
+        self._summed, self._sums = list(dataset), sums
+        self.weights = solve_fit(*sums, len(dataset), self.penalty.kappa)
 
     def predict(self, alpha: np.ndarray) -> np.ndarray:
         return forward_at(self.weights, self.priors, self.terms, alpha)

@@ -22,6 +22,7 @@ from .errors import (
     EmptyFacilityClassError,
     InvalidInputError,
     MissingAisleCoverageError,
+    MixedStateError,
     NonFinitePositionError,
     ZeroDistanceError,
 )
@@ -154,6 +155,18 @@ class OperatingState:
                     raise InvalidInputError(f"{f.name}.{i}: {float(values[i])!r} is not {rule}")
         if not (self.crac_fan_speeds > 0).any():
             raise InvalidInputError("crac_fan_speeds: at least one CRAC fan must be running")
+
+    def require(self, inputs: Sequence["OperatingState"], whose: str, first: int = 0) -> None:
+        """Raise MixedStateError naming the first input off this state, as sample
+        `first` + its index, and its first field that differs, unless each field
+        has this state's bytes or else its values (NaN matching NaN)."""
+        for i, x in enumerate(inputs, first):
+            for name in OperatingState.__dataclass_fields__:
+                rows, values = getattr(x, name), getattr(self, name)
+                same = rows.tobytes() == values.tobytes()
+                if not (same or np.array_equal(rows, values, equal_nan=True)):
+                    raise MixedStateError(f"sample {i} is not at {whose} operating state: "
+                                          f"its {name} differ")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,10 @@ class Scenario:
 
 
 class ThermalSolver:
-    """Opaque expensive-solver interface: solve one input, count the calls."""
+    """Opaque expensive-solver interface: solve one input, count the calls.
+    A subclass implements `_bind(state)` alone, its one extension point: the
+    solve at a state as a function of the flow rates. A one-input solve binds
+    the input's state and solves at its flow rates, and `at` binds once."""
 
     def __init__(self):
         self.n_calls = 0
@@ -96,7 +99,7 @@ class ThermalSolver:
         return self._solve(x)
 
     def _solve(self, x: SystemInput) -> np.ndarray:
-        raise NotImplementedError
+        return self._bind(x)(x.flow_rates)
 
     def at(self, state: OperatingState) -> "BoundSolver":
         """This solver bound to a copy of `state`: its solves take flow rates alone."""
@@ -105,7 +108,7 @@ class ThermalSolver:
 
     def _bind(self, state: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
         """The solve at `state`, as a function of the flow rates."""
-        return lambda alpha: self._solve(state.to_input(alpha))
+        raise NotImplementedError
 
 
 class BoundSolver(ThermalSolver):
@@ -174,9 +177,6 @@ class ZonalSolver(ThermalSolver):
         self.exhaust = server_flow[:, None] * self.server_exhaust  # (m, n_hot)
         self.exhaust_flow = self.exhaust.sum(axis=0)  # (n_hot,)
         self.exhaust_inlet = self.exhaust.T @ self.server_inlet  # (n_hot, n_cold)
-
-    def _solve(self, x: SystemInput) -> np.ndarray:
-        return self._bind(x)(x.flow_rates)
 
     def _bind(self, x: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
         """The solve at x's state, once x passes the state's checks: all of the
@@ -342,9 +342,6 @@ class ExternalSolver(ThermalSolver):
         self.spec = spec
         self.server_ids = [s.id for s in layout.servers]
         self.sensor_ids = [s.id for s in layout.sensors]
-
-    def _solve(self, x: SystemInput) -> np.ndarray:
-        return external_solve(self.spec, x, self.server_ids, self.sensor_ids)
 
     def _bind(self, state: OperatingState) -> Callable[[np.ndarray], np.ndarray]:
         """The solve at `state`, whose sidecar is written here, once."""

@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyBatchError,
     EmptyDatasetError,
-    MixedStateError,
     NonPositiveFlowRateError,
     ObjectiveNonFiniteError,
 )
@@ -684,28 +683,13 @@ def grad_trainable(tw: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     return _trainable_grad(tw, hot_mask, data, *_trainable_residual(tw, hot_mask, data))
 
 
-def _shared_state(x: SystemInput) -> OperatingState:
-    """The operating state of a stacked batch's first row. Raises
-    MixedStateError, naming the first other row and field, unless every
-    row has the same values (NaN matching NaN)."""
-    names = OperatingState.__dataclass_fields__
-    state = OperatingState(*[getattr(x, name)[0] for name in names])
-    for name in names:
-        rows, first = getattr(x, name), getattr(state, name)
-        same = ((rows == first) | (np.isnan(rows) & np.isnan(first))).all(axis=1)
-        if not same.all():
-            raise MixedStateError(f"sample {int(np.argmin(same))} is not at the first sample's "
-                                  f"operating state: its {name} differ")
-    return state
-
-
 def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
                     dataset: list[TrainingSample], hyper: TrainConfig) -> TrainableAdjacencyWeights:
     """Full-batch Adam on loss_l1_trainable with hyper's staged decay;
     returns the weights with the lowest observed loss.
 
-    The samples must share one operating state (MixedStateError
-    otherwise). The batch is stacked, checked as loss_l1_trainable checks
+    The samples must be at the first sample's operating state
+    (OperatingState.require). The batch is stacked, checked as loss_l1_trainable checks
     it, and its P / alpha formed once per fit. Each epoch then computes
     the softmax coefficients, X_cold and the softmax Jacobian once on
     (l, n), reads the layers as views into Adam's parameter vector and
@@ -720,7 +704,8 @@ def train_trainable(tw0: TrainableAdjacencyWeights, hot_mask: np.ndarray,
     _check_counts(tw0.w_cs, tw0.w_ss, x)
     _check_targets(targets, tw0.w_cs)
     _check_alpha(x.flow_rates, x.server_powers)
-    state = _shared_state(x)
+    state = dataset[0].input
+    state.require([s.input for s in dataset[1:]], "the first sample's", first=1)
     setpoints, fans = state.crac_setpoints[:, None], state.crac_fan_speeds[:, None]  # (l, 1)
     pw = x.server_powers / x.flow_rates  # (B, m)
     scale = 2.0 / targets.size

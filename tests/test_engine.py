@@ -19,6 +19,7 @@ from hallcal.errors import (
     CalibrationAbortedError,
     DimensionMismatchError,
     EmptyDatasetError,
+    HallcalError,
     InvalidInputError,
     MixedStateError,
     NonPositiveFlowRateError,
@@ -267,12 +268,12 @@ class TestKnowledgeModelFit:
             assert_same_weights(weights, fit_weights(priors, dataset, model.penalty.kappa))
 
     def test_each_fit_sums_only_the_new_samples(self, small_case, monkeypatch):
-        # the first fit sums its three seed solves in one batch; every later
-        # fit folds in its one new solve, and the weights are fit_weights' bit
+        # the first fit folds in its three seed solves and every later fit its
+        # one new solve, with no batch sum; the weights are fit_weights' bit
         # for bit
         scenario, state, priors = small_case
         batches, folds = [], []
-        fit_terms, fold_terms = engine.fit_terms, engine.fold_terms
+        fit_terms, fold_terms = surrogate.fit_terms, engine.fold_terms
 
         def counted_batch(priors, batch):
             batches.append(list(batch))
@@ -282,15 +283,15 @@ class TestKnowledgeModelFit:
             folds.append(args[2])
             return fold_terms(*args)
 
-        monkeypatch.setattr(engine, "fit_terms", counted_batch)
+        monkeypatch.setattr(surrogate, "fit_terms", counted_batch)
         monkeypatch.setattr(engine, "fold_terms", counted_fold)
         cfg = small_config(max_iterations=5)
         model = KnowledgeSurrogateModel(priors, cfg.penalty)
         calibrate(ZonalSolver(scenario), model, synthesize_measurements(scenario, state), state,
                   scenario.layout, cfg)
-        assert [len(b) for b in batches] == [3]
-        assert len(folds) == 4 and len({id(s) for s in batches[0] + folds}) == 7
-        assert_same_weights(model.weights, fit_weights(priors, batches[0] + folds))
+        assert batches == []
+        assert len(folds) == 7 and len({id(s) for s in folds}) == 7
+        assert_same_weights(model.weights, fit_weights(priors, folds))
 
     def test_folds_match_the_full_fit_across_a_state_switch(self, two_states):
         # a model bound anew folds each later sample at the state it is bound to
@@ -382,6 +383,41 @@ class TestKnowledgeModelFit:
         with pytest.raises(EmptyDatasetError):
             KnowledgeSurrogateModel(priors, model.penalty).fit([])
 
+    def test_an_unbound_model_does_not_fit(self, two_states):
+        # a fit before `at` raises, naming it, whether or not it would extend
+        # the last; the dataset is not summed, and once bound the model fits it
+        scenario, priors, first, _ = two_states
+        dataset = solved(ZonalSolver(scenario), first, np.random.default_rng(3), 4)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams())
+        for k in (3, 4):
+            with pytest.raises(HallcalError, match=r"^an unbound .* with at\(state\)$"):
+                model.fit(dataset[:k])
+        with pytest.raises(EmptyDatasetError):
+            model.fit([])
+        model.at(first).fit(dataset)
+        assert_same_weights(model.weights, fit_weights(priors, dataset))
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 24, 48, 80, 160])
+    def test_a_fresh_model_folds_from_zero_to_the_full_fit(self, two_states, size):
+        # the study's cold-start fit: a fresh bound model sums every sample by
+        # fold_terms, from zero, and matches fit_weights bit for bit
+        scenario, priors, first, _ = two_states
+        dataset = solved(ZonalSolver(scenario), first, np.random.default_rng(size), size)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams()).at(first)
+        model.fit(dataset)
+        assert_same_weights(model.weights, fit_weights(priors, dataset, model.penalty.kappa))
+
+    def test_a_sample_with_equal_values_in_other_bytes_is_at_the_state(self, two_states):
+        # a server drawing -0.0 W is at a state where it draws 0.0 W
+        scenario, priors, first, _ = two_states
+        held, twin = first.copy(), first.copy()
+        held.server_powers[0], twin.server_powers[0] = 0.0, -0.0
+        solver, rng = ZonalSolver(scenario), np.random.default_rng(4)
+        dataset = solved(solver, held, rng, 2) + solved(solver, twin, rng, 2)
+        model = KnowledgeSurrogateModel(priors, PenaltyParams()).at(held)
+        model.fit(dataset)
+        assert_same_weights(model.weights, fit_weights(priors, dataset))
+
 
 class TestVanillaModel:
     def test_bound_model_equals_the_mlp_functions(self, small_case):
@@ -432,10 +468,15 @@ class FailingSolver(ThermalSolver):
         self.inner = ZonalSolver(scenario)
         self.fail_after = fail_after
 
-    def _solve(self, x):
-        if self.n_calls > self.fail_after:
-            raise InvalidInputError("synthetic solver outage")
-        return self.inner._solve(x)
+    def _bind(self, state):
+        solve = self.inner._bind(state)
+
+        def failing(alpha):
+            if self.n_calls > self.fail_after:
+                raise InvalidInputError("synthetic solver outage")
+            return solve(alpha)
+
+        return failing
 
 
 class RecordingSolver(ZonalSolver):
@@ -573,9 +614,8 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("use_de", [True, False], ids=["de-adam", "adam"])
     def test_state_features_once_per_state(self, small_case, monkeypatch, use_de):
-        # binding the model featurizes its state, and the seed solves' first fit
-        # its batch of three; every fold, objective and gradient call reads the
-        # model's one StateTerms
+        # binding the model featurizes its state once per run; every fold,
+        # objective and gradient call reads the model's one StateTerms
         scenario, state, priors = small_case
         calls, features = [], surrogate._state_features
         monkeypatch.setattr(surrogate, "_state_features", lambda w_cs, w_ss, x, dense=False: (
@@ -583,7 +623,7 @@ class TestCalibrate:
         cfg = small_config(max_iterations=3, use_de=use_de)
         calibrate(ZonalSolver(scenario), KnowledgeSurrogateModel(priors, cfg.penalty),
                   synthesize_measurements(scenario, state), state, scenario.layout, cfg)
-        assert calls == [(), (3,)]
+        assert calls == [()]
 
     def test_de_seeds_are_the_spawned_children_of_the_run_seed(self, small_case, monkeypatch):
         # iteration i's DE seed is child i - 1 of SeedSequence(cfg.seed).spawn(...)

@@ -13,6 +13,7 @@ from hallcal.errors import (
     DuplicatePositionError,
     EmptyFacilityClassError,
     MissingAisleCoverageError,
+    MixedStateError,
     NonFinitePositionError,
     ZeroDistanceError,
 )
@@ -267,6 +268,31 @@ class TestOperatingState:
         with pytest.raises(DimensionMismatchError) as exc:
             OperatingState(**values).check(scenario.layout)
         assert str(exc.value) == f"{name}: expected {expected} entries, got 1"
+
+
+    # 0.0 as -0.0, and the quiet NaN with another payload: equal values in other bytes
+    @pytest.mark.parametrize("value, twin", [
+        (0.0, -0.0), (np.nan, np.array(0x7FF8000000000001, dtype=np.uint64).view(float))],
+        ids=["signed-zero", "nan-payload"])
+    @pytest.mark.parametrize("name", ["crac_setpoints", "crac_fan_speeds", "server_powers"])
+    def test_require_takes_equal_values_in_other_bytes(self, reference, name, value, twin):
+        scenario, state = reference
+        held, given = state.copy(), state.copy()
+        getattr(held, name)[0], getattr(given, name)[0] = value, twin
+        assert getattr(held, name).tobytes() != getattr(given, name).tobytes()
+        alpha = np.ones(scenario.layout.n_servers)
+        held.require([given, given.to_input(alpha)], "the model's bound")
+
+    def test_require_names_the_first_sample_off_the_state(self, reference):
+        # numbered from `first`, with the first field that differs of that
+        # sample, though a later sample differs in an earlier field
+        _, state = reference
+        late, early = state.copy(), state.copy()
+        late.server_powers[3] += 1.0
+        early.crac_setpoints[0] += 1.0
+        with pytest.raises(MixedStateError, match=r"^sample 5 is not at the first sample's "
+                                                  r"operating state: its server_powers differ$"):
+            state.require([state, late, early], "the first sample's", first=4)
 
 
 positions = st.integers(1, 40).flatmap(lambda n: arrays(

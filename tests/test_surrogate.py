@@ -1111,3 +1111,19 @@ class TestBoundTrainableEqualsThePerRowFunctions:
         mixed = batch[:other] + [sample] + batch[other:]
         with pytest.raises(MixedStateError, match=f"^sample {max(other, 1)} .*its {field} differ$"):
             train_trainable(tw, hot, mixed, TrainConfig(epochs=1))
+
+    @settings(max_examples=20, deadline=None)
+    @given(trainable_halls())
+    def test_the_first_sample_off_the_state_is_named(self, hall):
+        # of two samples off the first sample's state, the earlier is named,
+        # with its field, though the later differs in an earlier field
+        hot, state, tw, batch = hall
+        late, early = state.copy(), state.copy()
+        late.server_powers[0] += 0.5
+        early.crac_setpoints[0] += 0.5
+        alpha, target = batch[0].input.flow_rates, batch[0].target
+        mixed = batch + [TrainingSample(input=s.to_input(alpha), target=target)
+                         for s in (late, early)]
+        with pytest.raises(MixedStateError, match=f"^sample {len(batch)} is not at the first "
+                           "sample's operating state: its server_powers differ$"):
+            train_trainable(tw, hot, mixed, TrainConfig(epochs=1))
