@@ -72,11 +72,13 @@ def _make_out_dir(out_dir) -> Path:
 
 def cmd_generate(out_dir, **hall) -> dict:
     """Write layout, scenario, state, and synthesized measurement files for
-    make_reference_scenario(**hall), whose defaults give the reference hall."""
+    make_reference_scenario(**hall), whose defaults give the reference hall.
+    The measurements are synthesized first, so a noise level whose draws
+    overflow fails before the directory is made."""
     scenario, state = make_reference_scenario(**hall)
     layout = scenario.layout
-    out = _make_out_dir(out_dir)
     measurements = synthesize_measurements(scenario, state)
+    out = _make_out_dir(out_dir)
     paths = {
         "layout": out / "layout.json",
         "scenario": out / "scenario.json",

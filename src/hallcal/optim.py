@@ -172,6 +172,11 @@ class SearchResult:
     residual: Optional[float] = None  # an exact search's stationarity residual at x
 
 
+def rate_range(x: np.ndarray) -> str:
+    """A flow-rate vector's size and range, for a one-line message."""
+    return f"{x.size} flow rates in [{float(x.min())!r}, {float(x.max())!r}]"
+
+
 class _Counted:
     """Wrap an objective: clip-checked finiteness, call count, best tracking."""
 
@@ -186,7 +191,7 @@ class _Counted:
         f = float(self.objective(x))
         self.n_evals += 1
         if not np.isfinite(f):
-            raise ObjectiveNonFiniteError(f"objective returned {f} at {x!r}")
+            raise ObjectiveNonFiniteError(f"objective returned {f} at {rate_range(x)}")
         if f < self.best_f:
             self.best_f = f
             self.best_x = x.copy()

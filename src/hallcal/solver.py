@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     CommandFailedError,
     DimensionMismatchError,
+    HallcalError,
     InvalidInputError,
     OutputDirectoryError,
     ParseError,
@@ -46,6 +47,7 @@ from .errors import (
 )
 from .hall import (COLD, HOT, HallLayout, OperatingState, SystemInput, squared_distances,
                    validate_layout)
+from .optim import rate_range
 from .surrogate import KAPPA_CFM_PER_W
 
 
@@ -230,11 +232,16 @@ class ZonalSolver(ThermalSolver):
                 raise InvalidInputError("non-finite entries in solver input")
             if (alpha <= 0).any():
                 raise InvalidInputError("flow rates must be positive")
-            h0 = np.where(mixed, (self.exhaust.T @ (load / alpha)) / hot_total, 0.0)
-            t_cold = c0 if lhs is None else np.linalg.solve(lhs, c0 + B @ h0)
-            readings = np.empty(self.layout.n_sensors)
-            readings[self.cold_idx] = self.mix_cold @ t_cold
-            readings[self.hot_idx] = self.mix_hot @ (H @ t_cold + h0)
+            # a rate small enough to overflow a rise gives non-finite readings: they
+            # raise below, with no warning on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                h0 = np.where(mixed, (self.exhaust.T @ (load / alpha)) / hot_total, 0.0)
+                t_cold = c0 if lhs is None else np.linalg.solve(lhs, c0 + B @ h0)
+                readings = np.empty(self.layout.n_sensors)
+                readings[self.cold_idx] = self.mix_cold @ t_cold
+                readings[self.hot_idx] = self.mix_hot @ (H @ t_cold + h0)
+            if not np.isfinite(readings).all():
+                raise InvalidInputError(f"non-finite readings at {rate_range(alpha)}")
             return readings
 
         return solve
@@ -248,10 +255,15 @@ def zonal_solve(scenario: Scenario, x: SystemInput) -> np.ndarray:
 def synthesize_measurements(scenario: Scenario, state: OperatingState,
                             seed: Optional[int] = None) -> np.ndarray:
     """Sensor measurement vector: the zonal solve at the hidden ground-truth
-    flow rates plus seeded zero-mean Gaussian sensor noise."""
+    flow rates plus seeded zero-mean Gaussian sensor noise. A noise level
+    whose draws overflow raises HallcalError."""
     clean = zonal_solve(scenario, state.to_input(scenario.alpha_true))
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    return clean + rng.normal(0.0, scenario.sensor_noise_sd, size=clean.size)
+    measured = clean + rng.normal(0.0, scenario.sensor_noise_sd, size=clean.size)
+    if not np.isfinite(measured).all():
+        raise HallcalError(f"sensor noise sd {scenario.sensor_noise_sd!r} draws a "
+                           "non-finite measurement")
+    return measured
 
 
 # -- external-solver bridge ---------------------------------------------------

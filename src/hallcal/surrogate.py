@@ -38,7 +38,7 @@ from .errors import (
     ObjectiveNonFiniteError,
 )
 from .hall import AdjacencyPriors, OperatingState, SystemInput
-from .optim import Bounds, SearchResult, TrainConfig, adam_fit
+from .optim import Bounds, SearchResult, TrainConfig, adam_fit, rate_range
 
 AIR_DENSITY = 1.205  # kg/m^3
 AIR_HEAT_CAPACITY = 1005.0  # J/(kg K)
@@ -580,7 +580,7 @@ def convex_search(w: SurrogateWeights, priors: AdjacencyPriors, terms: StateTerm
     alpha = bounds.clip(1.0 / u)
     fun = loss_at(w, priors, terms, alpha, t_meas, params)
     if not math.isfinite(fun):
-        raise ObjectiveNonFiniteError(f"search objective is not finite at {alpha!r}")
+        raise ObjectiveNonFiniteError(f"search objective is {fun} at {rate_range(alpha)}")
     return SearchResult(x=alpha, fun=fun, n_evals=n_evals, residual=residual)
 
 

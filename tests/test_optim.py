@@ -277,7 +277,9 @@ class TestDeSearch:
             assert BOX.contains(c)
 
     def test_nonfinite_objective_raises(self):
-        with pytest.raises(ObjectiveNonFiniteError):
+        # one message line: the value, and the vector's size and range
+        with pytest.raises(ObjectiveNonFiniteError,
+                           match=r"^objective returned nan at 4 flow rates in \[1\.0, 1\.0\]$"):
             de_search(lambda x: float("nan"), BOX, DeConfig(), np.full(4, 1.0), seed=0)
 
     def test_deterministic_under_seed(self):

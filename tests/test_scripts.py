@@ -1,8 +1,5 @@
 import ast
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -95,16 +92,6 @@ def test_bad_number_is_a_usage_error(capsys, name, argv):
         load_script(name).main(argv)
     assert exc.value.code == 1
     assert f"error: argument {argv[0]}" in capsys.readouterr().err
-
-
-def test_toolkit_error_exits_as_hallcal_does():
-    # a repeated fraction exits 2 with `hallcal study-datavolume`'s one line, no traceback
-    paths = [str(SCRIPTS.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    run = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_datavolume_study.py"), "--pool-size", "20",
-         "--fractions", "0.5,0.5"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
-    assert (run.returncode, run.stderr, run.stdout) == (2, "error: fraction 0.5 is repeated\n", "")
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.stem)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hallcal.errors import (
     CommandFailedError,
     DimensionMismatchError,
+    HallcalError,
     InvalidInputError,
     OutputDirectoryError,
     ParseError,
@@ -261,6 +262,9 @@ BAD_FLOWS = {  # flow rates a solve must reject, with the error of their first f
     "inf": ([0.2, np.inf, 0.2, 0.2], InvalidInputError, "non-finite entries in solver input"),
     "zero": ([0.2, 0.0, 0.2, 0.2], InvalidInputError, "flow rates must be positive"),
     "negative": ([0.2, -0.1, 0.2, 0.2], InvalidInputError, "flow rates must be positive"),
+    # positive, but its server's rise overflows: raised with no RuntimeWarning on the way
+    "subnormal": ([0.2, 1e-310, 0.2, 0.2], InvalidInputError,
+                  "non-finite readings at 4 flow rates in [1e-310, 0.2]"),
     # count before finiteness before sign
     "short, nan and zero": ([np.nan, 0.0, 0.2], DimensionMismatchError,
                             "powers and flow rates differ in length"),
@@ -401,6 +405,12 @@ class TestSynthesizeMeasurements:
         m1 = synthesize_measurements(scenario, state)
         m2 = synthesize_measurements(scenario, state)
         assert np.array_equal(m1, m2)
+
+    def test_noise_whose_draws_overflow_raises(self, reference):
+        scenario, state = reference
+        with pytest.raises(HallcalError, match=r"^sensor noise sd 1e\+308 draws a non-finite "
+                                               "measurement$"):
+            synthesize_measurements(replace(scenario, sensor_noise_sd=1e308), state)
 
     def test_noise_sd_statistics(self):
         scenario = one_server_scenario(sensor_noise_sd=0.1)

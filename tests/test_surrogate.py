@@ -581,7 +581,9 @@ class TestConvexSearch:
         alpha = np.full(state.server_powers.size, 0.2)
         bad = meas.copy()
         bad[3] = np.nan
-        with pytest.raises(ObjectiveNonFiniteError):
+        # one message line: the value, and the flow rates' count and range
+        with pytest.raises(ObjectiveNonFiniteError,
+                           match=r"^search objective is nan at \d+ flow rates in \[\S+, \S+\]$"):
             self.search((w, priors, state, bad), alpha)
         powers = state.server_powers.copy()
         powers[7] = np.nan
